@@ -2,9 +2,14 @@
 
 Subcommands mirror the pipeline stages: verify-lemmas, build, betti,
 rigid, experiment, sweep.  Rationals are written "num/den" everywhere
-(bare integers accepted on input).  Exit codes: 0 all checks pass, 1 a
-mathematical check failed (counterexample in the report), 2 usage or
-config error.
+(bare integers accepted on input).  Exit codes:
+
+  0  all checks pass
+  1  a mathematical check failed (counterexample in the report)
+  2  usage or config error, or an internal failure (a complex sweep that
+     is not nested, rigid edges with no non-rigid path between them, a
+     completed cycle that is not closed), reported on one stderr line as
+     "error: <ExceptionClass>: <message>"
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .harness import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_SUITE_BLOCKS,
+    DisconnectionError,
+    OpenChainError,
     assert_rigid_free,
     find_diagonal_scale_edges,
     find_rigid_edges,
@@ -26,7 +33,7 @@ from .harness import (
     theorem_experiment,
 )
 from .homology import boundary1, boundary2, rank_f2
-from .rips import build_complex, sweep
+from .rips import MonotonicityError, build_complex, sweep
 from .space import Cloud, CloudConfig, DEFAULT_BLOCKS, DEFAULT_SCALES, build_cloud
 
 __all__ = ["main"]
@@ -200,6 +207,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MonotonicityError, DisconnectionError, OpenChainError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -47,7 +47,7 @@ from .embedding import (
     estimate_equivalence,
 )
 from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound
-from .rips import RipsComplex2, build_complex, sq_dist
+from .rips import RigidEdge, RipsComplex2, build_complex
 from .space import (
     DEFAULT_BLOCKS,
     CloudConfig,
@@ -63,6 +63,7 @@ __all__ = [
     "ExperimentReport",
     "LemmaSuiteReport",
     "DisconnectionError",
+    "OpenChainError",
     "find_rigid_edges",
     "find_diagonal_scale_edges",
     "assert_rigid_free",
@@ -82,73 +83,23 @@ class DisconnectionError(RuntimeError):
     """No non-rigid path between cycle endpoints: the cloud is undersampled."""
 
 
-@dataclass(frozen=True)
-class RigidEdge:
-    """An edge of length exactly the scale joining a sheet point to its
-    perpendicular partner on the {1}-slab (equal last three coordinates)."""
-
-    edge_index: int
-    sheet_vertex: int
-    partner_vertex: int
-    y: BinaryString
-    x_fiber: Fraction
+class OpenChainError(RuntimeError):
+    """Cycle completion produced a chain that is not closed: a bug."""
 
 
 def find_rigid_edges(c: RipsComplex2) -> list[RigidEdge]:
-    """All rigid edges of the complex, by exact scan.
+    """All rigid edges of the complex (see RipsComplex2.scale_edges).
 
-    Rigidity is the perpendicular-partner reading: squared length exactly
-    scale**2 AND the slab endpoint's last three coordinates equal the
-    sheet endpoint's, which is what makes the slab point the unique
-    nearest one.  Diagonal edges of the same length are not rigid; see
+    Diagonal edges of the same length are not rigid; see
     find_diagonal_scale_edges.
     """
-    pts = c.cloud.points
-    aa = c.scale * c.scale
-    out = []
-    for e_i, (i, j) in enumerate(c.edges):
-        pair = _orient_sheet_cube1(pts[i], pts[j], i, j)
-        if pair is None:
-            continue
-        sheet_pt, sheet_v, cube_pt, cube_v = pair
-        if sq_dist(sheet_pt, cube_pt) != aa:
-            continue
-        if sheet_pt.coords[1:] != cube_pt.coords[1:]:
-            continue
-        out.append(
-            RigidEdge(
-                edge_index=e_i,
-                sheet_vertex=sheet_v,
-                partner_vertex=cube_v,
-                y=sheet_pt.sheet_y,
-                x_fiber=sheet_pt.sheet_x,
-            )
-        )
-    return out
+    return list(c.scale_edges.rigid)
 
 
 def find_diagonal_scale_edges(c: RipsComplex2) -> list[int]:
     """Sheet-to-slab edges of length exactly the scale that are not
     perpendicular; reported separately, never classified rigid."""
-    pts = c.cloud.points
-    aa = c.scale * c.scale
-    out = []
-    for e_i, (i, j) in enumerate(c.edges):
-        pair = _orient_sheet_cube1(pts[i], pts[j], i, j)
-        if pair is None:
-            continue
-        sheet_pt, _, cube_pt, _ = pair
-        if sq_dist(sheet_pt, cube_pt) == aa and sheet_pt.coords[1:] != cube_pt.coords[1:]:
-            out.append(e_i)
-    return out
-
-
-def _orient_sheet_cube1(p, q, i, j):
-    if p.kind == "sheet" and q.kind == "cube1":
-        return p, i, q, j
-    if q.kind == "sheet" and p.kind == "cube1":
-        return q, j, p, i
-    return None
+    return list(c.scale_edges.diagonal)
 
 
 @dataclass(frozen=True)
@@ -253,7 +204,7 @@ def complete_to_cycle(e1: RigidEdge, e2: RigidEdge, c: RipsComplex2) -> Cycle:
         chain ^= {e}
     cycle = Cycle(tuple(sorted(chain)))
     if not cycle_is_closed(c, cycle):
-        raise RuntimeError("cycle completion produced an open chain (bug)")
+        raise OpenChainError("cycle completion produced an open chain (bug)")
     return cycle
 
 

@@ -6,9 +6,14 @@ length exactly a and must be present.  Triangles are the flag completion
 (all three sides present), which is all the 2-skeleton needs since first
 homology of a flag complex is determined by it.
 
-Enumeration is the dense O(V^2) pair scan; exact big-rational arithmetic
-dominates anyway at the intended desk scale of a few hundred points.
-Everything built here is immutable and deterministically ordered.
+Coordinates stay Fractions at the I/O boundary.  Every distance test
+runs on the cloud's integer lattice: scaled once by L, the lcm of its
+coordinate denominators, each squared distance is an int D, and
+D <= floor(a**2 * L**2) is the exact threshold test (see
+space.lattice_bound) with no Fraction, float or square root per pair.
+Enumeration is the dense O(V^2) pair scan over those ints.  Everything
+built here is immutable and deterministically ordered; the per-complex
+indices (edge positions, scale-length edges) are built once, on demand.
 """
 
 from __future__ import annotations
@@ -16,11 +21,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .digits import format_rational
+from .digits import BinaryString, format_rational
+from .space import lattice_bound
 
 __all__ = [
     "RipsComplex2",
+    "RigidEdge",
+    "ScaleEdges",
     "MonotonicityError",
     "sq_dist",
     "build_edges",
@@ -34,23 +43,57 @@ class MonotonicityError(RuntimeError):
 
 
 def sq_dist(p, q) -> Fraction:
-    """Exact squared Euclidean distance between two labeled points."""
+    """Exact squared Euclidean distance between two labeled points (or two
+    lattice points, in which case it is an int)."""
     return sum((a - b) ** 2 for a, b in zip(p.coords, q.coords))
+
+
+class _LatticePoint:
+    """A cloud point's lattice ints, in the shape sq_dist reads."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        self.coords = coords
 
 
 def build_edges(cloud, a: Fraction) -> list[tuple[int, int]]:
     """All index pairs (i < j) with squared distance <= a**2, inclusive."""
     if a < 0:
         raise ValueError("scale must be nonnegative")
-    aa = a * a
-    pts = cloud.points
+    L, lattice = cloud.lattice
+    bound, _ = lattice_bound(Fraction(a), L)
+    pts = [_LatticePoint(c) for c in lattice]
     edges = []
     for i in range(len(pts)):
         pi = pts[i]
         for j in range(i + 1, len(pts)):
-            if sq_dist(pi, pts[j]) <= aa:
+            if sq_dist(pi, pts[j]) <= bound:
                 edges.append((i, j))
     return edges
+
+
+@dataclass(frozen=True)
+class RigidEdge:
+    """An edge of length exactly the scale joining a sheet point to its
+    perpendicular partner on the {1}-slab (equal last three coordinates)."""
+
+    edge_index: int
+    sheet_vertex: int
+    partner_vertex: int
+    y: BinaryString
+    x_fiber: Fraction
+
+
+class ScaleEdges:
+    """Sheet-to-{1}-slab edges of length exactly the scale, by edge order:
+    the perpendicular ones are rigid, the rest are diagonal edge indices."""
+
+    __slots__ = ("rigid", "diagonal")
+
+    def __init__(self, rigid: tuple[RigidEdge, ...], diagonal: tuple[int, ...]) -> None:
+        self.rigid = rigid
+        self.diagonal = diagonal
 
 
 @dataclass(frozen=True)
@@ -70,7 +113,44 @@ class RipsComplex2:
         return len(self.cloud.points)
 
     def edge_index(self) -> dict[tuple[int, int], int]:
+        """Edge -> its position in `edges`; built once, shared by callers."""
+        return self._edge_index
+
+    @cached_property
+    def _edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def scale_edges(self) -> ScaleEdges:
+        """Rigid and diagonal scale-length edges, classified in one pass.
+
+        Rigidity is the perpendicular-partner reading: squared length
+        exactly scale**2 AND the slab endpoint's last three coordinates
+        equal the sheet endpoint's, which is what makes the slab point the
+        unique nearest one.
+        """
+        pts = self.cloud.points
+        L, lattice = self.cloud.lattice
+        bound, exact = lattice_bound(self.scale, L)
+        if not exact:  # no lattice distance is exactly the scale
+            return ScaleEdges((), ())
+        rigid, diagonal = [], []
+        for e_i, (i, j) in enumerate(self.edges):
+            if pts[i].kind == "sheet" and pts[j].kind == "cube1":
+                s, c = i, j
+            elif pts[j].kind == "sheet" and pts[i].kind == "cube1":
+                s, c = j, i
+            else:
+                continue
+            u, v = lattice[s], lattice[c]
+            if sum((x - y) ** 2 for x, y in zip(u, v)) != bound:
+                continue
+            if u[1:] != v[1:]:
+                diagonal.append(e_i)
+                continue
+            sheet = pts[s]
+            rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
+        return ScaleEdges(tuple(rigid), tuple(diagonal))
 
     def to_json_dict(self) -> dict:
         return {

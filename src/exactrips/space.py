@@ -23,8 +23,10 @@ depends on the truncated tail.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .digits import (
     BinaryString,
@@ -43,6 +45,7 @@ __all__ = [
     "NeighborViolation",
     "scale_window",
     "fiber_value",
+    "lattice_bound",
     "sheet_point",
     "build_cloud",
     "circle_above_parabola",
@@ -97,6 +100,17 @@ class LabeledPoint4:
         if self.kind == "sheet":
             return f"sheet:x={format_rational(self.sheet_x)}:y={self.sheet_y.text()}"
         return self.kind
+
+
+def lattice_bound(a: Fraction, L: int) -> tuple[int, bool]:
+    """(floor(a**2 * L**2), whether that floor is exact).
+
+    On the lattice (1/L) Z^4 a squared distance is D / L**2 with D an int,
+    so D / L**2 <= a**2 iff D <= the bound, and D / L**2 == a**2 iff also
+    the bound is exact and D equals it.
+    """
+    q, r = divmod((a.numerator * L) ** 2, a.denominator ** 2)
+    return q, r == 0
 
 
 def _parse_label(text: str) -> tuple[str, Fraction | None, BinaryString | None]:
@@ -200,6 +214,17 @@ class Cloud:
     def __getitem__(self, i: int) -> LabeledPoint4:
         return self.points[i]
 
+    @cached_property
+    def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, every point's coordinates times L), with L the lcm of all
+        coordinate denominators: the cloud on the integer lattice, where
+        distance tests are exact int arithmetic."""
+        L = math.lcm(*{c.denominator for p in self.points for c in p.coords})
+        return L, tuple(
+            tuple(c.numerator * (L // c.denominator) for c in p.coords)
+            for p in self.points
+        )
+
     def to_csv_text(self) -> str:
         lines = []
         for p in self.points:
@@ -219,8 +244,24 @@ class Cloud:
                 raise ValueError(f"cloud row needs label + 4 coordinates: {line!r}")
             kind, x, y = _parse_label(cells[0])
             coords = tuple(parse_rational(c) for c in cells[1:])
+            _check_label(kind, x, coords[0], line)
             points.append(LabeledPoint4(coords, kind, x, y))
         return cls(tuple(points), None)
+
+
+def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> None:
+    # A row's label fixes its first coordinate: 0 or 1 on the slabs,
+    # x / 118098 on the sheet with parameter x in [0, 1].
+    if kind == "sheet":
+        if not 0 <= x <= 1:
+            raise ValueError(f"sheet parameter out of [0, 1]: {line!r}")
+        expected = x / SHEET_SCALE
+    else:
+        expected = Fraction(1 if kind == "cube1" else 0)
+    if first != expected:
+        raise ValueError(
+            f"label {kind} needs first coordinate {format_rational(expected)}: {line!r}"
+        )
 
 
 def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
@@ -321,22 +362,30 @@ def second_neighbor_witness(
     eps > l**2 / 2 between the first-coordinate gap eps and the slab
     projection gap l, contradicting the close-expanding lower bound.  Any
     violation is returned with both gaps so the failed chain is inspectable.
+
+    Distances are compared on the cloud's integer lattice, refined by the
+    least factor s that puts the partner on it too (s = 1 for a partner
+    in the cloud); the gaps of a violation are then computed exactly.
     """
     if partner.kind != "cube1":
         raise ValueError("witness scan expects a {1}-slab partner point")
     a = Fraction(a)
+    L, lattice = cloud.lattice
+    scaled = [Fraction(c) * L for c in partner.coords]
+    s = math.lcm(*(c.denominator for c in scaled))
+    target = [c.numerator * (s // c.denominator) for c in scaled]
+    bound, _ = lattice_bound(a, L * s)
     rigid_coords = (partner.coords[0] - a,) + partner.coords[1:]
     out = []
     for idx, p in enumerate(cloud.points):
         if p.kind != "sheet":
             continue
-        if p.coords == rigid_coords:
+        d = sum((s * u - v) ** 2 for u, v in zip(lattice[idx], target))
+        if d > bound or p.coords == rigid_coords:
             continue
         eps = abs(p.coords[0] - partner.coords[0])
         l_sq = sum(
             (p.coords[i] - partner.coords[i]) ** 2 for i in (1, 2, 3)
         )
-        dist_sq = eps * eps + l_sq
-        if dist_sq <= a * a:
-            out.append(NeighborViolation(idx, eps, l_sq, dist_sq))
+        out.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
     return out

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from exactrips import cli, harness
 from exactrips.cli import main
 from exactrips.digits import BinaryString
+from exactrips.harness import DisconnectionError, OpenChainError
+from exactrips.rips import MonotonicityError
 from exactrips.space import Cloud, CloudConfig
 
 
@@ -63,12 +66,13 @@ def test_rigid_subcommand(tmp_path):
 
 
 def test_rigid_failure_exit_code(tmp_path):
-    # Hand-written cloud with an intruder on the rigid segment.
+    # Hand-written cloud with an intruder on the rigid segment, at the
+    # first coordinate (1/2) / 118098 its sheet label names.
     cloud_path = tmp_path / "bad.csv"
     cloud_path.write_text(
         "sheet:x=0/1:y=0,0/1,0/1,0/1,0/1\n"
         "cube1,1/1,0/1,0/1,0/1\n"
-        "sheet:x=1/2:y=0,1/2,0/1,0/1,0/1\n"
+        "sheet:x=1/2:y=0,1/236196,0/1,0/1,0/1\n"
     )
     out = tmp_path / "rigid.json"
     assert (
@@ -77,6 +81,55 @@ def test_rigid_failure_exit_code(tmp_path):
     )
     report = json.loads(out.read_text())
     assert not report["freeness"]["ok"]
+
+
+def test_mislabelled_cloud_exit_code(tmp_path, capsys):
+    # The perpendicular pair would count as one rigid edge if the labels
+    # were not checked against the first coordinates.
+    cloud_path = tmp_path / "mislabelled.csv"
+    cloud_path.write_text("cube1,0,0,0,0\nsheet:x=1/2:y=0,1,0,0,0\n")
+    out = tmp_path / "rigid.json"
+    argv = ["rigid", "--cloud", str(cloud_path), "--scale", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "label cube1 needs first coordinate 1/1" in capsys.readouterr().err
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        DisconnectionError("no non-rigid path from vertex 1 to 3"),
+        OpenChainError("cycle completion produced an open chain (bug)"),
+    ],
+)
+def test_internal_failure_in_experiment_exit_code(tmp_path, monkeypatch, capsys, exc):
+    monkeypatch.setattr(harness, "complete_to_cycle", _raise(exc))
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "--sheets", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_internal_failure_in_sweep_exit_code(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path)
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(cfg), "--out", str(cloud_path)])
+    capsys.readouterr()
+    exc = MonotonicityError("edges at 1/2 not nested in 1")
+    monkeypatch.setattr(cli, "sweep", _raise(exc))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--cloud", str(cloud_path), "--scales", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: MonotonicityError: edges at 1/2 not nested in 1\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_sweep_subcommand(tmp_path):

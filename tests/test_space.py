@@ -161,6 +161,33 @@ def test_cloud_csv_round_trip():
     assert back.points == cloud.points
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "cube1,0,0,0,0",
+        "cube0,1,0,0,0",
+        "sheet:x=1/2:y=0,1,0,0,0",
+        "sheet:x=1/2:y=0,1/118098,0,0,0",
+        "sheet:x=2:y=0,1/59049,0,0,0",
+        "sheet:x=-1:y=0,-1/118098,0,0,0",
+    ],
+)
+def test_cloud_csv_rejects_label_coordinate_mismatch(row):
+    with pytest.raises(ValueError):
+        Cloud.from_csv_text(row + "\n")
+
+
+def test_cloud_csv_accepts_consistent_labels():
+    text = "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
+    kinds = [p.kind for p in Cloud.from_csv_text(text)]
+    assert kinds == ["cube0", "cube1", "sheet"]
+
+
+def test_hand_built_cloud_labels_are_not_checked():
+    p = LabeledPoint4((Fraction(0),) * 4, "cube1")
+    assert Cloud((p,), None).points == (p,)
+
+
 def test_rigid_pair_squared_distance_is_scale_squared():
     for a in (Fraction(1), Fraction(236195, 236196), Fraction(118097, 118098)):
         cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
