@@ -1,10 +1,11 @@
 """Exact base-3/base-2 digit strings and the ternary ultrametric.
 
-Everything here is arbitrary-precision rational arithmetic
-(``fractions.Fraction``); no floating point anywhere.  Finite digit
-strings follow the terminating convention: a string stands for the
-infinite sequence obtained by appending zeros, so every finite string
-is the greedy expansion of its own value, zero-padded.
+A digit string is packed as (value, depth), its digits read as one base-3
+(base-2) numeral: "012" is (5, 3), unequal to "0120" = (15, 4).  All
+arithmetic is int or ``fractions.Fraction``; no floating point anywhere.
+Finite digit strings follow the terminating convention: a string stands
+for the infinite sequence obtained by appending zeros, so every finite
+string is the greedy expansion of its own value, zero-padded.
 
 The distance ``delta3`` is 3**-k for the first index k at which two
 (zero-padded) strings disagree.  For identical strings the minimum
@@ -14,8 +15,11 @@ convention making delta3 a pseudometric (and in fact an ultrametric).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 __all__ = [
     "TernaryString",
@@ -24,64 +28,76 @@ __all__ = [
     "format_rational",
     "to_ternary",
     "ternary_value",
+    "first_difference",
+    "delta3_at",
     "delta3",
 ]
 
 
-@dataclass(frozen=True)
-class TernaryString:
-    """Finite digit sequence over {0, 1, 2}, most significant digit first."""
+@dataclass(frozen=True, slots=True, init=False)
+class _DigitString:
+    """Finite digit sequence packed as (value, depth); see the module docstring."""
 
-    digits: tuple[int, ...]
+    value: int
+    depth: int
 
-    def __post_init__(self) -> None:
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise ValueError(f"ternary digits must be 0, 1 or 2, got {self.digits!r}")
+    def __new__(cls, digits: Iterable[int] = ()):
+        digits, value = tuple(digits), 0
+        for d in digits:
+            if d not in range(cls.base):
+                raise ValueError(f"{cls._digit_error}, got {digits!r}")
+            value = value * cls.base + d
+        return cls.from_int(value, len(digits))
+
+    @classmethod
+    def from_int(cls, value: int, depth: int):
+        """The string of `depth` digits whose packed value is `value`."""
+        if depth < 0 or not 0 <= value < cls.base**depth:
+            raise ValueError(f"no {depth}-digit base-{cls.base} string has value {value}")
+        s = object.__new__(cls)
+        object.__setattr__(s, "value", value)
+        object.__setattr__(s, "depth", depth)
+        return s
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls(int(c) for c in text)
 
     @property
-    def depth(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        return tuple(self.digit(k) for k in range(self.depth))
 
     def digit(self, k: int) -> int:
         """Digit at index k under the zero-padding convention."""
-        return self.digits[k] if 0 <= k < len(self.digits) else 0
+        return self.value_at(k + 1) % self.base if k >= 0 else 0
 
-    def padded(self, depth: int) -> "TernaryString":
-        if depth <= len(self.digits):
-            return self
-        return TernaryString(self.digits + (0,) * (depth - len(self.digits)))
+    def value_at(self, depth: int) -> int:
+        """Packed value of the first `depth` digits, zero-padded if needed."""
+        if depth >= self.depth:
+            return self.value * self.base ** (depth - self.depth)
+        return self.value // self.base ** (self.depth - depth)
 
-    @classmethod
-    def from_text(cls, text: str) -> "TernaryString":
-        return cls(tuple(int(c) for c in text))
+    def padded(self, depth: int):
+        return self if depth <= self.depth else self.from_int(self.value_at(depth), depth)
 
     def text(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        return "".join(map(str, self.digits))
 
 
-@dataclass(frozen=True)
-class BinaryString:
+class TernaryString(_DigitString):
+    """Finite digit sequence over {0, 1, 2}, most significant digit first."""
+
+    __slots__ = ()
+    base = 3
+    _digit_error = "ternary digits must be 0, 1 or 2"
+
+
+class BinaryString(_DigitString):
     """Finite digit sequence over {0, 1}; indexes one sheet of the construction."""
 
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d not in (0, 1) for d in self.digits):
-            raise ValueError(f"binary digits must be 0 or 1, got {self.digits!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def digit(self, k: int) -> int:
-        return self.digits[k] if 0 <= k < len(self.digits) else 0
-
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryString":
-        return cls(tuple(int(c) for c in text))
-
-    def text(self) -> str:
-        return "".join(str(d) for d in self.digits)
+    __slots__ = ()
+    base = 2
+    _digit_error = "binary digits must be 0 or 1"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -105,31 +121,46 @@ def format_rational(q: Fraction) -> str:
 def to_ternary(q: Fraction, depth: int) -> TernaryString:
     """Greedy (terminating-preferred) base-3 expansion of q in [0, 1].
 
-    Digit k is floor(q * 3**(k+1)) mod 3, which is the expansion ending
+    The packed value is floor(q * 3**depth), which is the expansion ending
     in zeros whenever q terminates at the requested depth.  q = 1 is the
     one value without such an expansion and returns the all-2s string.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if not 0 <= q <= 1:
-        raise ValueError(f"value out of [0, 1]: {q}")
-    if q == 1:
-        return TernaryString((2,) * depth)
     num, den = q.numerator, q.denominator
-    digits = []
-    for _ in range(depth):
-        num *= 3
-        d, num = divmod(num, den)
-        digits.append(d)
-    return TernaryString(tuple(digits))
+    if not 0 <= num <= den:
+        raise ValueError(f"value out of [0, 1]: {q}")
+    top = 3**depth
+    return TernaryString.from_int(top - 1 if num == den else num * top // den, depth)
 
 
 def ternary_value(s: TernaryString) -> Fraction:
     """Exact value sum(digits[k] * 3**-(k+1))."""
-    acc = 0
-    for d in s.digits:
-        acc = acc * 3 + d
-    return Fraction(acc, 3 ** len(s.digits))
+    return Fraction(s.value, 3**s.depth)
+
+
+_POW3 = tuple(3**k for k in range(256))
+
+
+def first_difference(s: TernaryString, t: TernaryString) -> int | None:
+    """First index at which the zero-padded strings disagree, None if nowhere."""
+    depth = max(s.depth, t.depth)
+    a, b = s.value_at(depth), t.value_at(depth)
+    if a == b:
+        return None
+    p3 = _POW3 if depth < len(_POW3) else tuple(3**k for k in range(depth + 1))
+    # The digits at 3**m and up agree iff a // 3**m == b // 3**m, never when
+    # 3**m <= |a - b|, so the least m at which they agree is at least lo with
+    # 3**(lo-1) <= |a - b| < 3**lo.  Index depth - m is the first difference.
+    lo = bisect_right(p3, abs(a - b))
+    m = bisect_left(range(depth + 1), True, lo, key=lambda m: a // p3[m] == b // p3[m])
+    return depth - m
+
+
+@lru_cache(maxsize=256)
+def delta3_at(k: int | None) -> Fraction:
+    """3**-k, or 0 for None: delta3 given the first difference index."""
+    return Fraction(0) if k is None else Fraction(1, 3**k)
 
 
 def delta3(s: TernaryString, t: TernaryString) -> Fraction:
@@ -138,7 +169,4 @@ def delta3(s: TernaryString, t: TernaryString) -> Fraction:
     Strings of unequal depth are zero-padded to the longer one, consistent
     with the terminating convention.
     """
-    for k in range(max(s.depth, t.depth)):
-        if s.digit(k) != t.digit(k):
-            return Fraction(1, 3**k)
-    return Fraction(0)
+    return delta3_at(first_difference(s, t))

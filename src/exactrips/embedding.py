@@ -6,7 +6,8 @@ binary sheet label y.  The three image coordinates interleave the digits
     coordinate i:  (t[2i], t[2i+1], y[0],  t[6+2i], t[6+2i+1], y[1],  ...)
 
 so every t digit and every y digit lands somewhere in the image: the map
-is injective and invertible by reading the digits back.  Because y digits
+is injective and invertible by reading the digits back (on packed strings,
+one pass over 6-digit t blocks split by a 729-entry table).  Because y digits
 occupy every position congruent to 2 mod 3 and are at most 1, image
 coordinates never carry the digit 2 there; that reserved-digit gap is what
 keeps coordinate values apart (an asymmetric-Cantor picture) and gives the
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .digits import BinaryString, TernaryString, delta3, ternary_value, to_ternary
+from .digits import BinaryString, TernaryString, delta3_at, first_difference
+from .digits import delta3, ternary_value, to_ternary  # delta3: for perfbench --trace 1
 
 __all__ = [
     "IManyPoint",
@@ -92,9 +94,8 @@ class IManyPoint:
         """Equality of (t, y) under the zero-padding convention."""
         tdepth = max(self.t.depth, other.t.depth)
         ydepth = max(self.y.depth, other.y.depth)
-        return all(
-            self.t.digit(k) == other.t.digit(k) for k in range(tdepth)
-        ) and all(self.y.digit(k) == other.y.digit(k) for k in range(ydepth))
+        same_t = self.t.value_at(tdepth) == other.t.value_at(tdepth)
+        return same_t and self.y.value_at(ydepth) == other.y.value_at(ydepth)
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,27 @@ class Point3:
         return (self.c0, self.c1, self.c2)
 
 
+# t block v = t[6k..6k+5] -> (3 * t[6k+2i..6k+2i+1] as a 2-digit value, i < 3).
+_SPLIT = tuple((v // 81 * 3, v // 9 % 9 * 3, v % 9 * 3) for v in range(729))
+
+
+def _coordinate_values(t: TernaryString, b: BinaryString, blocks: int):
+    # Packed values of the three image coordinates, built lowest block first.
+    if blocks < 1:
+        raise ValueError("blocks must be at least 1")
+    tv, bv = t.value_at(6 * blocks), b.value_at(blocks)
+    weight, c0, c1, c2 = 1, 0, 0, 0
+    for _ in range(blocks):
+        tv, v = divmod(tv, 729)
+        bit, bv = bv & 1, bv >> 1
+        a0, a1, a2 = _SPLIT[v]
+        c0 += (a0 + bit) * weight
+        c1 += (a1 + bit) * weight
+        c2 += (a2 + bit) * weight
+        weight *= 27
+    return c0, c1, c2
+
+
 def interleave(i: int, t: TernaryString, b: BinaryString, blocks: int) -> TernaryString:
     """Digit string of image coordinate i, truncated to `blocks` 3-digit blocks.
 
@@ -118,25 +140,15 @@ def interleave(i: int, t: TernaryString, b: BinaryString, blocks: int) -> Ternar
     """
     if i not in (0, 1, 2):
         raise IndexError(f"coordinate index must be 0, 1 or 2, got {i}")
-    if blocks < 1:
-        raise ValueError("blocks must be at least 1")
-    out = []
-    for k in range(blocks):
-        out.append(t.digit(6 * k + 2 * i))
-        out.append(t.digit(6 * k + 2 * i + 1))
-        out.append(b.digit(k))
-    return TernaryString(tuple(out))
+    return TernaryString.from_int(_coordinate_values(t, b, blocks)[i], 3 * blocks)
 
 
 def embed_strings(
     p: IManyPoint, blocks: int
 ) -> tuple[TernaryString, TernaryString, TernaryString]:
     """The three coordinate digit strings of the embedding of p."""
-    return (
-        interleave(0, p.t, p.y, blocks),
-        interleave(1, p.t, p.y, blocks),
-        interleave(2, p.t, p.y, blocks),
-    )
+    values = _coordinate_values(p.t, p.y, blocks)
+    return tuple(TernaryString.from_int(c, 3 * blocks) for c in values)
 
 
 def embed(p: IManyPoint, blocks: int) -> Point3:
@@ -158,35 +170,28 @@ def decode(
         raise ValueError("blocks must be at least 1")
     if len(strings) != 3:
         raise MalformedImageError("exactly three coordinate strings required")
+    columns = []
     for s in strings:
         if s.depth != 3 * blocks:
             raise MalformedImageError(
                 f"coordinate string must have {3 * blocks} digits, got {s.depth}"
             )
-        for k in range(blocks):
-            if s.digits[3 * k + 2] == 2:
+        v, column = s.value, [0] * blocks  # 3-digit blocks, highest first
+        for k in range(blocks - 1, -1, -1):
+            v, column[k] = divmod(v, 27)
+        columns.append(column)
+        for k, w in enumerate(column):
+            if w % 3 == 2:
                 raise MalformedImageError(
                     f"digit 2 at reserved position {3 * k + 2}: not an image point"
                 )
-    b = []
-    for k in range(blocks):
-        shared = {s.digits[3 * k + 2] for s in strings}
-        if len(shared) != 1:
+    t = b = 0
+    for k, (w0, w1, w2) in enumerate(zip(*columns)):
+        if not w0 % 3 == w1 % 3 == w2 % 3:
             raise MalformedImageError(f"coordinates disagree on shared digit {k}")
-        b.append(shared.pop())
-    t = [0] * (6 * blocks)
-    for i, s in enumerate(strings):
-        for k in range(blocks):
-            t[6 * k + 2 * i] = s.digits[3 * k]
-            t[6 * k + 2 * i + 1] = s.digits[3 * k + 1]
-    return TernaryString(tuple(t)), BinaryString(tuple(b))
-
-
-def _first_difference(s: TernaryString, t: TernaryString) -> int | None:
-    for k in range(max(s.depth, t.depth)):
-        if s.digit(k) != t.digit(k):
-            return k
-    return None
+        t = t * 729 + w0 // 3 * 81 + w1 // 3 * 9 + w2 // 3
+        b = 2 * b + w0 % 3
+    return TernaryString.from_int(t, 6 * blocks), BinaryString.from_int(b, blocks)
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,7 @@ class FactReport:
     l2_sq: Fraction
     t_first_diff: int | None
     coord_first_diffs: tuple[int | None, int | None, int | None]
+    coord_gaps: tuple[Fraction, Fraction, Fraction]  # value gaps; not serialized
 
     @property
     def all_hold(self) -> bool:
@@ -257,14 +263,15 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
                 f"digit data deeper than {blocks} blocks; facts would be vacuous"
             )
     x_gap = abs(p.x - q.x)
-    t_delta = delta3(p.t, q.t)
-    sp = embed_strings(p, blocks)
-    sq = embed_strings(q, blocks)
-    coord_deltas = tuple(delta3(a, b) for a, b in zip(sp, sq))
+    t_first_diff = first_difference(p.t, q.t)
+    t_delta = delta3_at(t_first_diff)
+    sp, sq = embed_strings(p, blocks), embed_strings(q, blocks)
+    coord_first_diffs = tuple(first_difference(a, b) for a, b in zip(sp, sq))
+    coord_deltas = tuple(map(delta3_at, coord_first_diffs))
     max_delta = max(coord_deltas)
-    gaps = tuple(abs(ternary_value(a) - ternary_value(b)) for a, b in zip(sp, sq))
-    linf = max(gaps)
-    l2_sq = sum(g * g for g in gaps)
+    den = 3 ** (3 * blocks)  # every coordinate string has 3*blocks digits
+    gaps = [abs(a.value - b.value) for a, b in zip(sp, sq)]
+    linf, l2_sq = Fraction(max(gaps), den), Fraction(sum(g * g for g in gaps), den * den)
     return FactReport(
         fact1=x_gap <= t_delta,
         fact2=t_delta <= 9 * max_delta * max_delta,
@@ -276,8 +283,9 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
         coord_deltas=coord_deltas,
         linf=linf,
         l2_sq=l2_sq,
-        t_first_diff=_first_difference(p.t, q.t),
-        coord_first_diffs=tuple(_first_difference(a, b) for a, b in zip(sp, sq)),
+        t_first_diff=t_first_diff,
+        coord_first_diffs=coord_first_diffs,
+        coord_gaps=tuple(Fraction(g, den) for g in gaps),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 __all__ = [
     "SparseF2Matrix",
@@ -44,7 +45,7 @@ class SparseF2Matrix:
         if len(self.columns) != self.ncols:
             raise ValueError("column count mismatch")
         for col in self.columns:
-            if any(b <= a for a, b in zip(col, col[1:])):
+            if not all(map(lt, col, col[1:])):
                 raise ValueError(f"malformed column (unsorted or duplicate rows): {col}")
             if col and (col[0] < 0 or col[-1] >= self.nrows):
                 raise ValueError(f"row index out of range in column {col}")
@@ -199,13 +200,11 @@ def rigid_rank_lower_bound(c, rigid, cycles) -> int:
     for e in rigid:
         if not 0 <= e < len(c.edges):
             raise ValueError(f"rigid edge index out of range: {e}")
-    edge_idx = c.edge_index()
-    for i, j, k in c.triangles:
-        for side in ((i, j), (i, k), (j, k)):
-            if edge_idx[side] in rigid_set:
-                raise ValueError(
-                    f"edge {side} is rigid but occurs in triangle ({i},{j},{k})"
-                )
+    hits = c.sides_in_triangles(rigid_set)
+    if hits:
+        e, (i, j, k) = hits[0]
+        side = c.edges[e]
+        raise ValueError(f"edge {side} is rigid but occurs in triangle ({i},{j},{k})")
     for cycle in cycles:
         if not cycle_is_closed(c, cycle):
             raise ValueError(f"chain {cycle.edge_indices} is not a cycle")

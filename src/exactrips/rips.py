@@ -13,7 +13,8 @@ D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
 Enumeration is the dense O(V^2) pair scan over those ints.  Everything
 built here is immutable and deterministically ordered; the per-complex
-indices (edge positions, scale-length edges) are built once, on demand.
+indices (edge positions, scale-length edges, the edges that are triangle
+sides) are built once, on demand.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .digits import BinaryString, format_rational
 from .space import lattice_bound
@@ -151,6 +153,20 @@ class RipsComplex2:
             sheet = pts[s]
             rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
+
+    @cached_property
+    def triangle_sides(self) -> frozenset[int]:
+        """Indices of the edges that are a side of some triangle; one pass."""
+        idx, tris = self._edge_index, self.triangles
+        return frozenset(idx[s] for i, j, k in tris for s in ((i, j), (i, k), (j, k)))
+
+    def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:
+        """(edge index, triangle) for each side in `edges` of each triangle, by
+        triangle, then sides (i,j), (i,k), (j,k); no scan if none is a side."""
+        if self.triangle_sides.isdisjoint(edges):
+            return []
+        idx, tris = self._edge_index, self.triangles
+        return [(idx[s], t) for t in tris for s in combinations(t, 2) if idx[s] in edges]
 
     def to_json_dict(self) -> dict:
         return {

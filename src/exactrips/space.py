@@ -157,7 +157,7 @@ class CloudConfig:
         if self.cube_grid < 0:
             raise ValueError("cube_grid must be nonnegative")
         depth = max((y.depth for y in self.sheets), default=0)
-        padded = [tuple(y.digit(k) for k in range(depth)) for y in self.sheets]
+        padded = [y.value_at(depth) for y in self.sheets]
         if len(set(padded)) != len(padded):
             raise ValueError("sheet labels must be pairwise distinct (zero-padded)")
         for x in self.x_values:

@@ -2,8 +2,10 @@
 
 These deliberately share no code with the package: union-find for
 component counting, a tiny random-cloud generator for cross-checking
-the homology engine, and plain Fraction scans that referee the
-integer-lattice distance tests.
+the homology engine, plain Fraction scans that referee the
+integer-lattice distance tests, and digit-by-digit versions of the
+digit-string operations, on plain tuples of digits, that referee the
+packed (int value, depth) strings.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from exactrips.embedding import MalformedImageError
 from exactrips.space import Cloud, LabeledPoint4
 
 
@@ -105,3 +108,97 @@ def fraction_witness(partner, cloud, a: Fraction) -> list[tuple]:
         if eps * eps + l_sq <= a * a:
             out.append((idx, eps, l_sq, eps * eps + l_sq))
     return out
+
+
+def fraction_triangle_sides(cx, edges) -> list[tuple[int, tuple]]:
+    """(edge index, triangle) for each side in `edges` of each triangle,
+    by triangle and then side, found by a scan of the triangle list."""
+    position = {e: k for k, e in enumerate(cx.edges)}
+    return [
+        (position[side], (i, j, k))
+        for i, j, k in cx.triangles
+        for side in ((i, j), (i, k), (j, k))
+        if position[side] in edges
+    ]
+
+
+# Digit strings as plain tuples, most significant digit first.
+
+
+def _digit(digits: tuple, k: int) -> int:
+    return digits[k] if 0 <= k < len(digits) else 0
+
+
+def tuple_to_ternary(q: Fraction, depth: int) -> tuple:
+    """Greedy base-3 digits of q in [0, 1] by long division; q = 1 is all 2s."""
+    if q == 1:
+        return (2,) * depth
+    num, den = q.numerator, q.denominator
+    digits = []
+    for _ in range(depth):
+        num *= 3
+        d, num = divmod(num, den)
+        digits.append(d)
+    return tuple(digits)
+
+
+def tuple_ternary_value(digits: tuple) -> Fraction:
+    acc = 0
+    for d in digits:
+        acc = acc * 3 + d
+    return Fraction(acc, 3 ** len(digits))
+
+
+def tuple_first_difference(s: tuple, t: tuple):
+    for k in range(max(len(s), len(t))):
+        if _digit(s, k) != _digit(t, k):
+            return k
+    return None
+
+
+def tuple_delta3(s: tuple, t: tuple) -> Fraction:
+    k = tuple_first_difference(s, t)
+    return Fraction(0) if k is None else Fraction(1, 3**k)
+
+
+def tuple_interleave(i: int, t: tuple, b: tuple, blocks: int) -> tuple:
+    out = []
+    for k in range(blocks):
+        out += [_digit(t, 6 * k + 2 * i), _digit(t, 6 * k + 2 * i + 1), _digit(b, k)]
+    return tuple(out)
+
+
+def tuple_decode(strings, blocks: int) -> tuple[tuple, tuple]:
+    """Inverse interleave of three digit tuples, raising MalformedImageError
+    for the first defect: per string its length, then its reserved digits;
+    then the shared digits."""
+    if len(strings) != 3:
+        raise MalformedImageError("exactly three coordinate strings required")
+    for s in strings:
+        if len(s) != 3 * blocks:
+            raise MalformedImageError(
+                f"coordinate string must have {3 * blocks} digits, got {len(s)}"
+            )
+        for k in range(blocks):
+            if s[3 * k + 2] == 2:
+                raise MalformedImageError(
+                    f"digit 2 at reserved position {3 * k + 2}: not an image point"
+                )
+    b = []
+    for k in range(blocks):
+        shared = {s[3 * k + 2] for s in strings}
+        if len(shared) != 1:
+            raise MalformedImageError(f"coordinates disagree on shared digit {k}")
+        b.append(shared.pop())
+    t = [0] * (6 * blocks)
+    for i, s in enumerate(strings):
+        for k in range(blocks):
+            t[6 * k + 2 * i] = s[3 * k]
+            t[6 * k + 2 * i + 1] = s[3 * k + 1]
+    return tuple(t), tuple(b)
+
+
+def tuple_digit_data_equals(pt: tuple, py: tuple, qt: tuple, qy: tuple) -> bool:
+    return all(
+        _digit(pt, k) == _digit(qt, k) for k in range(max(len(pt), len(qt)))
+    ) and all(_digit(py, k) == _digit(qy, k) for k in range(max(len(py), len(qy))))

@@ -107,7 +107,8 @@ def test_assert_rigid_free_detects_violation():
     assert len(rigid) == 1
     report = assert_rigid_free(cx, rigid)
     assert not report.ok
-    assert report.triangle_violations and report.witness_violations
+    assert report.triangle_violations == ((0, (0, 1, 2)),)
+    assert report.witness_violations == ((0, 2),)
 
 
 def test_complete_to_cycle_minimal_is_a_square():

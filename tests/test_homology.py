@@ -1,6 +1,7 @@
 """F2 homology engine against independent oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,12 @@ def test_rank_f2_malformed_columns_rejected():
         SparseF2Matrix(nrows=3, ncols=1, columns=((2, 0),))
     with pytest.raises(ValueError):
         SparseF2Matrix(nrows=3, ncols=1, columns=((5,),))
+    # Every column is checked, not only the first ones.
+    good = ((0, 1), (1, 2), (0, 2))
+    for bad in ((2, 2), (2, 1), (-1, 0), (1, 3), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            SparseF2Matrix(nrows=3, ncols=4, columns=good + (bad,))
+    assert SparseF2Matrix(nrows=3, ncols=4, columns=good + ((),)).ncols == 4
 
 
 def test_rank_f2_matches_dense_oracle_random():
@@ -216,6 +223,13 @@ def test_rigid_rank_lower_bound_preconditions():
     cx = build_complex(UNIT_SQUARE, Fraction(3, 2))  # all triangles filled
     with pytest.raises(ValueError):
         rigid_rank_lower_bound(cx, [0], [])
+    # The first triangle side, by triangle order, that is a given edge.
+    for rigid, message in (
+        ([5, 3], "edge (1, 2) is rigid but occurs in triangle (0,1,2)"),
+        ([4], "edge (1, 3) is rigid but occurs in triangle (0,1,3)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rigid_rank_lower_bound(cx, rigid, [])
     cx1 = build_complex(UNIT_SQUARE, Fraction(1))
     with pytest.raises(ValueError):
         rigid_rank_lower_bound(cx1, [0], [Cycle((0, 1, 2))])  # open chain

@@ -23,7 +23,12 @@ from exactrips.space import (
     second_neighbor_witness,
 )
 
-from oracles import fraction_edges, fraction_scale_edges, fraction_witness
+from oracles import (
+    fraction_edges,
+    fraction_scale_edges,
+    fraction_triangle_sides,
+    fraction_witness,
+)
 
 DENOMINATORS = (1, 2, 3, 4, 9, 6, 2**10, 3**5, 3**23, 2 * 3**23)
 Y = BinaryString((0, 1))
@@ -148,3 +153,15 @@ def test_witness_matches_fraction_scan_off_the_cloud(case, den, data):
         partner, cloud, a
     )
     assert hits  # the point at a / 2 is always within a
+
+
+@SETTINGS
+@given(clouds(max_points=14), st.data())
+def test_sides_in_triangles_matches_a_triangle_scan(case, data):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    edges = set(data.draw(st.lists(st.integers(0, max(len(cx.edges) - 1, 0)))))
+    edges &= set(range(len(cx.edges)))
+    assert cx.sides_in_triangles(edges) == fraction_triangle_sides(cx, edges)
+    assert cx.triangle_sides == {e for e, _ in fraction_triangle_sides(cx, range(len(cx.edges)))}
+    assert cx.triangle_sides is cx.triangle_sides  # one pass per complex
