@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .digits import (
@@ -293,21 +293,17 @@ def theorem_experiment(
     beta1 >= n-1 (coarse grids contribute threshold edges of their own);
     the census and the lower bound stay exact.
     """
-    sheet_counts = list(sheet_counts)
+    sheet_counts, scales = list(sheet_counts), list(scales)
+    if not sheet_counts or not scales:
+        raise ValueError("need at least one sheet count and one scale")
     if any(b <= a for a, b in zip(sheet_counts, sheet_counts[1:])):
         raise ValueError("sheet counts must be strictly ascending")
     minimal = cube_grid == 0 and not include_cube0
     rows = []
     for n in sheet_counts:
         for a in scales:
-            cfg = CloudConfig(
-                sheets=default_sheets(n),
-                scale=Fraction(a),
-                x_values=(),
-                blocks=blocks,
-                cube_grid=cube_grid,
-                include_cube0=include_cube0,
-                include_partners=True,
+            cfg = replace(
+                minimal_config(n, a, blocks), cube_grid=cube_grid, include_cube0=include_cube0
             )
             cloud = build_cloud(cfg)
             cx = build_complex(cloud, cfg.scale)
@@ -335,7 +331,7 @@ def theorem_experiment(
                     scale=Fraction(a),
                     vertices=cx.n_vertices,
                     edges=len(cx.edges),
-                    triangles=len(cx.triangles),
+                    triangles=cx.n_triangles,
                     betti0=b0,
                     betti1=b1,
                     rigid_count=len(rigid),
@@ -534,7 +530,7 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     parabola_failures = []
     for r in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
         for k in range(32):
-            x = -r + 2 * r * Fraction(k, 31)
+            x = r * Fraction(2 * k - 31, 31)  # -r + 2r k/31
             parabola_checks += 1
             if not circle_above_parabola(r, x):
                 parabola_failures.append(

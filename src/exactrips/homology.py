@@ -3,7 +3,12 @@
 beta0 = V - rank(d1) and beta1 = E - rank(d1) - rank(d2) on the
 2-skeleton, which suffices for first homology of a flag complex.
 
-Two independent routes coexist on purpose: `rank_f2` reduces sparse
+`betti01` ranks the 2-skeleton left after collapsing dominated edges on
+int bitmask neighborhoods, which keeps the flag complex's homotopy type
+(Boissonnat & Pritam, *Edge collapse and persistence of flag complexes*,
+SoCG 2020); an edge in no triangle, such as a rigid edge, never collapses.
+
+Two independent rank routes coexist on purpose: `rank_f2` reduces sparse
 columns left to right with lowest-one pivoting (the lowest nonzero row,
 i.e. the largest row index, as in standard boundary-matrix reduction),
 while `dense_rank_f2` is a plain dense row-echelon eliminator.
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
 
+from .rips import bits
+
 __all__ = [
     "SparseF2Matrix",
     "Cycle",
@@ -24,6 +31,7 @@ __all__ = [
     "boundary2",
     "rank_f2",
     "dense_rank_f2",
+    "collapse_edges",
     "betti01",
     "betti_bruteforce",
     "rigid_rank_lower_bound",
@@ -133,11 +141,43 @@ def dense_rank_f2(rows) -> int:
     return rank
 
 
+def collapse_edges(c) -> list[tuple[int, int]]:
+    """The edges of c that survive domination collapse, in order: ascending
+    passes delete each edge uv that some w outside {u, v} dominates
+    (N[u] & N[v] <= N[w], closed neighborhoods of the current graph) until
+    a pass deletes none."""
+    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+    alive, removed = list(c.edges), True
+    while removed:
+        kept = []
+        for u, v in alive:
+            common = closed[u] & closed[v]
+            if any(not common & ~closed[w] for w in bits(common ^ 1 << u ^ 1 << v)):
+                closed[u] ^= 1 << v
+                closed[v] ^= 1 << u
+            else:
+                kept.append((u, v))
+        alive, removed = kept, len(kept) < len(alive)
+    return alive
+
+
 def betti01(c) -> tuple[int, int]:
-    """(beta0, beta1) of the 2-skeleton via sparse boundary ranks."""
-    r1 = rank_f2(boundary1(c))
-    r2 = rank_f2(boundary2(c))
-    return c.n_vertices - r1, len(c.edges) - r1 - r2
+    """(beta0, beta1) of the 2-skeleton, ranked after edge collapse."""
+    edges = collapse_edges(c)
+    nb = [0] * c.n_vertices
+    for i, j in edges:
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    idx = {e: r for r, e in enumerate(edges)}
+    # Sides (i,j) < (i,k) < (j,k) of a triangle come in edge order.
+    d2 = tuple(
+        (idx[(i, j)], idx[(i, k)], idx[(j, k)])
+        for i, j in edges
+        for k in bits(nb[i] & nb[j] & -(2 << j))
+    )
+    r1 = rank_f2(SparseF2Matrix(c.n_vertices, len(edges), tuple(edges)))
+    r2 = rank_f2(SparseF2Matrix(len(edges), len(d2), d2))
+    return c.n_vertices - r1, len(edges) - r1 - r2
 
 
 def betti_bruteforce(cloud, a) -> tuple[int, int]:

@@ -13,8 +13,9 @@ D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
 Enumeration is the dense O(V^2) pair scan over those ints.  Everything
 built here is immutable and deterministically ordered; the per-complex
-indices (edge positions, scale-length edges, the edges that are triangle
-sides) are built once, on demand.
+indices (edge positions, scale-length edges, int bitmask neighborhoods,
+whose nb[i] & nb[j] are an edge's triangle apexes) are built once, on
+demand; the triangle list is enumerated from the masks only when read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .digits import BinaryString, format_rational
 from .space import lattice_bound
@@ -37,6 +37,7 @@ __all__ = [
     "build_edges",
     "build_complex",
     "sweep",
+    "bits",
 ]
 
 
@@ -48,6 +49,14 @@ def sq_dist(p, q) -> Fraction:
     """Exact squared Euclidean distance between two labeled points (or two
     lattice points, in which case it is an int)."""
     return sum((a - b) ** 2 for a, b in zip(p.coords, q.coords))
+
+
+def bits(mask: int):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _LatticePoint:
@@ -107,7 +116,6 @@ class RipsComplex2:
     cloud: object
     scale: Fraction
     edges: tuple[tuple[int, int], ...]
-    triangles: tuple[tuple[int, int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
@@ -121,6 +129,25 @@ class RipsComplex2:
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per vertex, the int whose set bits are its neighbors."""
+        return tuple(sum(1 << j for j in nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def n_triangles(self) -> int:
+        """Number of flag triangles, counted without listing them."""
+        nb = self.neighbor_masks
+        return sum(((nb[i] & nb[j]) >> (j + 1)).bit_count() for i, j in self.edges)
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """Flag triangles, lexicographic: edges in order, apexes above j."""
+        nb = self.neighbor_masks
+        return tuple(
+            (i, j, k) for i, j in self.edges for k in bits(nb[i] & nb[j] & -(2 << j))
+        )
 
     @cached_property
     def scale_edges(self) -> ScaleEdges:
@@ -154,19 +181,16 @@ class RipsComplex2:
             rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
 
-    @cached_property
-    def triangle_sides(self) -> frozenset[int]:
-        """Indices of the edges that are a side of some triangle; one pass."""
-        idx, tris = self._edge_index, self.triangles
-        return frozenset(idx[s] for i, j, k in tris for s in ((i, j), (i, k), (j, k)))
-
     def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:
         """(edge index, triangle) for each side in `edges` of each triangle, by
-        triangle, then sides (i,j), (i,k), (j,k); no scan if none is a side."""
-        if self.triangle_sides.isdisjoint(edges):
-            return []
-        idx, tris = self._edge_index, self.triangles
-        return [(idx[s], t) for t in tris for s in combinations(t, 2) if idx[s] in edges]
+        triangle, then sides (i,j), (i,k), (j,k); an edge's triangles are
+        its common neighbors k, and its side is (i,j) of (i,j,k) when k > j."""
+        nb, hits = self.neighbor_masks, []
+        for e in set(edges):
+            i, j = self.edges[e]
+            for k in bits(nb[i] & nb[j]):
+                hits.append((tuple(sorted((i, j, k))), (k < i) + (k < j), e))
+        return [(e, t) for t, _, e in sorted(hits)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,43 +204,18 @@ class RipsComplex2:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _merge_intersect_above(left: list[int], right: list[int], floor: int) -> list[int]:
-    # Sorted-list intersection keeping values > floor.
-    out = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            if a > floor:
-                out.append(a)
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def build_complex(cloud, a: Fraction) -> RipsComplex2:
-    """Edges plus flag triangles via sorted-adjacency intersection."""
+    """Edges and ascending neighbor lists; triangles are derived on demand."""
     edges = build_edges(cloud, a)
-    n = len(cloud.points)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[list[int]] = [[] for _ in range(len(cloud.points))]
     for i, j in edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
     # Pair scan emits j ascending per i, so each list is already sorted.
-    triangles = []
-    for i, j in edges:
-        for k in _merge_intersect_above(adjacency[i], adjacency[j], j):
-            triangles.append((i, j, k))
-    triangles.sort()
     return RipsComplex2(
         cloud=cloud,
         scale=Fraction(a),
         edges=tuple(edges),
-        triangles=tuple(triangles),
         adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
     )
 
@@ -228,6 +227,8 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
     as MonotonicityError to flag an implementation bug loudly.
     """
     scales = list(scales)
+    if not scales:
+        raise ValueError("no scales given")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly ascending")
     out: list[RipsComplex2] = []

@@ -329,17 +329,18 @@ def circle_above_parabola(r: Fraction, x: Fraction) -> bool:
     """Exact witness that r - sqrt(r**2 - x**2) >= x**2 / (2r) on |x| <= r.
 
     Evaluated in the cleared form (r - x**2/(2r))**2 >= r**2 - x**2, valid
-    because the left base is nonnegative on the domain.  Always true; the
-    comparison is executed rather than assumed.
+    because the left base is nonnegative on the domain; times 4 r**2 D**4,
+    with r = R/D and x = X/D, it is (2R**2 - X**2)**2 >= 4R**2 (R**2 - X**2)
+    in ints.  Always true; the comparison is executed rather than assumed.
     """
-    r = Fraction(r)
-    x = Fraction(x)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if abs(x) > r:
+    d = math.lcm(r.denominator, x.denominator)
+    rr = (r.numerator * (d // r.denominator)) ** 2
+    xx = (x.numerator * (d // x.denominator)) ** 2
+    if xx > rr:
         raise ValueError(f"|x| = {abs(x)} exceeds radius {r}")
-    lhs = r - x * x / (2 * r)
-    return lhs * lhs >= r * r - x * x
+    return (2 * rr - xx) ** 2 >= 4 * rr * (rr - xx)
 
 
 @dataclass(frozen=True)

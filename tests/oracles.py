@@ -3,9 +3,11 @@
 These deliberately share no code with the package: union-find for
 component counting, a tiny random-cloud generator for cross-checking
 the homology engine, plain Fraction scans that referee the
-integer-lattice distance tests, and digit-by-digit versions of the
+integer-lattice distance tests, digit-by-digit versions of the
 digit-string operations, on plain tuples of digits, that referee the
-packed (int value, depth) strings.
+packed (int value, depth) strings, and the full flag route (every
+triangle, sorted-list intersection, full boundary ranks) with a set-based
+domination test that referee the edge-collapse Betti engine.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from fractions import Fraction
 
 from exactrips.embedding import MalformedImageError
+from exactrips.homology import boundary1, boundary2, rank_f2
 from exactrips.space import Cloud, LabeledPoint4
 
 
@@ -119,6 +122,49 @@ def fraction_triangle_sides(cx, edges) -> list[tuple[int, tuple]]:
         for i, j, k in cx.triangles
         for side in ((i, j), (i, k), (j, k))
         if position[side] in edges
+    ]
+
+
+def merge_intersect_triangles(cx) -> list[tuple[int, int, int]]:
+    """Flag triangles by intersecting the ascending neighbor lists of each
+    edge's endpoints above its larger end, sorted."""
+    triangles = []
+    for i, j in cx.edges:
+        left, right = cx.adjacency[i], cx.adjacency[j]
+        a = b = 0
+        while a < len(left) and b < len(right):
+            if left[a] == right[b]:
+                if left[a] > j:
+                    triangles.append((i, j, left[a]))
+                a += 1
+                b += 1
+            elif left[a] < right[b]:
+                a += 1
+            else:
+                b += 1
+    triangles.sort()
+    return triangles
+
+
+def full_flag_betti01(cx) -> tuple[int, int]:
+    """(beta0, beta1) from the boundary ranks of the whole flag 2-skeleton,
+    with no edge collapse."""
+    r1 = rank_f2(boundary1(cx))
+    r2 = rank_f2(boundary2(cx))
+    return cx.n_vertices - r1, len(cx.edges) - r1 - r2
+
+
+def dominated_edges(n_vertices: int, edges) -> list[tuple[int, int]]:
+    """Edges uv of the graph with some w not in {u, v} whose closed
+    neighborhood holds N[u] & N[v], by set arithmetic."""
+    closed = [{v} for v in range(n_vertices)]
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    return [
+        (u, v)
+        for u, v in edges
+        if any(closed[u] & closed[v] <= closed[w] for w in range(n_vertices) if w not in (u, v))
     ]
 
 

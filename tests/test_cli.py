@@ -201,3 +201,28 @@ def test_config_error_exit_code(tmp_path):
     assert main(["build", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     missing = tmp_path / "missing.json"
     assert main(["build", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("sheets, scales", [("2", ","), (",", "1"), ("", "")])
+def test_experiment_empty_lists_exit_code(tmp_path, capsys, sheets, scales):
+    out = tmp_path / "exp.csv"
+    argv = ["experiment", "--sheets", sheets, "--scales", scales, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one sheet count and one scale\n"
+
+
+def test_sweep_empty_scales_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(cfg), "--out", str(cloud_path)])
+    capsys.readouterr()
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--cloud", str(cloud_path), "--scales", ",", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no scales given\n"

@@ -1,0 +1,143 @@
+"""The edge-collapse Betti engine against the full flag route.
+
+`betti01` ranks the 2-skeleton left after dominated edges are collapsed;
+its referees are the full flag route (every triangle, full boundary
+ranks), the dense brute-force oracle, and a set-based domination test
+for the fixpoint.  The paper's mechanism is checked as an invariant: a
+rigid edge lies in no triangle, so no vertex dominates it and it
+survives every collapse.
+"""
+
+import dataclasses
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exactrips.harness import find_rigid_edges, minimal_config
+from exactrips.homology import betti01, betti_bruteforce, collapse_edges
+from exactrips.rips import build_complex
+from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
+
+from oracles import (
+    dominated_edges,
+    fraction_triangle_sides,
+    full_flag_betti01,
+    merge_intersect_triangles,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _cloud(coords):
+    return Cloud(tuple(LabeledPoint4(tuple(map(Fraction, c)), "cube1") for c in coords), None)
+
+
+@st.composite
+def clouds(draw, max_points):
+    """(cloud, a): either points on a coarse rational grid, so many pairs
+    sit at equal distances and the complexes have cliques and ties, or a
+    random subset of the integer grid {0..m}^2 or {0..m}^3, whose
+    complexes have holes and triangles that no collapse removes."""
+    if draw(st.booleans()):
+        den = draw(st.sampled_from((1, 2, 3)))
+        coord = st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
+        dims = draw(st.integers(1, 4))
+        n = draw(st.integers(0, max_points))
+        coords = [[draw(coord) if d < dims else 0 for d in range(4)] for _ in range(n)]
+        return _cloud(coords), Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+    dims = draw(st.integers(2, 3))
+    grid = list(product(range(draw(st.integers(1, 4 if dims == 2 else 2)) + 1), repeat=dims))
+    coords = [p + (0,) * (4 - dims) for p in grid if draw(st.integers(0, 9)) < 7]
+    a = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2))))
+    return _cloud(coords[:max_points]), a
+
+
+def test_octahedron_keeps_every_edge():
+    # The flag 2-sphere: each edge's two common neighbors are antipodal, so
+    # none dominates it, and the triangle rank alone fills the 1-cycles.
+    axes = [[0] * 4 for _ in range(6)]
+    for k in range(3):
+        axes[2 * k][k], axes[2 * k + 1][k] = 1, -1
+    cx = build_complex(_cloud(axes), Fraction(3, 2))
+    assert (len(cx.edges), cx.n_triangles) == (12, 8)
+    assert collapse_edges(cx) == list(cx.edges)
+    assert betti01(cx) == full_flag_betti01(cx) == (1, 0)
+
+
+@SETTINGS
+@given(clouds(max_points=12))
+def test_betti01_matches_full_flag_route_and_bruteforce(case):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    assert betti01(cx) == full_flag_betti01(cx) == betti_bruteforce(cloud, a)
+
+
+@SETTINGS
+@given(clouds(max_points=40))
+def test_betti01_matches_full_flag_route_on_larger_clouds(case):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    assert betti01(cx) == full_flag_betti01(cx)
+
+
+@SETTINGS
+@given(clouds(max_points=30))
+def test_collapse_stops_at_a_fixpoint(case):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    kept = collapse_edges(cx)
+    assert kept == [e for e in cx.edges if e in set(kept)]  # a subsequence
+    assert dominated_edges(cx.n_vertices, kept) == []
+    assert collapse_edges(cx) == kept
+    # An edge in no triangle has no common neighbor to dominate it.
+    in_triangles = {e for e, _ in fraction_triangle_sides(cx, range(len(cx.edges)))}
+    assert {cx.edges[e] for e in range(len(cx.edges)) if e not in in_triangles} <= set(kept)
+
+
+@SETTINGS
+@given(clouds(max_points=30))
+def test_triangles_count_order_and_merge_intersection_agree(case):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    assert list(cx.triangles) == merge_intersect_triangles(cx)
+    assert cx.n_triangles == len(cx.triangles)
+
+
+@SETTINGS
+@given(clouds(max_points=20), st.data())
+def test_sides_in_triangles_matches_a_scan_for_any_edge_list(case, data):
+    cloud, a = case
+    cx = build_complex(cloud, a)
+    if not cx.edges:
+        assert cx.sides_in_triangles([]) == []
+        return
+    edges = data.draw(st.lists(st.integers(0, len(cx.edges) - 1), max_size=2 * len(cx.edges)))
+    assert cx.sides_in_triangles(edges) == fraction_triangle_sides(cx, set(edges))
+
+
+def _assert_rigid_edges_survive(cloud, a):
+    cx = build_complex(cloud, a)
+    rigid = find_rigid_edges(cx)
+    assert rigid
+    kept = set(collapse_edges(cx))
+    assert {cx.edges[r.edge_index] for r in rigid} <= kept
+    return cx
+
+
+@pytest.mark.parametrize("a", DEFAULT_SCALES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rigid_edges_survive_collapse_on_minimal_clouds(n, a):
+    cx = _assert_rigid_edges_survive(build_cloud(minimal_config(n, a)), a)
+    assert betti01(cx) == full_flag_betti01(cx) == (1, n - 1)
+
+
+@pytest.mark.parametrize("cube_grid", [1, 2, 3])
+def test_rigid_edges_survive_collapse_on_cube_grid_clouds(cube_grid):
+    for n in (2, 4):
+        a = DEFAULT_SCALES[cube_grid % len(DEFAULT_SCALES)]
+        cfg = dataclasses.replace(minimal_config(n, a), cube_grid=cube_grid, include_cube0=True)
+        cx = _assert_rigid_edges_survive(build_cloud(cfg), a)
+        assert betti01(cx) == full_flag_betti01(cx)

@@ -183,6 +183,13 @@ def test_theorem_experiment_rejects_unsorted_counts():
         theorem_experiment([3, 2], [Fraction(1)])
 
 
+def test_theorem_experiment_rejects_empty_lists():
+    # An empty list would give a header-only report that passes vacuously.
+    for counts, scales in (([], [Fraction(1)]), ([2], []), ([], [])):
+        with pytest.raises(ValueError, match="at least one sheet count and one scale"):
+            theorem_experiment(counts, scales)
+
+
 def test_window_scale_grid_rigid_and_betti():
     # >= 5 scales across the window with assorted fiber values.
     lo = WINDOW_LO

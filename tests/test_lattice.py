@@ -163,5 +163,5 @@ def test_sides_in_triangles_matches_a_triangle_scan(case, data):
     edges = set(data.draw(st.lists(st.integers(0, max(len(cx.edges) - 1, 0)))))
     edges &= set(range(len(cx.edges)))
     assert cx.sides_in_triangles(edges) == fraction_triangle_sides(cx, edges)
-    assert cx.triangle_sides == {e for e, _ in fraction_triangle_sides(cx, range(len(cx.edges)))}
-    assert cx.triangle_sides is cx.triangle_sides  # one pass per complex
+    every = range(len(cx.edges))
+    assert cx.sides_in_triangles(every) == fraction_triangle_sides(cx, every)

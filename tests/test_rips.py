@@ -102,6 +102,11 @@ def test_sweep_requires_ascending_scales():
         sweep(UNIT_SQUARE, [Fraction(1), Fraction(1)])
 
 
+def test_sweep_requires_a_scale():
+    with pytest.raises(ValueError, match="no scales given"):
+        sweep(UNIT_SQUARE, [])
+
+
 def test_sweep_window_nesting_on_theorem_cloud():
     cfg = CloudConfig(
         sheets=(BinaryString((0,)), BinaryString((1,))),
