@@ -15,10 +15,12 @@ convention making delta3 a pseudometric (and in fact an ultrametric).
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 __all__ = [
@@ -26,6 +28,7 @@ __all__ = [
     "BinaryString",
     "parse_rational",
     "format_rational",
+    "json_text",
     "to_ternary",
     "ternary_value",
     "first_difference",
@@ -116,6 +119,49 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical "num/den" form; integers render with denominator 1."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def json_text(obj) -> str:
+    """The text json.dumps(obj, indent=2, sort_keys=True) + "\\n" writes.
+
+    Every JSON report goes through here.  The stdlib encodes with its C
+    encoder only when indent is None, so a list of int rows (edges,
+    triangles) is encoded once compactly in C and re-indented by string
+    replacement; dicts and other lists recurse; scalars are the stdlib's.
+    Keys must be str.
+    """
+    return _json_at(obj, "\n") + "\n"
+
+
+def _json_at(obj, nl: str) -> str:
+    """obj as the indented encoder writes it where `nl` starts a line."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        fields = (f"{json.dumps(k)}: {_json_at(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    # Rows of exact ints, checked in C rather than row by row: the compact
+    # text of such rows has no comma or bracket but the encoder's own.
+    if (
+        set(map(type, obj)) <= {list, tuple}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        deeper = inner + "  "
+        body = json.dumps(obj, separators=(",", ":"))[2:-2]  # "0,1],[0,2"
+        body = body.replace(",", "," + deeper).replace(
+            "]," + deeper + "[", inner + "]," + inner + "[" + deeper
+        )
+        return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
+    return "[" + inner + ("," + inner).join(_json_at(v, inner) for v in obj) + nl + "]"
 
 
 def to_ternary(q: Fraction, depth: int) -> TernaryString:

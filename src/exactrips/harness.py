@@ -23,7 +23,6 @@ so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -34,6 +33,7 @@ from .digits import (
     TernaryString,
     delta3,
     format_rational,
+    json_text,
     ternary_value,  # not called here; kept for perfbench --trace 1 to wrap
 )
 from .embedding import (
@@ -414,7 +414,7 @@ class LemmaSuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
 
 def _random_digits(rng: random.Random, cls, depth: int):

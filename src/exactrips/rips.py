@@ -16,16 +16,17 @@ built here is immutable and deterministically ordered; the per-complex
 indices (edge positions, scale-length edges, int bitmask neighborhoods,
 whose nb[i] & nb[j] are an edge's triangle apexes) are built once, on
 demand; the triangle list is enumerated from the masks only when read.
+A sweep checks nesting on the masks as well, so only a JSON report that
+writes the triangles lists them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .digits import BinaryString, format_rational
+from .digits import BinaryString, format_rational, json_text
 from .space import lattice_bound
 
 __all__ = [
@@ -196,12 +197,12 @@ class RipsComplex2:
         return {
             "scale": format_rational(self.scale),
             "vertices": self.n_vertices,
-            "edges": [list(e) for e in self.edges],
-            "triangles": [list(t) for t in self.triangles],
+            "edges": self.edges,
+            "triangles": self.triangles,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
 
 def build_complex(cloud, a: Fraction) -> RipsComplex2:
@@ -223,7 +224,9 @@ def build_complex(cloud, a: Fraction) -> RipsComplex2:
 def sweep(cloud, scales) -> list[RipsComplex2]:
     """Complexes at strictly ascending scales, with nesting asserted.
 
-    A monotonicity violation cannot arise from valid input; it is raised
+    Nesting is checked on the neighbor masks: every vertex keeps its
+    neighbors, and every earlier edge keeps its triangle apexes.  A
+    monotonicity violation cannot arise from valid input; it is raised
     as MonotonicityError to flag an implementation bug loudly.
     """
     scales = list(scales)
@@ -236,9 +239,11 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
         cx = build_complex(cloud, a)
         if out:
             prev = out[-1]
-            if not set(prev.edges) <= set(cx.edges):
+            pn, nb = prev.neighbor_masks, cx.neighbor_masks
+            if any(p & ~q for p, q in zip(pn, nb)):
                 raise MonotonicityError(f"edges at {prev.scale} not nested in {a}")
-            if not set(prev.triangles) <= set(cx.triangles):
+            # An edge's triangle apexes are its endpoints' common neighbors.
+            if any(pn[i] & pn[j] & ~(nb[i] & nb[j]) for i, j in prev.edges):
                 raise MonotonicityError(f"triangles at {prev.scale} not nested in {a}")
         out.append(cx)
     return out

@@ -31,6 +31,7 @@ from functools import cached_property
 from .digits import (
     BinaryString,
     format_rational,
+    json_text,
     parse_rational,
 )
 from .embedding import IManyPoint, embed
@@ -190,7 +191,7 @@ class CloudConfig:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CloudConfig":
@@ -294,8 +295,11 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
     seen: set[tuple] = set()
 
     def emit(p: LabeledPoint4) -> None:
-        if p.coords not in seen:
-            seen.add(p.coords)
+        # Keyed on int pairs: hashing a Fraction with a 3**k denominator
+        # takes a modular inverse, and Fraction does not cache its hash.
+        key = tuple((c.numerator, c.denominator) for c in p.coords)
+        if key not in seen:
+            seen.add(key)
             points.append(p)
 
     for x in cfg.x_values:

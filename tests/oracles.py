@@ -7,11 +7,13 @@ integer-lattice distance tests, digit-by-digit versions of the
 digit-string operations, on plain tuples of digits, that referee the
 packed (int value, depth) strings, and the full flag route (every
 triangle, sorted-list intersection, full boundary ranks) with a set-based
-domination test that referee the edge-collapse Betti engine.
+domination test that referee the edge-collapse Betti engine, and the
+stdlib's indented JSON encoder that referees the shared report writer.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -248,3 +250,8 @@ def tuple_digit_data_equals(pt: tuple, py: tuple, qt: tuple, qy: tuple) -> bool:
     return all(
         _digit(pt, k) == _digit(qt, k) for k in range(max(len(pt), len(qt)))
     ) and all(_digit(py, k) == _digit(qy, k) for k in range(max(len(py), len(qy))))
+
+
+def json_text_reference(obj) -> str:
+    """The report text every JSON writer once produced directly."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from exactrips.rips import build_complex, build_edges, sq_dist, sweep
+from exactrips import rips
+from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
 
@@ -105,6 +106,14 @@ def test_sweep_requires_ascending_scales():
 def test_sweep_requires_a_scale():
     with pytest.raises(ValueError, match="no scales given"):
         sweep(UNIT_SQUARE, [])
+
+
+def test_sweep_rejects_a_complex_that_loses_edges(monkeypatch):
+    # Scale a is built at 1/a, so the second complex of [1, 2] has no edges.
+    monkeypatch.setattr(rips, "build_complex", lambda cloud, a: build_complex(cloud, 1 / a))
+    with pytest.raises(MonotonicityError) as info:
+        sweep(UNIT_SQUARE, [Fraction(1), Fraction(2)])
+    assert str(info.value) == "edges at 1 not nested in 2"
 
 
 def test_sweep_window_nesting_on_theorem_cloud():
