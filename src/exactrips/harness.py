@@ -24,6 +24,7 @@ so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .embedding import (
     estimate_equivalence,
 )
 from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound
-from .rips import RigidEdge, RipsComplex2, build_complex
+from .rips import RigidEdge, RipsComplex2, bits, build_complex
 from .space import (
     DEFAULT_BLOCKS,
     CloudConfig,
@@ -150,28 +151,25 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     )
 
 
-def _bfs_path(c: RipsComplex2, start: int, goal: int, banned: set[int]) -> list[int]:
-    # Shortest path over non-banned edges; neighbors explored in ascending
-    # order so ties break lexicographically on vertex indices.
+def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
+    # Edge indices of a shortest path over the neighbor masks `allowed`;
+    # neighbors explored in ascending order so ties break lexicographically
+    # on vertex indices.
     if start == goal:
         return []
-    edge_idx = c.edge_index()
     parent: dict[int, int] = {start: start}
-    queue = deque([start])
+    seen, queue = 1 << start, deque([start])
     while queue:
         u = queue.popleft()
-        for v in c.adjacency[u]:
-            e = edge_idx[(u, v) if u < v else (v, u)]
-            if e in banned or v in parent:
-                continue
+        for v in bits(allowed[u] & ~seen):
+            seen |= 1 << v
             parent[v] = u
             if v == goal:
                 path = []
                 while v != start:
                     u = parent[v]
-                    path.append(edge_idx[(u, v) if u < v else (v, u)])
+                    path.append(bisect_left(c.edges, (u, v) if u < v else (v, u)))
                     v = u
-                path.reverse()
                 return path
             queue.append(v)
     raise DisconnectionError(
@@ -189,12 +187,14 @@ def complete_to_cycle(e1: RigidEdge, e2: RigidEdge, c: RipsComplex2) -> Cycle:
     """
     if e1.edge_index == e2.edge_index:
         raise ValueError("two distinct rigid edges required")
-    banned = {r.edge_index for r in find_rigid_edges(c)}
-    chain: set[int] = {e1.edge_index, e2.edge_index}
-    for e in _bfs_path(c, e1.partner_vertex, e2.partner_vertex, banned):
-        chain ^= {e}
-    for e in _bfs_path(c, e2.sheet_vertex, e1.sheet_vertex, banned):
-        chain ^= {e}
+    allowed = list(c.neighbor_masks)
+    for r in find_rigid_edges(c):
+        allowed[r.sheet_vertex] &= ~(1 << r.partner_vertex)
+        allowed[r.partner_vertex] &= ~(1 << r.sheet_vertex)
+    # A shortest path repeats no edge, so each is added as a set.
+    chain = {e1.edge_index, e2.edge_index}
+    chain ^= set(_bfs_path(c, e1.partner_vertex, e2.partner_vertex, allowed))
+    chain ^= set(_bfs_path(c, e2.sheet_vertex, e1.sheet_vertex, allowed))
     cycle = Cycle(tuple(sorted(chain)))
     if not cycle_is_closed(c, cycle):
         raise OpenChainError("cycle completion produced an open chain (bug)")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
 
-from .rips import bits
+from .rips import RipsComplex2, bits
 
 __all__ = [
     "SparseF2Matrix",
@@ -80,20 +80,17 @@ def boundary1(c) -> SparseF2Matrix:
     )
 
 
+def _triangle_rows(c) -> tuple[tuple[int, int, int], ...]:
+    # Per flag triangle, the positions of its sides in the sorted edge
+    # list; (i,j) < (i,k) < (j,k) there, so each row is ascending.
+    idx = {e: r for r, e in enumerate(c.edges)}
+    return tuple((idx[(i, j)], idx[(i, k)], idx[(j, k)]) for i, j, k in c.triangles)
+
+
 def boundary2(c) -> SparseF2Matrix:
     """Triangle boundary: column per triangle hitting its three edge rows."""
-    edge_idx = c.edge_index()
-    cols = []
-    for i, j, k in c.triangles:
-        try:
-            rows = sorted((edge_idx[(i, j)], edge_idx[(i, k)], edge_idx[(j, k)]))
-        except KeyError as missing:
-            raise ValueError(
-                f"triangle ({i},{j},{k}) has a side missing from the edge list: "
-                f"{missing}"
-            ) from None
-        cols.append(tuple(rows))
-    return SparseF2Matrix(nrows=len(c.edges), ncols=len(c.triangles), columns=tuple(cols))
+    cols = _triangle_rows(c)
+    return SparseF2Matrix(nrows=len(c.edges), ncols=len(cols), columns=cols)
 
 
 def rank_f2(m: SparseF2Matrix) -> int:
@@ -164,17 +161,7 @@ def collapse_edges(c) -> list[tuple[int, int]]:
 def betti01(c) -> tuple[int, int]:
     """(beta0, beta1) of the 2-skeleton, ranked after edge collapse."""
     edges = collapse_edges(c)
-    nb = [0] * c.n_vertices
-    for i, j in edges:
-        nb[i] |= 1 << j
-        nb[j] |= 1 << i
-    idx = {e: r for r, e in enumerate(edges)}
-    # Sides (i,j) < (i,k) < (j,k) of a triangle come in edge order.
-    d2 = tuple(
-        (idx[(i, j)], idx[(i, k)], idx[(j, k)])
-        for i, j in edges
-        for k in bits(nb[i] & nb[j] & -(2 << j))
-    )
+    d2 = _triangle_rows(RipsComplex2(c.cloud, c.scale, tuple(edges)))
     r1 = rank_f2(SparseF2Matrix(c.n_vertices, len(edges), tuple(edges)))
     r2 = rank_f2(SparseF2Matrix(len(edges), len(d2), d2))
     return c.n_vertices - r1, len(edges) - r1 - r2
@@ -215,12 +202,11 @@ def betti_bruteforce(cloud, a) -> tuple[int, int]:
 
 def cycle_is_closed(c, cycle: Cycle) -> bool:
     """True iff every vertex meets an even number of the cycle's edges."""
-    degree: dict[int, int] = {}
+    odd = 0  # bit v set iff vertex v has odd degree so far
     for e in cycle.edge_indices:
         i, j = c.edges[e]
-        degree[i] = degree.get(i, 0) + 1
-        degree[j] = degree.get(j, 0) + 1
-    return all(d % 2 == 0 for d in degree.values())
+        odd ^= 1 << i ^ 1 << j
+    return not odd
 
 
 def rigid_rank_lower_bound(c, rigid, cycles) -> int:

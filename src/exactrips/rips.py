@@ -11,13 +11,13 @@ runs on the cloud's integer lattice: scaled once by L, the lcm of its
 coordinate denominators, each squared distance is an int D, and
 D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
-Enumeration is the dense O(V^2) pair scan over those ints.  Everything
-built here is immutable and deterministically ordered; the per-complex
-indices (edge positions, scale-length edges, int bitmask neighborhoods,
-whose nb[i] & nb[j] are an edge's triangle apexes) are built once, on
-demand; the triangle list is enumerated from the masks only when read.
-A sweep checks nesting on the masks as well, so only a JSON report that
-writes the triangles lists them.
+Enumeration is the dense O(V^2) pair scan over those ints.
+
+A complex is its sorted edge list.  All else is derived from it once, on
+demand: int bitmask neighborhoods (nb[i] & nb[j] are an edge's triangle
+apexes), scale-length edge classes, and the triangles, listed from the
+masks only when read.  Sweeps check nesting on the masks, so only a JSON
+report that writes the triangles lists them.
 """
 
 from __future__ import annotations
@@ -112,29 +112,24 @@ class ScaleEdges:
 class RipsComplex2:
     """Vertices, edges and flag triangles of Rips(cloud, scale), canonically
     ordered: edges (i, j) with i < j lexicographic, triangles (i, j, k)
-    with i < j < k lexicographic, per-vertex neighbor lists ascending."""
+    with i < j < k lexicographic."""
 
     cloud: object
     scale: Fraction
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def n_vertices(self) -> int:
         return len(self.cloud.points)
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Edge -> its position in `edges`; built once, shared by callers."""
-        return self._edge_index
-
-    @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: k for k, e in enumerate(self.edges)}
-
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per vertex, the int whose set bits are its neighbors."""
-        return tuple(sum(1 << j for j in nbrs) for nbrs in self.adjacency)
+        nb = [0] * self.n_vertices
+        for i, j in self.edges:
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+        return tuple(nb)
 
     @cached_property
     def n_triangles(self) -> int:
@@ -206,19 +201,8 @@ class RipsComplex2:
 
 
 def build_complex(cloud, a: Fraction) -> RipsComplex2:
-    """Edges and ascending neighbor lists; triangles are derived on demand."""
-    edges = build_edges(cloud, a)
-    adjacency: list[list[int]] = [[] for _ in range(len(cloud.points))]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    # Pair scan emits j ascending per i, so each list is already sorted.
-    return RipsComplex2(
-        cloud=cloud,
-        scale=Fraction(a),
-        edges=tuple(edges),
-        adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
-    )
+    """The complex of the pair scan's edges, which come out sorted."""
+    return RipsComplex2(cloud, Fraction(a), tuple(build_edges(cloud, a)))
 
 
 def sweep(cloud, scales) -> list[RipsComplex2]:

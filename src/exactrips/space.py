@@ -128,17 +128,23 @@ def _parse_label(text: str) -> tuple[str, Fraction | None, BinaryString | None]:
 class CloudConfig:
     """Finite-sampling policy for the counterexample space.
 
-    sheets            sheet labels to include (pairwise distinct under
-                      zero-padding, since equal-padded labels embed alike)
+    sheets            binary sheet labels to include; they must differ
+                      in their first `blocks` digits (zero-padded), the
+                      only ones the embedding reads, so n labels need
+                      blocks >= ceil(log2 n)
     scale             the Rips scale the cloud is built for; must lie in
                       the window
     x_values          extra sheet parameters sampled on every sheet
-    blocks            truncation depth: 3*blocks digits per embedded
+    blocks            int truncation depth: 3*blocks digits per embedded
                       coordinate, consuming 6*blocks t digits
-    cube_grid         g > 0 adds the {1}-slab grid {0, 1/g, ..., 1}^3
-    include_cube0     also add the matching {0}-slab grid
-    include_partners  add the fiber points at x_a and their {1}-slab
+    cube_grid         int g > 0 adds the {1}-slab grid {0, 1/g, ..., 1}^3
+    include_cube0     bool: also add the matching {0}-slab grid
+    include_partners  bool: add the fiber points at x_a and their {1}-slab
                       partners (the rigid pairs)
+
+    In JSON, `sheets` is a list of strings, `scale` and the `x_values`
+    list hold rationals ("num/den" or ints), and the int and bool keys
+    must have exactly those JSON types.
     """
 
     sheets: tuple[BinaryString, ...]
@@ -157,10 +163,12 @@ class CloudConfig:
             raise ValueError("blocks must be at least 1")
         if self.cube_grid < 0:
             raise ValueError("cube_grid must be nonnegative")
-        depth = max((y.depth for y in self.sheets), default=0)
-        padded = [y.value_at(depth) for y in self.sheets]
-        if len(set(padded)) != len(padded):
-            raise ValueError("sheet labels must be pairwise distinct (zero-padded)")
+        n = len(self.sheets)
+        if len({y.value_at(self.blocks) for y in self.sheets}) != n:
+            raise ValueError(
+                f"sheet labels must differ in their first blocks={self.blocks} digits "
+                f"(telling {n} labels apart takes blocks >= {max(1, (n - 1).bit_length())})"
+            )
         for x in self.x_values:
             if not 0 <= x <= 1:
                 raise ValueError(f"x value out of [0, 1]: {x}")
@@ -180,14 +188,27 @@ class CloudConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CloudConfig":
+        if not isinstance(d, dict):
+            raise ValueError("a cloud config must be a JSON object")
+
+        def typed(key, default, kind):
+            # Exact type, so a bool is not an int and nothing is coerced.
+            value = d.get(key, default)
+            if type(value) is not kind:
+                raise ValueError(f"config key {key!r} must be {kind.__name__}: {value!r}")
+            return value
+
+        sheets = typed("sheets", None, list)
+        if not all(isinstance(s, str) for s in sheets):
+            raise ValueError(f"config key 'sheets' must list strings: {sheets!r}")
         return cls(
-            sheets=tuple(BinaryString.from_text(s) for s in d["sheets"]),
+            sheets=tuple(BinaryString.from_text(s) for s in sheets),
             scale=parse_rational(str(d.get("scale", "1"))),
-            x_values=tuple(parse_rational(str(x)) for x in d.get("x_values", [])),
-            blocks=int(d.get("blocks", DEFAULT_BLOCKS)),
-            cube_grid=int(d.get("cube_grid", 0)),
-            include_cube0=bool(d.get("include_cube0", False)),
-            include_partners=bool(d.get("include_partners", True)),
+            x_values=tuple(parse_rational(str(x)) for x in typed("x_values", [], list)),
+            blocks=typed("blocks", DEFAULT_BLOCKS, int),
+            cube_grid=typed("cube_grid", 0, int),
+            include_cube0=typed("include_cube0", False, bool),
+            include_partners=typed("include_partners", True, bool),
         )
 
     def to_json(self) -> str:

@@ -5,19 +5,23 @@ component counting, a tiny random-cloud generator for cross-checking
 the homology engine, plain Fraction scans that referee the
 integer-lattice distance tests, digit-by-digit versions of the
 digit-string operations, on plain tuples of digits, that referee the
-packed (int value, depth) strings, and the full flag route (every
-triangle, sorted-list intersection, full boundary ranks) with a set-based
-domination test that referee the edge-collapse Betti engine, and the
-stdlib's indented JSON encoder that referees the shared report writer.
+packed (int value, depth) strings, the full flag route (every triangle,
+sorted-list intersection, full boundary ranks) with a set-based
+domination test that referee the edge-collapse Betti engine, a
+breadth-first search over adjacency lists and an edge dict that referees
+cycle completion on neighbor masks, and the stdlib's indented JSON
+encoder that referees the shared report writer.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 from exactrips.embedding import MalformedImageError
+from exactrips.harness import DisconnectionError
 from exactrips.homology import boundary1, boundary2, rank_f2
 from exactrips.space import Cloud, LabeledPoint4
 
@@ -127,12 +131,22 @@ def fraction_triangle_sides(cx, edges) -> list[tuple[int, tuple]]:
     ]
 
 
+def neighbor_lists(n_vertices: int, edges) -> list[list[int]]:
+    """Per vertex, its neighbors in the edge list, ascending."""
+    nbrs = [[] for _ in range(n_vertices)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [sorted(vs) for vs in nbrs]
+
+
 def merge_intersect_triangles(cx) -> list[tuple[int, int, int]]:
     """Flag triangles by intersecting the ascending neighbor lists of each
     edge's endpoints above its larger end, sorted."""
+    nbrs = neighbor_lists(cx.n_vertices, cx.edges)
     triangles = []
     for i, j in cx.edges:
-        left, right = cx.adjacency[i], cx.adjacency[j]
+        left, right = nbrs[i], nbrs[j]
         a = b = 0
         while a < len(left) and b < len(right):
             if left[a] == right[b]:
@@ -146,6 +160,45 @@ def merge_intersect_triangles(cx) -> list[tuple[int, int, int]]:
                 b += 1
     triangles.sort()
     return triangles
+
+
+def bfs_cycle_completion(cx, e1, e2, banned) -> tuple[int, ...]:
+    """The chain of rigid edges e1 and e2 plus shortest paths partner to
+    partner and sheet to sheet over the edges not in `banned`, as ascending
+    edge indices.  Breadth-first over ascending adjacency lists, so ties
+    break lexicographically on vertex indices; DisconnectionError when a
+    path is missing."""
+    nbrs = neighbor_lists(cx.n_vertices, cx.edges)
+    edge_idx = {e: k for k, e in enumerate(cx.edges)}
+
+    def path(start: int, goal: int) -> list[int]:
+        if start == goal:
+            return []
+        parent = {start: start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                e = edge_idx[(u, v) if u < v else (v, u)]
+                if e in banned or v in parent:
+                    continue
+                parent[v] = u
+                if v == goal:
+                    out = []
+                    while v != start:
+                        u = parent[v]
+                        out.append(edge_idx[(u, v) if u < v else (v, u)])
+                        v = u
+                    return out
+                queue.append(v)
+        raise DisconnectionError(f"no path from vertex {start} to {goal}")
+
+    chain = {e1.edge_index, e2.edge_index}
+    for e in path(e1.partner_vertex, e2.partner_vertex):
+        chain ^= {e}
+    for e in path(e2.sheet_vertex, e1.sheet_vertex):
+        chain ^= {e}
+    return tuple(sorted(chain))
 
 
 def full_flag_betti01(cx) -> tuple[int, int]:

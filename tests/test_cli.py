@@ -203,6 +203,49 @@ def test_config_error_exit_code(tmp_path):
     assert main(["build", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sheets": 5}', "config key 'sheets' must be list: 5"),
+        ('{"sheets": [1]}', "config key 'sheets' must list strings: [1]"),
+        ("[]", "a cloud config must be a JSON object"),
+        ('{"scale": "1"}', "config key 'sheets' must be list: None"),
+        ('{"sheets": ["0"], "include_cube0": "false"}', "config key 'include_cube0' must be bool: 'false'"),
+        ('{"sheets": ["0"], "include_partners": 1}', "config key 'include_partners' must be bool: 1"),
+        ('{"sheets": ["0"], "blocks": 1.9}', "config key 'blocks' must be int: 1.9"),
+        ('{"sheets": ["0"], "cube_grid": true}', "config key 'cube_grid' must be int: True"),
+        ('{"sheets": ["0"], "x_values": "1/2"}', "config key 'x_values' must be list: '1/2'"),
+        (
+            '{"sheets": ["00", "01", "10"], "blocks": 1}',
+            "sheet labels must differ in their first blocks=1 digits "
+            "(telling 3 labels apart takes blocks >= 2)",
+        ),
+    ],
+)
+def test_malformed_config_exit_code(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["build", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_experiment_sheets_past_blocks_exit_code(tmp_path, capsys):
+    # 257 default labels are 9 bits wide; 8 blocks would merge two sheets.
+    out = tmp_path / "x.csv"
+    assert main(["experiment", "--sheets", "257", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sheet labels must differ in their first blocks=8 digits "
+        "(telling 257 labels apart takes blocks >= 9)\n"
+    )
+
+
 @pytest.mark.parametrize("sheets, scales", [("2", ","), (",", "1"), ("", "")])
 def test_experiment_empty_lists_exit_code(tmp_path, capsys, sheets, scales):
     out = tmp_path / "exp.csv"

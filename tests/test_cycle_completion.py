@@ -1,0 +1,130 @@
+"""Cycle completion on neighbor masks against the adjacency-list referee.
+
+`complete_to_cycle` runs its breadth-first searches over int neighbor
+masks with the rigid neighbors cleared, and locates path edges by
+bisection; `oracles.bfs_cycle_completion` walks ascending adjacency lists
+and an edge dict, skipping the rigid edge indices of a Fraction scan.
+Both must return the same chain, or both raise DisconnectionError.
+"""
+
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exactrips.digits import BinaryString
+from exactrips.harness import (
+    DisconnectionError,
+    complete_to_cycle,
+    find_rigid_edges,
+    minimal_config,
+)
+from exactrips.rips import build_complex
+from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
+
+from oracles import bfs_cycle_completion, fraction_scale_edges, neighbor_lists
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def _sample_complex(n, scale, cube_grid):
+    cfg = replace(minimal_config(n, scale), cube_grid=cube_grid, include_cube0=cube_grid > 0)
+    return build_complex(build_cloud(cfg), cfg.scale)
+
+
+def _layers(keep, m, a):
+    # Kept points of the grid {0..m}^2 on a sheet layer at first coordinate
+    # 0 and on a {1}-slab layer at first coordinate a: a kept point above a
+    # kept point is a rigid pair at scale a, and paths in a layer are walks
+    # on the grid (with diagonals when a >= sqrt 2).
+    slots = product(((0, "sheet"), (a, "cube1")), product(range(m + 1), repeat=2))
+    pts = tuple(
+        LabeledPoint4(
+            (Fraction(layer), Fraction(u), Fraction(v), Fraction(0)),
+            kind,
+            *((Fraction(0), BinaryString((0,))) if kind == "sheet" else ()),
+        )
+        for ((layer, kind), (u, v)), kept in zip(slots, keep)
+        if kept
+    )
+    return build_complex(Cloud(pts, None), a)
+
+
+@st.composite
+def cases(draw):
+    """(kind, complex, two distinct rigid edges of it)."""
+    kind = draw(st.sampled_from(("minimal", "grid", "layers")))
+    if kind == "minimal":
+        cx = _sample_complex(draw(st.integers(2, 6)), draw(st.sampled_from(DEFAULT_SCALES)), 0)
+    elif kind == "grid":
+        cx = _sample_complex(
+            draw(st.integers(2, 8)), draw(st.sampled_from(DEFAULT_SCALES)), draw(st.integers(1, 3))
+        )
+    else:
+        m = draw(st.integers(1, 4))
+        size = 2 * (m + 1) ** 2
+        keep = draw(st.lists(st.integers(0, 9).map(lambda k: k < 8), min_size=size, max_size=size))
+        a = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+        cx = _layers(keep, m, a)
+    rigid = find_rigid_edges(cx)
+    if len(rigid) < 2:
+        return kind, cx, None, None
+    i, j = draw(st.lists(st.integers(0, len(rigid) - 1), min_size=2, max_size=2, unique=True))
+    return kind, cx, rigid[i], rigid[j]
+
+
+def _shortest_paths(nbrs, banned_pairs, start, goal):
+    # (length, number) of shortest paths from start to goal.
+    dist, ways, frontier = {start: 0}, Counter({start: 1}), [start]
+    while frontier and goal not in dist:
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if (min(u, v), max(u, v)) in banned_pairs:
+                    continue
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+                if dist[v] == dist[u] + 1:
+                    ways[v] += ways[u]
+        frontier = nxt
+    return dist.get(goal), ways[goal]
+
+
+def test_complete_to_cycle_matches_adjacency_list_referee():
+    seen = Counter()
+
+    @SETTINGS
+    @given(cases())
+    def check(case):
+        kind, cx, e1, e2 = case
+        if e1 is None:
+            return
+        banned = {r[0] for r in fraction_scale_edges(cx)[0]}
+        try:
+            expected = bfs_cycle_completion(cx, e1, e2, banned)
+        except DisconnectionError:
+            expected = DisconnectionError
+        try:
+            got = complete_to_cycle(e1, e2, cx).edge_indices
+        except DisconnectionError:
+            got = DisconnectionError
+        assert got == expected
+        seen[kind, "disconnected" if got is DisconnectionError else "closed"] += 1
+        nbrs = neighbor_lists(cx.n_vertices, cx.edges)
+        banned_pairs = {cx.edges[e] for e in banned}
+        for start, goal in ((e1.partner_vertex, e2.partner_vertex), (e2.sheet_vertex, e1.sheet_vertex)):
+            length, ways = _shortest_paths(nbrs, banned_pairs, start, goal)
+            if length is not None and length > 1 and ways > 1:
+                seen[kind, "long path with ties"] += 1
+
+    check()
+    for kind in ("minimal", "grid", "layers"):
+        assert seen[kind, "closed"] > 0, seen
+    assert seen["layers", "disconnected"] > 0, seen
+    assert seen["layers", "long path with ties"] > 0, seen

@@ -195,7 +195,7 @@ def test_rigid_rank_lower_bound_pairing_pattern():
         pts.append(_pt(1, off, 0, 0))
     cloud = Cloud(tuple(pts), None)
     cx = build_complex(cloud, a)
-    eidx = cx.edge_index()
+    eidx = {e: k for k, e in enumerate(cx.edges)}
     rigid = [eidx[(k, n + k)] for k in range(n)]
     cycles = []
     for k in range(1, n):

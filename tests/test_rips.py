@@ -69,8 +69,10 @@ def test_canonical_ordering():
     assert all(i < j for i, j in cx.edges)
     assert list(cx.triangles) == sorted(set(cx.triangles))
     assert all(i < j < k for i, j, k in cx.triangles)
-    for nbrs in cx.adjacency:
-        assert list(nbrs) == sorted(set(nbrs))
+    # The masks are derived from the edges and agree with a set scan of them.
+    for v, mask in enumerate(cx.neighbor_masks):
+        nbrs = {j for i, j in cx.edges if i == v} | {i for i, j in cx.edges if j == v}
+        assert {u for u in range(cx.n_vertices) if mask >> u & 1} == nbrs
 
 
 def test_clique_property_matches_brute_force():

@@ -141,6 +141,16 @@ def test_config_validation():
         CloudConfig(sheets=(Y0,), blocks=0)
 
 
+def test_config_labels_must_differ_within_blocks():
+    # The embedding reads only the first `blocks` digits of a label.
+    with pytest.raises(ValueError, match="first blocks=1 digits"):
+        CloudConfig(sheets=tuple(map(BinaryString.from_text, ("00", "01", "10"))), blocks=1)
+    with pytest.raises(ValueError, match="takes blocks >= 9"):
+        CloudConfig(sheets=tuple(BinaryString.from_int(j, 9) for j in range(257)))
+    CloudConfig(sheets=tuple(map(BinaryString.from_text, ("00", "1"))), blocks=1)
+    CloudConfig(sheets=tuple(BinaryString.from_int(j, 8) for j in range(256)))
+
+
 def test_config_json_round_trip():
     cfg = CloudConfig(
         sheets=(Y0, Y1),
