@@ -71,8 +71,6 @@ class _LatticePoint:
 
 def build_edges(cloud, a: Fraction) -> list[tuple[int, int]]:
     """All index pairs (i < j) with squared distance <= a**2, inclusive."""
-    if a < 0:
-        raise ValueError("scale must be nonnegative")
     L, lattice = cloud.lattice
     bound, _ = lattice_bound(Fraction(a), L)
     pts = [_LatticePoint(c) for c in lattice]

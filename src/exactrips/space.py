@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .digits import (
     BinaryString,
@@ -43,6 +44,7 @@ __all__ = [
     "LabeledPoint4",
     "CloudConfig",
     "Cloud",
+    "SheetPack",
     "NeighborViolation",
     "scale_window",
     "fiber_value",
@@ -104,12 +106,14 @@ class LabeledPoint4:
 
 
 def lattice_bound(a: Fraction, L: int) -> tuple[int, bool]:
-    """(floor(a**2 * L**2), whether that floor is exact).
+    """(floor(a**2 * L**2), whether that floor is exact), for a scale a >= 0.
 
     On the lattice (1/L) Z^4 a squared distance is D / L**2 with D an int,
     so D / L**2 <= a**2 iff D <= the bound, and D / L**2 == a**2 iff also
     the bound is exact and D equals it.
     """
+    if a < 0:
+        raise ValueError("scale must be nonnegative")
     q, r = divmod((a.numerator * L) ** 2, a.denominator ** 2)
     return q, r == 0
 
@@ -247,6 +251,11 @@ class Cloud:
             for p in self.points
         )
 
+    @cached_property
+    def sheet_pack(self) -> SheetPack:
+        """The sheet points' lattice rows, packed for the witness scan."""
+        return SheetPack(self.points, self.lattice[1])
+
     def to_csv_text(self) -> str:
         lines = []
         for p in self.points:
@@ -379,6 +388,50 @@ class NeighborViolation:
     dist_sq: Fraction
 
 
+# The top byte of a slot, mapped to its guard bit.
+_GUARD = bytes(128) + bytes((1,)) * 128
+
+
+class SheetPack:
+    """A cloud's sheet points on its lattice, packed into big ints.
+
+    Each coordinate column is shifted by its minimum over the sheet
+    points, so row j holds ints 0 <= u_j[k] <= span[k].  For a slot width
+    w (a multiple of 8), packed(w) gives (cols, PS, ONES): cols[k] holds
+    u_j[k] in bits [w*j, w*(j+1)), PS holds |u_j|**2 and ONES holds 1 in
+    every slot.  Each width is packed once and kept in `packs`.
+    """
+
+    __slots__ = ("index", "low", "span", "top", "packs", "_cols", "_norms")
+
+    def __init__(self, points, lattice) -> None:
+        self.index = tuple(i for i, p in enumerate(points) if p.kind == "sheet")
+        cols = list(zip(*(lattice[i] for i in self.index)))
+        self.low = tuple(map(min, cols))
+        self._cols = [tuple(v - m for v in c) for c, m in zip(cols, self.low)]
+        self.span = tuple(map(max, self._cols))
+        self._norms = [sum(v * v for v in row) for row in zip(*self._cols)]
+        # The largest packed value: every u_j[k] <= |u_j|**2.
+        self.top = max(self._norms, default=0)
+        self.packs: dict[int, tuple] = {}
+
+    def packed(self, w: int) -> tuple[tuple[int, ...], int, int]:
+        pack = self.packs.get(w)
+        if pack is None:
+            size = w // 8
+
+            def join(values) -> int:
+                data = b"".join(v.to_bytes(size, "little") for v in values)
+                return int.from_bytes(data, "little")
+
+            pack = self.packs[w] = (
+                tuple(join(c) for c in self._cols),
+                join(self._norms),
+                join([1] * len(self.index)),
+            )
+        return pack
+
+
 def second_neighbor_witness(
     partner: LabeledPoint4, cloud: Cloud, a: Fraction
 ) -> list[NeighborViolation]:
@@ -391,23 +444,45 @@ def second_neighbor_witness(
 
     Distances are compared on the cloud's integer lattice, refined by the
     least factor s that puts the partner on it too (s = 1 for a partner
-    in the cloud); the gaps of a violation are then computed exactly.
+    in the cloud): the partner is the int target t = partner * L * s, and
+    sheet point j is within a iff D_j = |s*p_j - t|**2 <= bound.  All
+    sheet points are tested at once on the cloud's SheetPack, whose slot
+    j holds point j (shifted by the column minima m, with t' = t - s*m):
+
+        X = (bound + G - |t'|**2)*ONES - s**2*PS + 2s * sum_k t'[k]*cols[k]
+
+    has bound + G - D_j in slot j.  The slot width w is the least multiple
+    of 8 whose guard bit G = 2**(w-1) exceeds bound, every packed value
+    and the largest D over the sheet points' bounding box, so each slot
+    lies in (bound, 2G): none borrows from the next, and slot j has its
+    guard bit set iff D_j <= bound.  The rigid-foot exclusion and the
+    gaps of a violation are then computed exactly on the hits alone.
     """
     if partner.kind != "cube1":
         raise ValueError("witness scan expects a {1}-slab partner point")
     a = Fraction(a)
-    L, lattice = cloud.lattice
-    scaled = [Fraction(c) * L for c in partner.coords]
-    s = math.lcm(*(c.denominator for c in scaled))
-    target = [c.numerator * (s // c.denominator) for c in scaled]
+    L, _ = cloud.lattice
+    s = math.lcm(*(c.denominator // math.gcd(L, c.denominator) for c in partner.coords))
     bound, _ = lattice_bound(a, L * s)
+    pack = cloud.sheet_pack
+    if not pack.index:
+        return []
+    t = [
+        c.numerator * (L * s // c.denominator) - s * m
+        for c, m in zip(partner.coords, pack.low)
+    ]
+    reach = sum(max(u * u, (s * span - u) ** 2) for u, span in zip(t, pack.span))
+    w = 8 * ((max(bound, reach, pack.top).bit_length() + 8) // 8)
+    cols, ps, ones = pack.packed(w)
+    x = (bound + (1 << (w - 1)) - sum(u * u for u in t)) * ones - s * s * ps
+    x += 2 * s * sum(u * col for u, col in zip(t, cols))
+    size = w // 8
+    guards = x.to_bytes(size * len(pack.index), "little")[size - 1::size]
     rigid_coords = (partner.coords[0] - a,) + partner.coords[1:]
     out = []
-    for idx, p in enumerate(cloud.points):
-        if p.kind != "sheet":
-            continue
-        d = sum((s * u - v) ** 2 for u, v in zip(lattice[idx], target))
-        if d > bound or p.coords == rigid_coords:
+    for idx in compress(pack.index, guards.translate(_GUARD)):
+        p = cloud.points[idx]
+        if p.coords == rigid_coords:
             continue
         eps = abs(p.coords[0] - partner.coords[0])
         l_sq = sum(

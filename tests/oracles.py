@@ -3,7 +3,8 @@
 These deliberately share no code with the package: union-find for
 component counting, a tiny random-cloud generator for cross-checking
 the homology engine, plain Fraction scans that referee the
-integer-lattice distance tests, digit-by-digit versions of the
+integer-lattice distance tests, a per-point int-lattice loop that
+referees the packed second-neighbor scan, digit-by-digit versions of the
 digit-string operations, on plain tuples of digits, that referee the
 packed (int value, depth) strings, the full flag route (every triangle,
 sorted-list intersection, full boundary ranks) with a set-based
@@ -16,6 +17,7 @@ encoder that referees the shared report writer.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -116,6 +118,31 @@ def fraction_witness(partner, cloud, a: Fraction) -> list[tuple]:
         l_sq = sum((p.coords[k] - partner.coords[k]) ** 2 for k in (1, 2, 3))
         if eps * eps + l_sq <= a * a:
             out.append((idx, eps, l_sq, eps * eps + l_sq))
+    return out
+
+
+def lattice_witness(partner, cloud, a: Fraction) -> list[tuple]:
+    """(index, eps, l_sq, dist_sq) as fraction_witness, by one int test
+    per sheet point: the partner scaled onto the cloud's lattice, refined
+    by the least s that makes it integral, against floor(a**2 L**2 s**2)."""
+    if a < 0:
+        raise ValueError("scale must be nonnegative")
+    L, lattice = cloud.lattice
+    scaled = [Fraction(c) * L for c in partner.coords]
+    s = math.lcm(*(c.denominator for c in scaled))
+    target = [c.numerator * (s // c.denominator) for c in scaled]
+    bound = (a.numerator * L * s) ** 2 // a.denominator**2
+    rigid_coords = (partner.coords[0] - a,) + tuple(partner.coords[1:])
+    out = []
+    for idx, p in enumerate(cloud.points):
+        if p.kind != "sheet":
+            continue
+        d = sum((s * u - v) ** 2 for u, v in zip(lattice[idx], target))
+        if d > bound or tuple(p.coords) == rigid_coords:
+            continue
+        eps = abs(p.coords[0] - partner.coords[0])
+        l_sq = sum((p.coords[k] - partner.coords[k]) ** 2 for k in (1, 2, 3))
+        out.append((idx, eps, l_sq, eps * eps + l_sq))
     return out
 
 

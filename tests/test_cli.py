@@ -65,6 +65,18 @@ def test_rigid_subcommand(tmp_path):
     assert {e["x_fiber"] for e in report["edges"]} == {"0/1"}
 
 
+def test_rigid_negative_scale_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(cfg), "--out", str(cloud_path)])
+    capsys.readouterr()
+    out = tmp_path / "rigid.json"
+    argv = ["rigid", "--cloud", str(cloud_path), "--scale", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: scale must be nonnegative\n"
+
+
 def test_rigid_failure_exit_code(tmp_path):
     # Hand-written cloud with an intruder on the rigid segment, at the
     # first coordinate (1/2) / 118098 its sheet label names.
