@@ -7,6 +7,12 @@ beta0 = V - rank(d1) and beta1 = E - rank(d1) - rank(d2) on the
 int bitmask neighborhoods, which keeps the flag complex's homotopy type
 (Boissonnat & Pritam, *Edge collapse and persistence of flag complexes*,
 SoCG 2020); an edge in no triangle, such as a rigid edge, never collapses.
+An edge is deleted when *some* dominator exists, and that test reads only
+the current graph, so the order in which candidates are tried cannot
+change which edges survive.  `collapse_edges` therefore tries first a
+per-vertex hint, the dominator it last found at the edge's lower end
+(on cube grids a dominator usually serves many edges at one vertex),
+and falls back to the candidates lowest-first.
 
 Two independent rank routes coexist on purpose: `rank_f2` reduces sparse
 columns left to right with lowest-one pivoting (the lowest nonzero row,
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
 
-from .rips import RipsComplex2, bits
+from .rips import RipsComplex2
 
 __all__ = [
     "SparseF2Matrix",
@@ -142,18 +148,30 @@ def collapse_edges(c) -> list[tuple[int, int]]:
     """The edges of c that survive domination collapse, in order: ascending
     passes delete each edge uv that some w outside {u, v} dominates
     (N[u] & N[v] <= N[w], closed neighborhoods of the current graph) until
-    a pass deletes none."""
+    a pass deletes none.  The hint last[u], the bit of the dominator last
+    found at u, is tried first; it is masked by the candidates `rest`,
+    since v itself would always pass the test."""
     closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+    last = [0] * len(closed)
     alive, removed = list(c.edges), True
     while removed:
         kept = []
         for u, v in alive:
             common = closed[u] & closed[v]
-            if any(not common & ~closed[w] for w in bits(common ^ 1 << u ^ 1 << v)):
-                closed[u] ^= 1 << v
-                closed[v] ^= 1 << u
-            else:
-                kept.append((u, v))
+            rest = common & ~(1 << u | 1 << v)
+            w = last[u] & rest
+            if not w or common & closed[w.bit_length() - 1] != common:
+                while rest:
+                    w = rest & -rest
+                    if common & closed[w.bit_length() - 1] == common:
+                        last[u] = w
+                        break
+                    rest ^= w
+                else:
+                    kept.append((u, v))
+                    continue
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
         alive, removed = kept, len(kept) < len(alive)
     return alive
 

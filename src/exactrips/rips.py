@@ -22,6 +22,7 @@ report that writes the triangles lists them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -150,29 +151,35 @@ class RipsComplex2:
         Rigidity is the perpendicular-partner reading: squared length
         exactly scale**2 AND the slab endpoint's last three coordinates
         equal the sheet endpoint's, which is what makes the slab point the
-        unique nearest one.
+        unique nearest one.  The candidates are each sheet vertex's
+        {1}-slab neighbors, read off the masks and sorted into edge order.
         """
         pts = self.cloud.points
         L, lattice = self.cloud.lattice
         bound, exact = lattice_bound(self.scale, L)
         if not exact:  # no lattice distance is exactly the scale
             return ScaleEdges((), ())
+        nb, cube1, sheets = self.neighbor_masks, 0, []
+        for i, p in enumerate(pts):
+            if p.kind == "cube1":
+                cube1 |= 1 << i
+            elif p.kind == "sheet":
+                sheets.append(i)
+        found = []
+        for s in sheets:
+            u = lattice[s]
+            for c in bits(nb[s] & cube1):
+                if sum((x - y) ** 2 for x, y in zip(u, lattice[c])) == bound:
+                    found.append(((s, c) if s < c else (c, s), s, c))
+        found.sort()
         rigid, diagonal = [], []
-        for e_i, (i, j) in enumerate(self.edges):
-            if pts[i].kind == "sheet" and pts[j].kind == "cube1":
-                s, c = i, j
-            elif pts[j].kind == "sheet" and pts[i].kind == "cube1":
-                s, c = j, i
-            else:
-                continue
-            u, v = lattice[s], lattice[c]
-            if sum((x - y) ** 2 for x, y in zip(u, v)) != bound:
-                continue
-            if u[1:] != v[1:]:
+        for edge, s, c in found:
+            e_i = bisect_left(self.edges, edge)
+            if lattice[s][1:] != lattice[c][1:]:
                 diagonal.append(e_i)
-                continue
-            sheet = pts[s]
-            rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
+            else:
+                sheet = pts[s]
+                rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
 
     def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:

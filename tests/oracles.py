@@ -3,15 +3,18 @@
 These deliberately share no code with the package: union-find for
 component counting, a tiny random-cloud generator for cross-checking
 the homology engine, plain Fraction scans that referee the
-integer-lattice distance tests, a per-point int-lattice loop that
-referees the packed second-neighbor scan, digit-by-digit versions of the
-digit-string operations, on plain tuples of digits, that referee the
-packed (int value, depth) strings, the full flag route (every triangle,
-sorted-list intersection, full boundary ranks) with a set-based
-domination test that referee the edge-collapse Betti engine, a
-breadth-first search over adjacency lists and an edge dict that referees
-cycle completion on neighbor masks, and the stdlib's indented JSON
-encoder that referees the shared report writer.
+integer-lattice distance tests, a walk over every edge that referees
+the scale-length edge census read off the neighbor masks, a per-point
+int-lattice loop that referees the packed second-neighbor scan,
+digit-by-digit versions of the digit-string operations, on plain tuples
+of digits, that referee the packed (int value, depth) strings, the full
+flag route (every triangle, sorted-list intersection, full boundary
+ranks) with a set-based domination test that referee the edge-collapse
+Betti engine, a collapse that tries every candidate dominator in turn,
+which referees the hinted search, a breadth-first search over adjacency
+lists and an edge dict that referees cycle completion on neighbor masks,
+and the stdlib's indented JSON encoder that referees the shared report
+writer.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from fractions import Fraction
 from exactrips.embedding import MalformedImageError
 from exactrips.harness import DisconnectionError
 from exactrips.homology import boundary1, boundary2, rank_f2
-from exactrips.space import Cloud, LabeledPoint4
+from exactrips.rips import RigidEdge, ScaleEdges, bits
+from exactrips.space import Cloud, LabeledPoint4, lattice_bound
 
 
 class UnionFind:
@@ -104,6 +108,33 @@ def fraction_scale_edges(cx) -> tuple[list[tuple], list[int]]:
                     else:
                         diagonal.append(e_i)
     return rigid, diagonal
+
+
+def edge_walk_scale_edges(cx) -> ScaleEdges:
+    """Rigid and diagonal scale-length edges by a walk over every edge,
+    testing each sheet-to-{1}-slab one on the lattice."""
+    pts = cx.cloud.points
+    L, lattice = cx.cloud.lattice
+    bound, exact = lattice_bound(cx.scale, L)
+    if not exact:  # no lattice distance is exactly the scale
+        return ScaleEdges((), ())
+    rigid, diagonal = [], []
+    for e_i, (i, j) in enumerate(cx.edges):
+        if pts[i].kind == "sheet" and pts[j].kind == "cube1":
+            s, c = i, j
+        elif pts[j].kind == "sheet" and pts[i].kind == "cube1":
+            s, c = j, i
+        else:
+            continue
+        u, v = lattice[s], lattice[c]
+        if sum((x - y) ** 2 for x, y in zip(u, v)) != bound:
+            continue
+        if u[1:] != v[1:]:
+            diagonal.append(e_i)
+            continue
+        sheet = pts[s]
+        rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
+    return ScaleEdges(tuple(rigid), tuple(diagonal))
 
 
 def fraction_witness(partner, cloud, a: Fraction) -> list[tuple]:
@@ -248,6 +279,26 @@ def dominated_edges(n_vertices: int, edges) -> list[tuple[int, int]]:
         for u, v in edges
         if any(closed[u] & closed[v] <= closed[w] for w in range(n_vertices) if w not in (u, v))
     ]
+
+
+def collapse_referee(c) -> list[tuple[int, int]]:
+    """The edges of c that survive domination collapse, in order: ascending
+    passes delete each edge uv that some w outside {u, v} dominates
+    (N[u] & N[v] <= N[w], closed neighborhoods of the current graph) until
+    a pass deletes none; every candidate w is tried, lowest first."""
+    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+    alive, removed = list(c.edges), True
+    while removed:
+        kept = []
+        for u, v in alive:
+            common = closed[u] & closed[v]
+            if any(not common & ~closed[w] for w in bits(common ^ 1 << u ^ 1 << v)):
+                closed[u] ^= 1 << v
+                closed[v] ^= 1 << u
+            else:
+                kept.append((u, v))
+        alive, removed = kept, len(kept) < len(alive)
+    return alive
 
 
 # Digit strings as plain tuples, most significant digit first.

@@ -2,13 +2,15 @@
 
 `betti01` ranks the 2-skeleton left after dominated edges are collapsed;
 its referees are the full flag route (every triangle, full boundary
-ranks), the dense brute-force oracle, and a set-based domination test
-for the fixpoint.  The paper's mechanism is checked as an invariant: a
-rigid edge lies in no triangle, so no vertex dominates it and it
-survives every collapse.
+ranks), the dense brute-force oracle, a set-based domination test for
+the fixpoint, and the collapse that tries every candidate dominator,
+which the hinted search must match edge for edge.  The paper's
+mechanism is checked as an invariant: a rigid edge lies in no triangle,
+so no vertex dominates it and it survives every collapse.
 """
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +24,7 @@ from exactrips.rips import build_complex
 from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
 
 from oracles import (
+    collapse_referee,
     dominated_edges,
     fraction_triangle_sides,
     full_flag_betti01,
@@ -141,3 +144,74 @@ def test_rigid_edges_survive_collapse_on_cube_grid_clouds(cube_grid):
         cfg = dataclasses.replace(minimal_config(n, a), cube_grid=cube_grid, include_cube0=True)
         cx = _assert_rigid_edges_survive(build_cloud(cfg), a)
         assert betti01(cx) == full_flag_betti01(cx)
+
+
+SEARCH_CASES = {
+    "hint hit",
+    "hint miss rescued",
+    "fallback passed a non-dominator",
+    "survivor with a candidate",
+}
+
+
+def _search_cases(cx) -> tuple[list[tuple[int, int]], Counter]:
+    """Replay the hinted dominator search on Python sets: the survivors, and
+    how often each of SEARCH_CASES decided an edge.  The hint at u is the
+    dominator last found at u; the fallback takes the lowest dominator."""
+    closed = [{v} for v in range(cx.n_vertices)]
+    for u, v in cx.edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    last, seen = {}, Counter()
+    alive, removed = list(cx.edges), True
+    while removed:
+        kept = []
+        for u, v in alive:
+            common = closed[u] & closed[v]
+            rest = sorted(common - {u, v})
+            dominators = [w for w in rest if common <= closed[w]]
+            hint = last.get(u)
+            if hint in dominators:
+                seen["hint hit"] += 1
+            elif dominators:
+                seen["hint miss rescued"] += hint in rest
+                seen["fallback passed a non-dominator"] += dominators[0] != rest[0]
+                last[u] = dominators[0]
+            else:
+                seen["survivor with a candidate"] += bool(rest)
+                kept.append((u, v))
+                continue
+            closed[u].remove(v)
+            closed[v].remove(u)
+        alive, removed = kept, len(kept) < len(alive)
+    return alive, seen
+
+
+def _fixed_referee_complexes():
+    for a in DEFAULT_SCALES:
+        for n in (1, 2, 3, 5, 8, 33):
+            yield build_complex(build_cloud(minimal_config(n, a)), a)
+        for cube_grid in (1, 2, 3, 4):
+            cfg = dataclasses.replace(minimal_config(2, a), cube_grid=cube_grid, include_cube0=True)
+            yield build_complex(build_cloud(cfg), a)
+
+
+def test_collapse_matches_referee_and_meets_every_search_case():
+    seen = Counter()
+
+    def check(cx):
+        kept = collapse_edges(cx)
+        assert kept == collapse_referee(cx)
+        replayed, cases = _search_cases(cx)
+        assert replayed == kept
+        seen.update(cases)
+
+    @SETTINGS
+    @given(clouds(max_points=30))
+    def check_random(case):
+        check(build_complex(*case))
+
+    check_random()
+    for cx in _fixed_referee_complexes():
+        check(cx)
+    assert {case for case, k in seen.items() if k} == SEARCH_CASES

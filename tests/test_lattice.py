@@ -9,6 +9,7 @@ refereed by the per-point lattice loop and the Fraction scan, on random
 clouds and on every rigid partner of sampled clouds.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from exactrips.space import (
 )
 
 from oracles import (
+    edge_walk_scale_edges,
     fraction_edges,
     fraction_scale_edges,
     fraction_triangle_sides,
@@ -150,6 +152,24 @@ def test_scale_edge_classification_matches_fraction_scans(case):
     ] == rigid
     assert list(cx.scale_edges.diagonal) == diagonal
     assert cx.scale_edges is cx.scale_edges  # classified once
+
+
+@pytest.mark.parametrize("a", DEFAULT_SCALES)
+@pytest.mark.parametrize("cube_grid", [0, 1, 3])
+def test_scale_edge_census_matches_edge_walk_on_reordered_csv_clouds(cube_grid, a):
+    # Shuffled rows put some {1}-slab partners before their sheet points, so
+    # rigid edges come in both orientations (partner index below and above).
+    cfg = dataclasses.replace(
+        minimal_config(5, a), cube_grid=cube_grid, include_cube0=cube_grid > 0,
+        x_values=(Fraction(1, 3),),
+    )
+    rows = build_cloud(cfg).to_csv_text().splitlines()
+    random.Random(1).shuffle(rows)
+    cx = build_complex(Cloud.from_csv_text("\n".join(rows)), a)
+    walk = edge_walk_scale_edges(cx)
+    assert cx.scale_edges.rigid == walk.rigid
+    assert cx.scale_edges.diagonal == walk.diagonal
+    assert 0 < sum(r.partner_vertex < r.sheet_vertex for r in walk.rigid) < len(walk.rigid) == 5
 
 
 @SETTINGS
