@@ -417,12 +417,49 @@ class LemmaSuiteReport:
         return json_text(self.to_json_dict())
 
 
+# Byte b read as the ASCII digit of its top two bits, and per base the
+# bytes whose top two bits are not a digit of that base.
+_TOP2 = bytes(48 + (b >> 6) for b in range(256))
+_REJECT = {base: bytes(range(64 * base, 256)) for base in (2, 3)}
+_INT_CHUNK = 640  # digits int() converts at any int_max_str_digits setting
+
+
 def _random_digits(rng: random.Random, cls, depth: int):
-    # One rng.randrange(base) per digit, most significant first.
-    draw, base, value = rng.randrange, cls.base, 0
-    for _ in range(depth):
-        value = value * base + draw(base)
+    """`depth` digits of rng.randrange(cls.base), most significant first.
+
+    randrange(n) draws getrandbits(k) with k = n.bit_length(), which is 2
+    for both bases: the top two bits of one 32-bit word, redrawn while at
+    least n.  getrandbits(32 * m) returns m whole words, the first drawn
+    least significant, so byte 3 of every 4 little-endian bytes is the top
+    of each word in draw order.  Each round draws one word per digit still
+    missing, so the generator ends where the per-digit loop ends.
+    """
+    base, reject = cls.base, _REJECT[cls.base]
+    chars, need = b"", depth
+    while need:
+        tops = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        got = tops.translate(_TOP2, reject)
+        chars += got
+        need -= len(got)
+    value = 0
+    for i in range(0, depth, _INT_CHUNK):
+        piece = chars[i : i + _INT_CHUNK]
+        value = value * base ** len(piece) + int(piece, base)
     return cls.from_int(value, depth)
+
+
+def _reserved_twos(s: TernaryString, blocks: int) -> int:
+    """How many reserved digits 3k+2, k < blocks, of s are 2.
+
+    Digit 3k+2 ends block k, so it is the last ternary digit of one base-27
+    block; the walk reads the lowest `blocks` blocks, all of a 3*blocks-digit
+    coordinate string.
+    """
+    v, twos = s.value, 0
+    for _ in range(blocks):
+        v, block = divmod(v, 27)
+        twos += block % 3 == 2
+    return twos
 
 
 def _random_point(rng: random.Random, blocks: int) -> IManyPoint:
@@ -497,12 +534,11 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         p = _random_point(rng, blocks)
         strings = embed_strings(p, blocks)
         for s in strings:
-            for k in range(blocks):
-                reserved_checks += 1
-                if s.digit(3 * k + 2) == 2:
-                    reserved_failures.append(
-                        {"t": p.t.text(), "y": p.y.text(), "coord_digits": s.text()}
-                    )
+            reserved_checks += blocks
+            for _ in range(_reserved_twos(s, blocks)):
+                reserved_failures.append(
+                    {"t": p.t.text(), "y": p.y.text(), "coord_digits": s.text()}
+                )
         t_back, y_back = decode(strings, blocks)
         roundtrips += 1
         if t_back != p.t.padded(6 * blocks) or y_back != p.y.padded(blocks):

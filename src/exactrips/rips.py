@@ -139,10 +139,15 @@ class RipsComplex2:
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """Flag triangles, lexicographic: edges in order, apexes above j."""
-        nb = self.neighbor_masks
-        return tuple(
-            (i, j, k) for i, j in self.edges for k in bits(nb[i] & nb[j] & -(2 << j))
-        )
+        nb, out = self.neighbor_masks, []
+        add = out.append
+        for i, j in self.edges:
+            m = nb[i] & nb[j] & -(2 << j)
+            while m:
+                low = m & -m
+                add((i, j, low.bit_length() - 1))
+                m ^= low
+        return tuple(out)
 
     @cached_property
     def scale_edges(self) -> ScaleEdges:

@@ -13,8 +13,10 @@ ranks) with a set-based domination test that referee the edge-collapse
 Betti engine, a collapse that tries every candidate dominator in turn,
 which referees the hinted search, a breadth-first search over adjacency
 lists and an edge dict that referees cycle completion on neighbor masks,
-and the stdlib's indented JSON encoder that referees the shared report
-writer.
+the stdlib's indented JSON encoder that referees the shared report
+writer, one randrange call per digit that referees the lemma suite's
+word-batched digit draw, and a per-digit reserved scan that referees the
+base-27 block walk.
 """
 
 from __future__ import annotations
@@ -386,3 +388,13 @@ def tuple_digit_data_equals(pt: tuple, py: tuple, qt: tuple, qy: tuple) -> bool:
 def json_text_reference(obj) -> str:
     """The report text every JSON writer once produced directly."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def randrange_digits(rng: random.Random, base: int, depth: int) -> tuple:
+    """`depth` digits, one rng.randrange(base) call each, in draw order."""
+    return tuple(rng.randrange(base) for _ in range(depth))
+
+
+def reserved_twos(digits: tuple, blocks: int) -> int:
+    """How many of the reserved digits 3k+2, k < blocks, are 2."""
+    return sum(_digit(digits, 3 * k + 2) == 2 for k in range(blocks))

@@ -1,9 +1,10 @@
 """Golden digests of the lemma suite's report bytes.
 
 The digests were taken from the digit-tuple implementation, before the
-digit strings were packed into integers.  Equal digests mean the suite
-draws the same random samples, checks them in the same order and writes
-the same bytes.
+digit strings were packed into integers, and the 50-block one from the
+per-digit randrange draw, before digits were drawn a batch of words at a
+time.  Equal digests mean the suite draws the same random samples, checks
+them in the same order and writes the same bytes.
 """
 
 import hashlib
@@ -20,6 +21,9 @@ GOLDEN = {
     (3, 120, 2): "17da5e4245ecfa10680b05913d3aa97edbea1f907f51beb0e02b7247313b127a",
     (11, 60, 12): "d1b8a14e497b063f6b753a63fa5583554ef17e82b92115944500a9b3c0ff23f1",
     (2024, 80, 5): "98b11ffef075b16ef669e91ad5bde04c59896f062f2bbae124d70b41652b51c7",
+    # t depths up to 300 digits: single draws of over 8,000 random bits,
+    # and first_difference on depths past its 256-entry power table.
+    (5, 40, 50): "79b9e1a995c9b513cfd12fbfe32ab137df75e28f8f6475f88c4560cc9406c806",
 }
 
 CLI_GOLDEN = "577cd9a55cc26d8d0a8b7e879c5d8357df4841d711239fca3f19446976c21770"
