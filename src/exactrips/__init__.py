@@ -45,10 +45,8 @@ from .homology import (
     Cycle,
     SparseF2Matrix,
     betti01,
-    betti_bruteforce,
     boundary1,
     boundary2,
-    dense_rank_f2,
     rank_f2,
     rigid_rank_lower_bound,
 )

@@ -4,10 +4,13 @@ Subcommands mirror the pipeline stages: verify-lemmas, build, betti,
 rigid, experiment, sweep.  Rationals are written "num/den" everywhere
 (bare integers accepted on input).  JSON reports all come from the one
 writer digits.json_text: indent 2, sorted keys, non-ASCII escaped, the
-bytes json.dumps(obj, indent=2, sort_keys=True) writes.  Exit codes:
+bytes json.dumps(obj, indent=2, sort_keys=True) writes.  Records (lemma
+and fact reports, cloud configs, rigid edges) are written from their
+fields by digits.json_fields.  Exit codes:
 
   0  all checks pass
-  1  a mathematical check failed (counterexample in the report)
+  1  a mathematical check failed (counterexample in the report; a lemma
+     sample whose image does not decode is one such failure)
   2  usage or config error, or an internal failure (a complex sweep that
      is not nested, rigid edges with no non-rigid path between them, a
      completed cycle that is not closed), reported on one stderr line as
@@ -21,8 +24,9 @@ import json
 import sys
 from pathlib import Path
 
+from .digits import format_rational, json_fields, parse_rational
 # _json_text is looked up at call time; perfbench --trace 1 patches it.
-from .digits import format_rational, json_text as _json_text, parse_rational
+from .digits import json_text as _json_text
 from .harness import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -102,16 +106,7 @@ def _cmd_rigid(args) -> int:
     report = {
         "scale": format_rational(cx.scale),
         "rigid_count": len(rigid),
-        "edges": [
-            {
-                "edge_index": r.edge_index,
-                "sheet_vertex": r.sheet_vertex,
-                "partner_vertex": r.partner_vertex,
-                "y": r.y.text(),
-                "x_fiber": format_rational(r.x_fiber),
-            }
-            for r in rigid
-        ],
+        "edges": [json_fields(r) for r in rigid],
         "diagonal_scale_edges": find_diagonal_scale_edges(cx),
         "freeness": free.to_json_dict(),
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -29,6 +29,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "json_text",
+    "json_fields",
     "to_ternary",
     "ternary_value",
     "first_difference",
@@ -133,6 +134,22 @@ def json_text(obj) -> str:
     return _json_at(obj, "\n") + "\n"
 
 
+def json_fields(record) -> dict:
+    """A dataclass's fields by name, as JSON values: a Fraction becomes
+    "num/den", a digit string its text, a tuple a list of such values."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
+
+
+def _json_value(v):
+    if isinstance(v, Fraction):
+        return format_rational(v)
+    if isinstance(v, _DigitString):
+        return v.text()
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _json_at(obj, nl: str) -> str:
     """obj as the indented encoder writes it where `nl` starts a line."""
     inner = nl + "  "
@@ -142,8 +159,8 @@ def _json_at(obj, nl: str) -> str:
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        fields = (f"{json.dumps(k)}: {_json_at(v, inner)}" for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+        items = (f"{json.dumps(k)}: {_json_at(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
     if not obj:

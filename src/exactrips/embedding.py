@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .digits import BinaryString, TernaryString, delta3_at, first_difference
+from .digits import BinaryString, TernaryString, delta3_at, first_difference, json_fields
 from .digits import delta3, ternary_value, to_ternary  # delta3: for perfbench --trace 1
 
 __all__ = [
@@ -230,22 +230,9 @@ class FactReport:
         return self.fact1 and self.fact2 and self.fact3 and self.fact4 and self.combined
 
     def to_json_dict(self) -> dict:
-        from .digits import format_rational as fr
-
-        return {
-            "fact1": self.fact1,
-            "fact2": self.fact2,
-            "fact3": self.fact3,
-            "fact4": self.fact4,
-            "combined": self.combined,
-            "x_gap": fr(self.x_gap),
-            "t_delta": fr(self.t_delta),
-            "coord_deltas": [fr(d) for d in self.coord_deltas],
-            "linf": fr(self.linf),
-            "l2_sq": fr(self.l2_sq),
-            "t_first_diff": self.t_first_diff,
-            "coord_first_diffs": list(self.coord_first_diffs),
-        }
+        d = json_fields(self)
+        del d["coord_gaps"]
+        return d
 
 
 def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .digits import (
@@ -34,14 +34,15 @@ from .digits import (
     TernaryString,
     delta3,
     format_rational,
+    json_fields,
     json_text,
     ternary_value,  # not called here; kept for perfbench --trace 1 to wrap
 )
 from .embedding import (
-    CLOSE_EXPANDING_CONSTANT,
     COORD_METRIC_CONSTANT,
     IManyPoint,
-    check_close_expanding,
+    MalformedImageError,
+    check_close_expanding,  # not called here; kept for perfbench --trace 1 to wrap
     check_facts,
     decode,
     embed_strings,
@@ -254,10 +255,7 @@ class ExperimentRow:
         ]
 
 
-EXPERIMENT_CSV_HEADER = (
-    "n,scale,vertices,edges,triangles,betti0,betti1,"
-    "rigid_count,rigid_free,lower_bound,verdict"
-)
+EXPERIMENT_CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 @dataclass(frozen=True)
@@ -376,42 +374,13 @@ class LemmaSuiteReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.fact_failures
-            and not self.mechanism_failures
-            and not self.roundtrip_failures
-            and not self.reserved_failures
-            and not self.ultrametric_failures
-            and not self.parabola_failures
-            and self.close_expanding_ok
-            and self.equivalence_ok
-        )
+        """No failure records, and both `_ok` verdicts hold."""
+        names = (f.name for f in fields(self))
+        failures = (getattr(self, k) for k in names if k.endswith("_failures"))
+        return self.close_expanding_ok and self.equivalence_ok and not any(failures)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "blocks": self.blocks,
-            "fact_pairs": self.fact_pairs,
-            "fact_failures": list(self.fact_failures),
-            "mechanism_checks": self.mechanism_checks,
-            "mechanism_failures": list(self.mechanism_failures),
-            "roundtrips": self.roundtrips,
-            "roundtrip_failures": list(self.roundtrip_failures),
-            "reserved_checks": self.reserved_checks,
-            "reserved_failures": list(self.reserved_failures),
-            "ultrametric_triples": self.ultrametric_triples,
-            "ultrametric_failures": list(self.ultrametric_failures),
-            "parabola_checks": self.parabola_checks,
-            "parabola_failures": list(self.parabola_failures),
-            "close_expanding_ok": self.close_expanding_ok,
-            "close_expanding_counterexample": self.close_expanding_counterexample,
-            "equivalence_samples": self.equivalence_samples,
-            "equivalence_c1": format_rational(self.equivalence_c1),
-            "equivalence_c2": format_rational(self.equivalence_c2),
-            "equivalence_ok": self.equivalence_ok,
-            "passed": self.passed,
-        }
+        return json_fields(self) | {"passed": self.passed}
 
     def to_json(self) -> str:
         return json_text(self.to_json_dict())
@@ -468,6 +437,14 @@ def _random_point(rng: random.Random, blocks: int) -> IManyPoint:
     return IManyPoint.from_digits(t, y)
 
 
+def _digits_record(p: IManyPoint, **extra) -> dict:
+    return {"t": p.t.text(), "y": p.y.text(), **extra}
+
+
+def _pair_record(p: IManyPoint, q: IManyPoint, **extra) -> dict:
+    return {"p": _digits_record(p), "q": _digits_record(q), **extra}
+
+
 def _random_pair(rng: random.Random, blocks: int) -> tuple[IManyPoint, IManyPoint]:
     p = _random_point(rng, blocks)
     while True:
@@ -482,9 +459,12 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     Runs `samples` fact checks on random digit-string pairs (with the
     positional mechanism behind the digit-shift inequality), the same
     number of decode round trips, reserved-digit scans, ultrametric
-    triples, the circle/parabola grid, the close-expanding bound over all
-    sampled pairs, and the per-coordinate metric-equivalence estimate.
-    Failures are report content, reported verbatim.
+    triples, the circle/parabola grid and the per-coordinate
+    metric-equivalence estimate.  The close-expanding bound is each fact
+    check's `combined` inequality; its counterexample is the first pair,
+    in sample order, where that fails.  Failures are report content,
+    reported verbatim: an image that `decode` rejects as malformed is a
+    round-trip failure carrying the decoder's message.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -495,18 +475,19 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     fact_failures = []
     mechanism_checks = 0
     mechanism_failures = []
-    expanding_pairs = []
+    expanding_counterexample = None
     equivalence_samples = []
     for _ in range(samples):
         p, q = _random_pair(rng, blocks)
         report = check_facts(p, q, blocks)
         if not report.all_hold:
-            fact_failures.append(
-                {
-                    "p": {"t": p.t.text(), "y": p.y.text()},
-                    "q": {"t": q.t.text(), "y": q.y.text()},
-                    "report": report.to_json_dict(),
-                }
+            fact_failures.append(_pair_record(p, q, report=report.to_json_dict()))
+        if not report.combined and expanding_counterexample is None:
+            expanding_counterexample = _pair_record(
+                p,
+                q,
+                dist_a=format_rational(report.x_gap),
+                dist_b_sq=format_rational(report.l2_sq),
             )
         if report.t_first_diff is not None:
             mechanism_checks += 1
@@ -514,19 +495,17 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
             coord_diffs = [d for d in report.coord_first_diffs if d is not None]
             if not coord_diffs or min(coord_diffs) > bound:
                 mechanism_failures.append(
-                    {
-                        "p": {"t": p.t.text(), "y": p.y.text()},
-                        "q": {"t": q.t.text(), "y": q.y.text()},
-                        "t_first_diff": report.t_first_diff,
-                        "coord_first_diffs": list(report.coord_first_diffs),
-                    }
+                    _pair_record(
+                        p,
+                        q,
+                        t_first_diff=report.t_first_diff,
+                        coord_first_diffs=list(report.coord_first_diffs),
+                    )
                 )
-        expanding_pairs.append((p, q, report.x_gap, report.l2_sq))
         for d1, d2 in zip(report.coord_deltas, report.coord_gaps):
             if d1 > 0:
                 equivalence_samples.append((d1, d2))
 
-    roundtrips = 0
     roundtrip_failures = []
     reserved_checks = 0
     reserved_failures = []
@@ -536,19 +515,15 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         for s in strings:
             reserved_checks += blocks
             for _ in range(_reserved_twos(s, blocks)):
-                reserved_failures.append(
-                    {"t": p.t.text(), "y": p.y.text(), "coord_digits": s.text()}
-                )
-        t_back, y_back = decode(strings, blocks)
-        roundtrips += 1
+                reserved_failures.append(_digits_record(p, coord_digits=s.text()))
+        try:
+            t_back, y_back = decode(strings, blocks)
+        except MalformedImageError as exc:
+            roundtrip_failures.append(_digits_record(p, error=str(exc)))
+            continue
         if t_back != p.t.padded(6 * blocks) or y_back != p.y.padded(blocks):
             roundtrip_failures.append(
-                {
-                    "t": p.t.text(),
-                    "y": p.y.text(),
-                    "t_back": t_back.text(),
-                    "y_back": y_back.text(),
-                }
+                _digits_record(p, t_back=t_back.text(), y_back=y_back.text())
             )
 
     ultrametric_failures = []
@@ -573,19 +548,6 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
                     {"r": format_rational(r), "x": format_rational(x)}
                 )
 
-    expanding_ok, counterexample = check_close_expanding(
-        expanding_pairs, CLOSE_EXPANDING_CONSTANT
-    )
-    cex_dict = None
-    if counterexample is not None:
-        p, q, dist_a, dist_b_sq = counterexample
-        cex_dict = {
-            "p": {"t": p.t.text(), "y": p.y.text()},
-            "q": {"t": q.t.text(), "y": q.y.text()},
-            "dist_a": format_rational(dist_a),
-            "dist_b_sq": format_rational(dist_b_sq),
-        }
-
     c1, c2 = estimate_equivalence(equivalence_samples)
     equivalence_ok = c2 >= COORD_METRIC_CONSTANT and c1 <= 1
 
@@ -597,7 +559,7 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         fact_failures=tuple(fact_failures),
         mechanism_checks=mechanism_checks,
         mechanism_failures=tuple(mechanism_failures),
-        roundtrips=roundtrips,
+        roundtrips=samples,
         roundtrip_failures=tuple(roundtrip_failures),
         reserved_checks=reserved_checks,
         reserved_failures=tuple(reserved_failures),
@@ -605,8 +567,8 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         ultrametric_failures=tuple(ultrametric_failures),
         parabola_checks=parabola_checks,
         parabola_failures=tuple(parabola_failures),
-        close_expanding_ok=expanding_ok,
-        close_expanding_counterexample=cex_dict,
+        close_expanding_ok=expanding_counterexample is None,
+        close_expanding_counterexample=expanding_counterexample,
         equivalence_samples=len(equivalence_samples),
         equivalence_c1=c1,
         equivalence_c2=c2,

@@ -1,4 +1,4 @@
-"""Betti numbers over F2 from sparse boundary ranks, plus oracles.
+"""Betti numbers over F2 from sparse boundary ranks.
 
 beta0 = V - rank(d1) and beta1 = E - rank(d1) - rank(d2) on the
 2-skeleton, which suffices for first homology of a flag complex.
@@ -14,18 +14,14 @@ per-vertex hint, the dominator it last found at the edge's lower end
 (on cube grids a dominator usually serves many edges at one vertex),
 and falls back to the candidates lowest-first.
 
-Two independent rank routes coexist on purpose: `rank_f2` reduces sparse
-columns left to right with lowest-one pivoting (the lowest nonzero row,
-i.e. the largest row index, as in standard boundary-matrix reduction),
-while `dense_rank_f2` is a plain dense row-echelon eliminator.
-`betti_bruteforce` rebuilds tiny complexes from scratch and uses only the
-dense route, so it can referee the sparse pipeline.
+`rank_f2` reduces sparse columns left to right with lowest-one pivoting
+(the lowest nonzero row, i.e. the largest row index, as in standard
+boundary-matrix reduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import lt
 
 from .rips import RipsComplex2
@@ -36,16 +32,11 @@ __all__ = [
     "boundary1",
     "boundary2",
     "rank_f2",
-    "dense_rank_f2",
     "collapse_edges",
     "betti01",
-    "betti_bruteforce",
     "rigid_rank_lower_bound",
     "cycle_is_closed",
 ]
-
-BRUTE_FORCE_MAX_POINTS = 12
-
 
 @dataclass(frozen=True)
 class SparseF2Matrix:
@@ -123,27 +114,6 @@ def rank_f2(m: SparseF2Matrix) -> int:
     return rank
 
 
-def dense_rank_f2(rows) -> int:
-    """Dense row-echelon Gaussian elimination over F2 (independent route)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def collapse_edges(c) -> list[tuple[int, int]]:
     """The edges of c that survive domination collapse, in order: ascending
     passes delete each edge uv that some w outside {u, v} dominates
@@ -183,39 +153,6 @@ def betti01(c) -> tuple[int, int]:
     r1 = rank_f2(SparseF2Matrix(c.n_vertices, len(edges), tuple(edges)))
     r2 = rank_f2(SparseF2Matrix(len(edges), len(d2), d2))
     return c.n_vertices - r1, len(edges) - r1 - r2
-
-
-def betti_bruteforce(cloud, a) -> tuple[int, int]:
-    """Oracle Betti numbers for clouds of at most 12 points.
-
-    Rebuilds the complex by testing every pair and every triple from
-    scratch and ranks dense boundary matrices by row elimination; shares
-    no code path with build_complex / rank_f2.
-    """
-    pts = cloud.points
-    n = len(pts)
-    if n > BRUTE_FORCE_MAX_POINTS:
-        raise ValueError(f"brute-force oracle capped at {BRUTE_FORCE_MAX_POINTS} points")
-    aa = a * a
-
-    def within(i: int, j: int) -> bool:
-        return (
-            sum((x - y) ** 2 for x, y in zip(pts[i].coords, pts[j].coords)) <= aa
-        )
-
-    edges = [e for e in combinations(range(n), 2) if within(*e)]
-    triangles = [
-        t
-        for t in combinations(range(n), 3)
-        if within(t[0], t[1]) and within(t[0], t[2]) and within(t[1], t[2])
-    ]
-    d1 = [[1 if v in e else 0 for e in edges] for v in range(n)]
-    r1 = dense_rank_f2(d1) if edges else 0
-    d2 = [
-        [1 if set(e) <= set(t) else 0 for t in triangles] for e in edges
-    ]
-    r2 = dense_rank_f2(d2) if triangles else 0
-    return n - r1, len(edges) - r1 - r2
 
 
 def cycle_is_closed(c, cycle: Cycle) -> bool:

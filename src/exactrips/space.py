@@ -32,6 +32,7 @@ from itertools import compress
 from .digits import (
     BinaryString,
     format_rational,
+    json_fields,
     json_text,
     parse_rational,
 )
@@ -180,15 +181,7 @@ class CloudConfig:
             raise ValueError("x values must be distinct")
 
     def to_json_dict(self) -> dict:
-        return {
-            "sheets": [y.text() for y in self.sheets],
-            "scale": format_rational(self.scale),
-            "x_values": [format_rational(x) for x in self.x_values],
-            "blocks": self.blocks,
-            "cube_grid": self.cube_grid,
-            "include_cube0": self.include_cube0,
-            "include_partners": self.include_partners,
-        }
+        return json_fields(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CloudConfig":

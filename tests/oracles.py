@@ -15,8 +15,10 @@ which referees the hinted search, a breadth-first search over adjacency
 lists and an edge dict that referees cycle completion on neighbor masks,
 the stdlib's indented JSON encoder that referees the shared report
 writer, one randrange call per digit that referees the lemma suite's
-word-batched digit draw, and a per-digit reserved scan that referees the
-base-27 block walk.
+word-batched digit draw, a per-digit reserved scan that referees the
+base-27 block walk, dense F2 elimination and a from-scratch Betti count
+on tiny clouds that referee the sparse homology route, and the
+hand-listed record builders that referee the field-driven JSON records.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from exactrips.embedding import MalformedImageError
 from exactrips.harness import DisconnectionError
@@ -76,6 +79,63 @@ def random_cloud(rng: random.Random, max_points: int = 10) -> Cloud:
         for _ in range(n)
     )
     return Cloud(points, None)
+
+
+BRUTE_FORCE_MAX_POINTS = 12
+
+
+def dense_rank_f2(rows) -> int:
+    """Dense row-echelon Gaussian elimination over F2 (independent route)."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def betti_bruteforce(cloud, a) -> tuple[int, int]:
+    """Oracle Betti numbers for clouds of at most 12 points.
+
+    Rebuilds the complex by testing every pair and every triple from
+    scratch and ranks dense boundary matrices by row elimination; shares
+    no code path with build_complex / rank_f2.
+    """
+    pts = cloud.points
+    n = len(pts)
+    if n > BRUTE_FORCE_MAX_POINTS:
+        raise ValueError(f"brute-force oracle capped at {BRUTE_FORCE_MAX_POINTS} points")
+    aa = a * a
+
+    def within(i: int, j: int) -> bool:
+        return (
+            sum((x - y) ** 2 for x, y in zip(pts[i].coords, pts[j].coords)) <= aa
+        )
+
+    edges = [e for e in combinations(range(n), 2) if within(*e)]
+    triangles = [
+        t
+        for t in combinations(range(n), 3)
+        if within(t[0], t[1]) and within(t[0], t[2]) and within(t[1], t[2])
+    ]
+    d1 = [[1 if v in e else 0 for e in edges] for v in range(n)]
+    r1 = dense_rank_f2(d1) if edges else 0
+    d2 = [
+        [1 if set(e) <= set(t) else 0 for t in triangles] for e in edges
+    ]
+    r2 = dense_rank_f2(d2) if triangles else 0
+    return n - r1, len(edges) - r1 - r2
 
 
 def _fraction_sq_dist(p, q) -> Fraction:
@@ -398,3 +458,97 @@ def randrange_digits(rng: random.Random, base: int, depth: int) -> tuple:
 def reserved_twos(digits: tuple, blocks: int) -> int:
     """How many of the reserved digits 3k+2, k < blocks, are 2."""
     return sum(_digit(digits, 3 * k + 2) == 2 for k in range(blocks))
+
+
+# The hand-listed record builders the reports were written with before
+# records were written from their own fields.
+
+
+def _rational(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def fact_report_dict(r) -> dict:
+    return {
+        "fact1": r.fact1,
+        "fact2": r.fact2,
+        "fact3": r.fact3,
+        "fact4": r.fact4,
+        "combined": r.combined,
+        "x_gap": _rational(r.x_gap),
+        "t_delta": _rational(r.t_delta),
+        "coord_deltas": [_rational(d) for d in r.coord_deltas],
+        "linf": _rational(r.linf),
+        "l2_sq": _rational(r.l2_sq),
+        "t_first_diff": r.t_first_diff,
+        "coord_first_diffs": list(r.coord_first_diffs),
+    }
+
+
+def close_expanding_record(p, q, dist_a: Fraction, dist_b_sq: Fraction) -> dict:
+    """The counterexample record for a pair check_close_expanding returns."""
+    return {
+        "p": {"t": p.t.text(), "y": p.y.text()},
+        "q": {"t": q.t.text(), "y": q.y.text()},
+        "dist_a": _rational(dist_a),
+        "dist_b_sq": _rational(dist_b_sq),
+    }
+
+
+def cloud_config_dict(cfg) -> dict:
+    return {
+        "sheets": [y.text() for y in cfg.sheets],
+        "scale": _rational(cfg.scale),
+        "x_values": [_rational(x) for x in cfg.x_values],
+        "blocks": cfg.blocks,
+        "cube_grid": cfg.cube_grid,
+        "include_cube0": cfg.include_cube0,
+        "include_partners": cfg.include_partners,
+    }
+
+
+def rigid_edge_row(r) -> dict:
+    return {
+        "edge_index": r.edge_index,
+        "sheet_vertex": r.sheet_vertex,
+        "partner_vertex": r.partner_vertex,
+        "y": r.y.text(),
+        "x_fiber": _rational(r.x_fiber),
+    }
+
+
+def lemma_suite_dict(rep) -> dict:
+    passed = (
+        not rep.fact_failures
+        and not rep.mechanism_failures
+        and not rep.roundtrip_failures
+        and not rep.reserved_failures
+        and not rep.ultrametric_failures
+        and not rep.parabola_failures
+        and rep.close_expanding_ok
+        and rep.equivalence_ok
+    )
+    return {
+        "seed": rep.seed,
+        "samples": rep.samples,
+        "blocks": rep.blocks,
+        "fact_pairs": rep.fact_pairs,
+        "fact_failures": list(rep.fact_failures),
+        "mechanism_checks": rep.mechanism_checks,
+        "mechanism_failures": list(rep.mechanism_failures),
+        "roundtrips": rep.roundtrips,
+        "roundtrip_failures": list(rep.roundtrip_failures),
+        "reserved_checks": rep.reserved_checks,
+        "reserved_failures": list(rep.reserved_failures),
+        "ultrametric_triples": rep.ultrametric_triples,
+        "ultrametric_failures": list(rep.ultrametric_failures),
+        "parabola_checks": rep.parabola_checks,
+        "parabola_failures": list(rep.parabola_failures),
+        "close_expanding_ok": rep.close_expanding_ok,
+        "close_expanding_counterexample": rep.close_expanding_counterexample,
+        "equivalence_samples": rep.equivalence_samples,
+        "equivalence_c1": _rational(rep.equivalence_c1),
+        "equivalence_c2": _rational(rep.equivalence_c2),
+        "equivalence_ok": rep.equivalence_ok,
+        "passed": passed,
+    }

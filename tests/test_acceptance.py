@@ -21,8 +21,6 @@ from exactrips.harness import (
 from exactrips.homology import (
     SparseF2Matrix,
     betti01,
-    betti_bruteforce,
-    dense_rank_f2,
     rank_f2,
     rigid_rank_lower_bound,
 )
@@ -34,7 +32,7 @@ from exactrips.space import (
     second_neighbor_witness,
 )
 
-from oracles import component_count, random_cloud
+from oracles import betti_bruteforce, component_count, dense_rank_f2, random_cloud
 
 TEST_SCALES = (
     Fraction(1),

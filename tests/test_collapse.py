@@ -19,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactrips.harness import find_rigid_edges, minimal_config
-from exactrips.homology import betti01, betti_bruteforce, collapse_edges
+from exactrips.homology import betti01, collapse_edges
 from exactrips.rips import build_complex
 from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
 
 from oracles import (
+    betti_bruteforce,
     collapse_referee,
     dominated_edges,
     fraction_triangle_sides,

@@ -16,9 +16,11 @@ from exactrips.harness import (
     run_lemma_suite,
     theorem_experiment,
 )
-from exactrips.homology import betti01, betti_bruteforce, cycle_is_closed
+from exactrips.homology import betti01, cycle_is_closed
 from exactrips.rips import build_complex
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
+
+from oracles import betti_bruteforce
 
 WINDOW_LO = Fraction(118097, 118098)
 INTERIOR = Fraction(236195, 236196)

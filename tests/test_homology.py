@@ -10,18 +10,16 @@ from exactrips.homology import (
     Cycle,
     SparseF2Matrix,
     betti01,
-    betti_bruteforce,
     boundary1,
     boundary2,
     cycle_is_closed,
-    dense_rank_f2,
     rank_f2,
     rigid_rank_lower_bound,
 )
 from exactrips.rips import build_complex
 from exactrips.space import Cloud, LabeledPoint4
 
-from oracles import component_count, random_cloud
+from oracles import betti_bruteforce, component_count, dense_rank_f2, random_cloud
 
 
 def _pt(*coords):

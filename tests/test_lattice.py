@@ -25,7 +25,7 @@ from exactrips.harness import (
     find_rigid_edges,
     minimal_config,
 )
-from exactrips.homology import betti01, betti_bruteforce
+from exactrips.homology import betti01
 from exactrips.rips import build_complex, build_edges
 from exactrips.space import (
     DEFAULT_BLOCKS,
@@ -40,6 +40,7 @@ from exactrips.space import (
 )
 
 from oracles import (
+    betti_bruteforce,
     edge_walk_scale_edges,
     fraction_edges,
     fraction_scale_edges,
