@@ -19,7 +19,6 @@ from .digits import (
 from .embedding import (
     FactReport,
     IManyPoint,
-    Point3,
     check_close_expanding,
     check_facts,
     decode,
@@ -43,7 +42,6 @@ from .harness import (
 )
 from .homology import (
     Cycle,
-    SparseF2Matrix,
     betti01,
     boundary1,
     boundary2,

@@ -16,6 +16,7 @@ convention making delta3 a pseudometric (and in fact an ultrametric).
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -104,17 +105,20 @@ class BinaryString(_DigitString):
     _digit_error = "binary digits must be 0 or 1"
 
 
+# ASCII digits only: int() would also take "1_0" and non-ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" text; a bare integer "k" is accepted as well."""
-    parts = text.strip().split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    raise ValueError(f"not a rational: {text!r}")
+    """Parse "num/den" text, or a bare integer "k": ASCII
+    [+-]?[0-9]+(/[0-9]+)? after stripping outer whitespace."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = int(m[1]), int(m[2] or 1)
+    if den == 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

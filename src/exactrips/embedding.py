@@ -32,7 +32,6 @@ from .digits import delta3, ternary_value, to_ternary  # delta3: for perfbench -
 
 __all__ = [
     "IManyPoint",
-    "Point3",
     "FactReport",
     "MalformedImageError",
     "DegeneratePairError",
@@ -98,19 +97,6 @@ class IManyPoint:
         return same_t and self.y.value_at(ydepth) == other.y.value_at(ydepth)
 
 
-@dataclass(frozen=True)
-class Point3:
-    """Exact-rational point of the unit cube."""
-
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.c0, self.c1, self.c2)
-
-
 # t block v = t[6k..6k+5] -> (3 * t[6k+2i..6k+2i+1] as a 2-digit value, i < 3).
 _SPLIT = tuple((v // 81 * 3, v // 9 % 9 * 3, v % 9 * 3) for v in range(729))
 
@@ -151,10 +137,10 @@ def embed_strings(
     return tuple(TernaryString.from_int(c, 3 * blocks) for c in values)
 
 
-def embed(p: IManyPoint, blocks: int) -> Point3:
-    """Exact-rational image of p under the interleaving embedding."""
-    s0, s1, s2 = embed_strings(p, blocks)
-    return Point3(ternary_value(s0), ternary_value(s1), ternary_value(s2))
+def embed(p: IManyPoint, blocks: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact-rational image of p under the interleaving embedding: the
+    three coordinates of a point of the unit cube."""
+    return tuple(map(ternary_value, embed_strings(p, blocks)))
 
 
 def decode(

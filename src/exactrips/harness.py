@@ -142,8 +142,7 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     tri_violations = c.sides_in_triangles({r.edge_index for r in rigid})
     witness_violations = []
     for r in rigid:
-        partner = c.cloud.points[r.partner_vertex]
-        for v in second_neighbor_witness(partner, c.cloud, c.scale):
+        for v in second_neighbor_witness(c.cloud, r.partner_vertex, c.scale):
             witness_violations.append((r.edge_index, v.index))
     return RigidFreeReport(
         checked=len(rigid),

@@ -1,4 +1,4 @@
-"""Betti numbers over F2 from sparse boundary ranks.
+"""Betti numbers over F2 from boundary ranks on int-mask columns.
 
 beta0 = V - rank(d1) and beta1 = E - rank(d1) - rank(d2) on the
 2-skeleton, which suffices for first homology of a flag complex.
@@ -14,20 +14,19 @@ per-vertex hint, the dominator it last found at the edge's lower end
 (on cube grids a dominator usually serves many edges at one vertex),
 and falls back to the candidates lowest-first.
 
-`rank_f2` reduces sparse columns left to right with lowest-one pivoting
-(the lowest nonzero row, i.e. the largest row index, as in standard
-boundary-matrix reduction).
+A column is an int mask whose set bits are its nonzero rows.  `rank_f2`
+reduces columns left to right with lowest-one pivoting (the lowest
+nonzero row, i.e. the largest row index, as in standard boundary-matrix
+reduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
 
 from .rips import RipsComplex2
 
 __all__ = [
-    "SparseF2Matrix",
     "Cycle",
     "boundary1",
     "boundary2",
@@ -37,23 +36,6 @@ __all__ = [
     "rigid_rank_lower_bound",
     "cycle_is_closed",
 ]
-
-@dataclass(frozen=True)
-class SparseF2Matrix:
-    """Column-major sparse F2 matrix: each column lists its 1-rows ascending."""
-
-    nrows: int
-    ncols: int
-    columns: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.columns) != self.ncols:
-            raise ValueError("column count mismatch")
-        for col in self.columns:
-            if not all(map(lt, col, col[1:])):
-                raise ValueError(f"malformed column (unsorted or duplicate rows): {col}")
-            if col and (col[0] < 0 or col[-1] >= self.nrows):
-                raise ValueError(f"row index out of range in column {col}")
 
 
 @dataclass(frozen=True)
@@ -68,50 +50,39 @@ class Cycle:
             raise ValueError("edge indices must be strictly ascending")
 
 
-def boundary1(c) -> SparseF2Matrix:
-    """Edge boundary: column per edge (i, j) hitting rows i and j."""
-    return SparseF2Matrix(
-        nrows=c.n_vertices,
-        ncols=len(c.edges),
-        columns=tuple((i, j) for i, j in c.edges),
-    )
+def boundary1(c) -> tuple[int, ...]:
+    """Edge boundary: per edge (i, j), the mask with bits i and j."""
+    return tuple(1 << i | 1 << j for i, j in c.edges)
 
 
-def _triangle_rows(c) -> tuple[tuple[int, int, int], ...]:
-    # Per flag triangle, the positions of its sides in the sorted edge
-    # list; (i,j) < (i,k) < (j,k) there, so each row is ascending.
+def _triangle_masks(c):
+    # Per flag triangle, the mask of its sides' positions in the sorted
+    # edge list, built as the triangle is read.
     idx = {e: r for r, e in enumerate(c.edges)}
-    return tuple((idx[(i, j)], idx[(i, k)], idx[(j, k)]) for i, j, k in c.triangles)
+    for i, j, k in c.triangles:
+        yield 1 << idx[(i, j)] | 1 << idx[(i, k)] | 1 << idx[(j, k)]
 
 
-def boundary2(c) -> SparseF2Matrix:
-    """Triangle boundary: column per triangle hitting its three edge rows."""
-    cols = _triangle_rows(c)
-    return SparseF2Matrix(nrows=len(c.edges), ncols=len(cols), columns=cols)
+def boundary2(c) -> tuple[int, ...]:
+    """Triangle boundary: per triangle, the mask of its three edge rows."""
+    return tuple(_triangle_masks(c))
 
 
-def rank_f2(m: SparseF2Matrix) -> int:
-    """F2 rank by left-to-right column reduction with lowest-one pivoting.
-
-    Columns are packed into integer bitmasks internally; the pivot of a
-    column is its lowest one (highest set bit) and columns sharing a pivot
-    are added by symmetric difference (xor) until settled.
+def rank_f2(columns) -> int:
+    """F2 rank of int-mask columns by left-to-right reduction with
+    lowest-one pivoting: the pivot of a column is its lowest one (highest
+    set bit), and columns sharing a pivot are added by xor until settled.
     """
     pivots: dict[int, int] = {}
-    rank = 0
-    for col in m.columns:
-        mask = 0
-        for r in col:
-            mask |= 1 << r
+    for mask in columns:
         while mask:
             low = mask.bit_length() - 1
             other = pivots.get(low)
             if other is None:
                 pivots[low] = mask
-                rank += 1
                 break
             mask ^= other
-    return rank
+    return len(pivots)
 
 
 def collapse_edges(c) -> list[tuple[int, int]]:
@@ -149,9 +120,8 @@ def collapse_edges(c) -> list[tuple[int, int]]:
 def betti01(c) -> tuple[int, int]:
     """(beta0, beta1) of the 2-skeleton, ranked after edge collapse."""
     edges = collapse_edges(c)
-    d2 = _triangle_rows(RipsComplex2(c.cloud, c.scale, tuple(edges)))
-    r1 = rank_f2(SparseF2Matrix(c.n_vertices, len(edges), tuple(edges)))
-    r2 = rank_f2(SparseF2Matrix(len(edges), len(d2), d2))
+    r1 = rank_f2(1 << i | 1 << j for i, j in edges)
+    r2 = rank_f2(_triangle_masks(RipsComplex2(c.cloud, c.scale, tuple(edges))))
     return c.n_vertices - r1, len(edges) - r1 - r2
 
 
@@ -190,11 +160,7 @@ def rigid_rank_lower_bound(c, rigid, cycles) -> int:
         if not cycle_is_closed(c, cycle):
             raise ValueError(f"chain {cycle.edge_indices} is not a cycle")
     position = {e: r for r, e in enumerate(rigid)}
-    columns = []
-    for cycle in cycles:
-        rows = sorted(position[e] for e in cycle.edge_indices if e in rigid_set)
-        columns.append(tuple(rows))
-    restricted = SparseF2Matrix(
-        nrows=len(rigid), ncols=len(columns), columns=tuple(columns)
+    return rank_f2(
+        sum(1 << position[e] for e in cycle.edge_indices if e in rigid_set)
+        for cycle in cycles
     )
-    return rank_f2(restricted)

@@ -47,10 +47,10 @@ class MonotonicityError(RuntimeError):
     """Nested scales produced non-nested complexes: an implementation bug."""
 
 
-def sq_dist(p, q) -> Fraction:
-    """Exact squared Euclidean distance between two labeled points (or two
-    lattice points, in which case it is an int)."""
-    return sum((a - b) ** 2 for a, b in zip(p.coords, q.coords))
+def sq_dist(u, v):
+    """Exact squared Euclidean distance between two coordinate rows (an int
+    for two lattice rows)."""
+    return sum((a - b) ** 2 for a, b in zip(u, v))
 
 
 def bits(mask: int):
@@ -61,25 +61,14 @@ def bits(mask: int):
         mask ^= low
 
 
-class _LatticePoint:
-    """A cloud point's lattice ints, in the shape sq_dist reads."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]) -> None:
-        self.coords = coords
-
-
 def build_edges(cloud, a: Fraction) -> list[tuple[int, int]]:
     """All index pairs (i < j) with squared distance <= a**2, inclusive."""
     L, lattice = cloud.lattice
     bound, _ = lattice_bound(Fraction(a), L)
-    pts = [_LatticePoint(c) for c in lattice]
     edges = []
-    for i in range(len(pts)):
-        pi = pts[i]
-        for j in range(i + 1, len(pts)):
-            if sq_dist(pi, pts[j]) <= bound:
+    for i, u in enumerate(lattice):
+        for j in range(i + 1, len(lattice)):
+            if sq_dist(u, lattice[j]) <= bound:
                 edges.append((i, j))
     return edges
 
@@ -219,9 +208,11 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
     """Complexes at strictly ascending scales, with nesting asserted.
 
     Nesting is checked on the neighbor masks: every vertex keeps its
-    neighbors, and every earlier edge keeps its triangle apexes.  A
-    monotonicity violation cannot arise from valid input; it is raised
-    as MonotonicityError to flag an implementation bug loudly.
+    neighbors.  That alone nests the triangles too, since an edge's
+    triangle apexes are its endpoints' common neighbors and
+    pn[i] & pn[j] <= nb[i] & nb[j] follows from pn <= nb.  A monotonicity
+    violation cannot arise from valid input; it is raised as
+    MonotonicityError to flag an implementation bug loudly.
     """
     scales = list(scales)
     if not scales:
@@ -236,8 +227,5 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
             pn, nb = prev.neighbor_masks, cx.neighbor_masks
             if any(p & ~q for p, q in zip(pn, nb)):
                 raise MonotonicityError(f"edges at {prev.scale} not nested in {a}")
-            # An edge's triangle apexes are its endpoints' common neighbors.
-            if any(pn[i] & pn[j] & ~(nb[i] & nb[j]) for i, j in prev.edges):
-                raise MonotonicityError(f"triangles at {prev.scale} not nested in {a}")
         out.append(cx)
     return out

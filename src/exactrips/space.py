@@ -188,20 +188,24 @@ class CloudConfig:
         if not isinstance(d, dict):
             raise ValueError("a cloud config must be a JSON object")
 
-        def typed(key, default, kind):
+        def typed(key, default, *kinds):
             # Exact type, so a bool is not an int and nothing is coerced.
             value = d.get(key, default)
-            if type(value) is not kind:
-                raise ValueError(f"config key {key!r} must be {kind.__name__}: {value!r}")
+            if type(value) not in kinds:
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"config key {key!r} must be {names}: {value!r}")
             return value
 
         sheets = typed("sheets", None, list)
         if not all(isinstance(s, str) for s in sheets):
             raise ValueError(f"config key 'sheets' must list strings: {sheets!r}")
+        x_values = typed("x_values", [], list)
+        if not all(type(x) in (str, int) for x in x_values):
+            raise ValueError(f"config key 'x_values' must list str or int: {x_values!r}")
         return cls(
             sheets=tuple(BinaryString.from_text(s) for s in sheets),
-            scale=parse_rational(str(d.get("scale", "1"))),
-            x_values=tuple(parse_rational(str(x)) for x in typed("x_values", [], list)),
+            scale=parse_rational(str(typed("scale", "1", str, int))),
+            x_values=tuple(parse_rational(str(x)) for x in x_values),
             blocks=typed("blocks", DEFAULT_BLOCKS, int),
             cube_grid=typed("cube_grid", 0, int),
             include_cube0=typed("include_cube0", False, bool),
@@ -299,10 +303,8 @@ def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
     if not 0 <= x <= 1:
         raise ValueError(f"sheet parameter out of [0, 1]: {x}")
     p = IManyPoint.from_value(x, y, 6 * blocks)
-    e = embed(p, blocks)
-    return LabeledPoint4(
-        (x / SHEET_SCALE, e.c0, e.c1, e.c2), "sheet", sheet_x=x, sheet_y=y
-    )
+    c0, c1, c2 = embed(p, blocks)
+    return LabeledPoint4((x / SHEET_SCALE, c0, c1, c2), "sheet", sheet_x=x, sheet_y=y)
 
 
 def build_cloud(cfg: CloudConfig) -> Cloud:
@@ -388,25 +390,30 @@ _GUARD = bytes(128) + bytes((1,)) * 128
 class SheetPack:
     """A cloud's sheet points on its lattice, packed into big ints.
 
-    Each coordinate column is shifted by its minimum over the sheet
-    points, so row j holds ints 0 <= u_j[k] <= span[k].  For a slot width
-    w (a multiple of 8), packed(w) gives (cols, PS, ONES): cols[k] holds
-    u_j[k] in bits [w*j, w*(j+1)), PS holds |u_j|**2 and ONES holds 1 in
-    every slot.  Each width is packed once and kept in `packs`.
+    Each coordinate column is shifted by its minimum over the whole cloud,
+    so every shifted row u has 0 <= u[k] <= span[k], and `diagonal`, the
+    sum of span[k]**2, bounds the squared distance of any two rows.  For a
+    slot width w (a multiple of 8), packed(w) gives (cols, PS, ONES):
+    cols[k] holds sheet point j's u_j[k] in bits [w*j, w*(j+1)), PS holds
+    |u_j|**2 and ONES holds 1 in every slot.  Each width is packed once
+    and kept in `packs`.
     """
 
-    __slots__ = ("index", "low", "span", "top", "packs", "_cols", "_norms")
+    __slots__ = ("index", "low", "diagonal", "packs", "_cols", "_norms")
 
     def __init__(self, points, lattice) -> None:
         self.index = tuple(i for i, p in enumerate(points) if p.kind == "sheet")
-        cols = list(zip(*(lattice[i] for i in self.index)))
+        cols = list(zip(*lattice))
         self.low = tuple(map(min, cols))
-        self._cols = [tuple(v - m for v in c) for c, m in zip(cols, self.low)]
-        self.span = tuple(map(max, self._cols))
+        self.diagonal = sum((max(c) - m) ** 2 for c, m in zip(cols, self.low))
+        self._cols = [tuple(c[i] - m for i in self.index) for c, m in zip(cols, self.low)]
         self._norms = [sum(v * v for v in row) for row in zip(*self._cols)]
-        # The largest packed value: every u_j[k] <= |u_j|**2.
-        self.top = max(self._norms, default=0)
         self.packs: dict[int, tuple] = {}
+
+    def width(self, bound: int) -> int:
+        """The least multiple of 8 whose guard bit 2**(w-1) exceeds both
+        bound and the diagonal, hence every packed value."""
+        return 8 * ((max(bound, self.diagonal).bit_length() + 8) // 8)
 
     def packed(self, w: int) -> tuple[tuple[int, ...], int, int]:
         pack = self.packs.get(w)
@@ -426,60 +433,53 @@ class SheetPack:
 
 
 def second_neighbor_witness(
-    partner: LabeledPoint4, cloud: Cloud, a: Fraction
+    cloud: Cloud, partner: int, a: Fraction
 ) -> list[NeighborViolation]:
-    """Scan for sheet points within a of a rigid partner, other than its own.
+    """Scan for sheet points within a of the rigid partner vertex, other
+    than its own.
 
     The construction predicts the empty list: a second neighbor would force
     eps > l**2 / 2 between the first-coordinate gap eps and the slab
     projection gap l, contradicting the close-expanding lower bound.  Any
     violation is returned with both gaps so the failed chain is inspectable.
 
-    Distances are compared on the cloud's integer lattice, refined by the
-    least factor s that puts the partner on it too (s = 1 for a partner
-    in the cloud): the partner is the int target t = partner * L * s, and
-    sheet point j is within a iff D_j = |s*p_j - t|**2 <= bound.  All
-    sheet points are tested at once on the cloud's SheetPack, whose slot
-    j holds point j (shifted by the column minima m, with t' = t - s*m):
+    Distances are compared on the cloud's integer lattice: sheet point j
+    is within a iff D_j = |p_j - t|**2 <= bound, with t the partner's
+    lattice row.  All sheet points are tested at once on the cloud's
+    SheetPack, whose slot j holds point j shifted by the column minima m
+    (and t' = t - m):
 
-        X = (bound + G - |t'|**2)*ONES - s**2*PS + 2s * sum_k t'[k]*cols[k]
+        X = (bound + G - |t'|**2)*ONES - PS + 2 * sum_k t'[k]*cols[k]
 
-    has bound + G - D_j in slot j.  The slot width w is the least multiple
-    of 8 whose guard bit G = 2**(w-1) exceeds bound, every packed value
-    and the largest D over the sheet points' bounding box, so each slot
-    lies in (bound, 2G): none borrows from the next, and slot j has its
-    guard bit set iff D_j <= bound.  The rigid-foot exclusion and the
-    gaps of a violation are then computed exactly on the hits alone.
+    has bound + G - D_j in slot j.  With w = SheetPack.width(bound) and
+    guard bit G = 2**(w-1), 0 <= D_j <= diagonal < G and bound < G, so
+    each slot lies in (bound, 2G): none borrows from the next, and slot j
+    has its guard bit set iff D_j <= bound.  The rigid-foot exclusion and
+    the gaps of a violation are then computed exactly on the hits alone.
     """
-    if partner.kind != "cube1":
-        raise ValueError("witness scan expects a {1}-slab partner point")
+    p = cloud.points[partner]
+    if p.kind != "cube1":
+        raise ValueError("witness scan expects a {1}-slab partner vertex")
     a = Fraction(a)
-    L, _ = cloud.lattice
-    s = math.lcm(*(c.denominator // math.gcd(L, c.denominator) for c in partner.coords))
-    bound, _ = lattice_bound(a, L * s)
+    L, lattice = cloud.lattice
+    bound, _ = lattice_bound(a, L)
     pack = cloud.sheet_pack
     if not pack.index:
         return []
-    t = [
-        c.numerator * (L * s // c.denominator) - s * m
-        for c, m in zip(partner.coords, pack.low)
-    ]
-    reach = sum(max(u * u, (s * span - u) ** 2) for u, span in zip(t, pack.span))
-    w = 8 * ((max(bound, reach, pack.top).bit_length() + 8) // 8)
+    t = [v - m for v, m in zip(lattice[partner], pack.low)]
+    w = pack.width(bound)
     cols, ps, ones = pack.packed(w)
-    x = (bound + (1 << (w - 1)) - sum(u * u for u in t)) * ones - s * s * ps
-    x += 2 * s * sum(u * col for u, col in zip(t, cols))
+    x = (bound + (1 << (w - 1)) - sum(u * u for u in t)) * ones - ps
+    x += 2 * sum(u * col for u, col in zip(t, cols))
     size = w // 8
     guards = x.to_bytes(size * len(pack.index), "little")[size - 1::size]
-    rigid_coords = (partner.coords[0] - a,) + partner.coords[1:]
+    rigid_coords = (p.coords[0] - a,) + p.coords[1:]
     out = []
     for idx in compress(pack.index, guards.translate(_GUARD)):
-        p = cloud.points[idx]
-        if p.coords == rigid_coords:
+        q = cloud.points[idx]
+        if q.coords == rigid_coords:
             continue
-        eps = abs(p.coords[0] - partner.coords[0])
-        l_sq = sum(
-            (p.coords[i] - partner.coords[i]) ** 2 for i in (1, 2, 3)
-        )
+        eps = abs(q.coords[0] - p.coords[0])
+        l_sq = sum((q.coords[i] - p.coords[i]) ** 2 for i in (1, 2, 3))
         out.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
     return out

@@ -107,6 +107,22 @@ def test_mislabelled_cloud_exit_code(tmp_path, capsys):
     assert "label cube1 needs first coordinate 1/1" in capsys.readouterr().err
 
 
+def test_int_quirk_rationals_exit_code(tmp_path, capsys):
+    # int() reads "1_0" as 10; the CLI takes ASCII digits only.
+    cfg = _write_config(tmp_path)
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(cfg), "--out", str(cloud_path)])
+    quirky = tmp_path / "quirky.csv"
+    quirky.write_text("cube1,1,1_0/1_0,0,0\n")
+    capsys.readouterr()
+    out = tmp_path / "betti.json"
+    for cloud, scale in ((cloud_path, "1_0"), (quirky, "1")):
+        argv = ["betti", "--cloud", str(cloud), "--scale", scale, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "not a rational: '1_0" in capsys.readouterr().err
+
+
 def _raise(exc):
     def raiser(*args, **kwargs):
         raise exc
@@ -227,6 +243,11 @@ def test_config_error_exit_code(tmp_path):
         ('{"sheets": ["0"], "blocks": 1.9}', "config key 'blocks' must be int: 1.9"),
         ('{"sheets": ["0"], "cube_grid": true}', "config key 'cube_grid' must be int: True"),
         ('{"sheets": ["0"], "x_values": "1/2"}', "config key 'x_values' must be list: '1/2'"),
+        ('{"sheets": ["0"], "scale": true}', "config key 'scale' must be str or int: True"),
+        (
+            '{"sheets": ["0"], "x_values": ["1/2", false]}',
+            "config key 'x_values' must list str or int: ['1/2', False]",
+        ),
         (
             '{"sheets": ["00", "01", "10"], "blocks": 1}',
             "sheet labels must differ in their first blocks=1 digits "

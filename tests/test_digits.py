@@ -82,6 +82,16 @@ def test_rational_text_forms():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("1/2/3")
+    # Outer whitespace is stripped and a sign may lead the numerator.
+    assert parse_rational(" +3/4\n") == Fraction(3, 4)
+    assert parse_rational("007/010") == Fraction(7, 10)
+    assert parse_rational("-0") == 0
+    # int() would take the underscores, the full-width and Arabic-Indic
+    # digits, the inner spaces and the sign after the slash.
+    bad = ("1_0", "1_0/1_0", "\uff11/\uff12", "\u0661/\u0662", " 1 /2", "1/ 2", "1/+2")
+    for text in bad + ("", "/2", "1/", "1/-2", "1.5", "0x10", "\u00bd", "2e3", "--1"):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(text)
 
 
 def test_ultrametric_inequality_random_triples():

@@ -71,18 +71,18 @@ def test_interleave_prefix_stability():
 
 def test_embed_third_of_unit_interval():
     p = IManyPoint.from_value(Fraction(1, 3), BinaryString((0,)), 18)
-    assert embed(p, 3).coords == (Fraction(1, 3), Fraction(0), Fraction(0))
+    assert embed(p, 3) == (Fraction(1, 3), Fraction(0), Fraction(0))
 
 
 def test_embed_pure_sheet_digits():
     p = IManyPoint.from_value(Fraction(0), BinaryString((1, 1)), 12)
     v = Fraction(28, 729)
-    assert embed(p, 2).coords == (v, v, v)
+    assert embed(p, 2) == (v, v, v)
 
 
 def test_embed_origin():
     p = IManyPoint.from_value(Fraction(0), BinaryString((0,)), 6)
-    assert embed(p, 1).coords == (Fraction(0), Fraction(0), Fraction(0))
+    assert embed(p, 1) == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_reserved_positions_never_hold_two():
@@ -240,8 +240,8 @@ def test_check_close_expanding_on_embedded_pairs():
         q = _random_point(rng, 8)
         if p.digit_data_equals(q):
             continue
-        ep = embed(p, 8).coords
-        eq = embed(q, 8).coords
+        ep = embed(p, 8)
+        eq = embed(q, 8)
         dist_sq = sum((a - b) ** 2 for a, b in zip(ep, eq))
         pairs.append((p, q, abs(p.x - q.x), dist_sq))
     ok, cex = check_close_expanding(pairs, Fraction(1, 243))

@@ -8,7 +8,6 @@ import pytest
 
 from exactrips.homology import (
     Cycle,
-    SparseF2Matrix,
     betti01,
     boundary1,
     boundary2,
@@ -16,7 +15,7 @@ from exactrips.homology import (
     rank_f2,
     rigid_rank_lower_bound,
 )
-from exactrips.rips import build_complex
+from exactrips.rips import bits, build_complex
 from exactrips.space import Cloud, LabeledPoint4
 
 from oracles import betti_bruteforce, component_count, dense_rank_f2, random_cloud
@@ -31,42 +30,36 @@ UNIT_SQUARE = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1
 
 def test_boundary1_single_edge():
     cx = build_complex(Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0)), None), Fraction(1))
-    m = boundary1(cx)
-    assert (m.nrows, m.ncols) == (2, 1)
-    assert m.columns == ((0, 1),)
+    assert boundary1(cx) == (0b11,)
 
 
 def test_boundary1_empty_edge_set():
     cx = build_complex(Cloud((_pt(0, 0, 0, 0), _pt(9, 0, 0, 0)), None), Fraction(1))
-    assert boundary1(cx).ncols == 0
+    assert boundary1(cx) == ()
 
 
 def test_boundary1_triangle_column_weights():
     tri = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), None)
     cx = build_complex(tri, Fraction(2))
-    m = boundary1(cx)
-    assert all(len(col) == 2 for col in m.columns)
+    assert all(col.bit_count() == 2 for col in boundary1(cx))
 
 
 def test_boundary2_filled_triangle():
     tri = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), None)
     cx = build_complex(tri, Fraction(2))
-    m = boundary2(cx)
-    assert (m.nrows, m.ncols) == (3, 1)
-    assert m.columns == ((0, 1, 2),)
+    assert boundary2(cx) == (0b111,)
 
 
 def test_boundary2_no_triangles():
     cx = build_complex(UNIT_SQUARE, Fraction(1))
-    assert boundary2(cx).ncols == 0
+    assert boundary2(cx) == ()
 
 
 def test_boundary2_shared_edge():
     cx = build_complex(UNIT_SQUARE, Fraction(3, 2))
-    m = boundary2(cx)
-    hit = [0] * m.nrows
-    for col in m.columns:
-        for r in col:
+    hit = [0] * len(cx.edges)
+    for col in boundary2(cx):
+        for r in bits(col):
             hit[r] += 1
     # every edge of the square lies in exactly 2 of the 4 triangles,
     # each diagonal in 2 as well
@@ -79,34 +72,36 @@ def test_d1_compose_d2_is_zero():
         cloud = random_cloud(rng, 8)
         cx = build_complex(cloud, Fraction(rng.randint(1, 5), rng.randint(1, 2)))
         d1 = boundary1(cx)
-        d2 = boundary2(cx)
-        for col in d2.columns:
-            acc: set[int] = set()
-            for edge_row in col:
-                acc ^= set(d1.columns[edge_row])
-            assert acc == set()
+        for col in boundary2(cx):
+            acc = 0
+            for edge_row in bits(col):
+                acc ^= d1[edge_row]
+            assert acc == 0
 
 
 def test_rank_f2_examples():
-    all_ones = SparseF2Matrix(nrows=2, ncols=2, columns=((0, 1), (0, 1)))
-    assert rank_f2(all_ones) == 1
-    identity = SparseF2Matrix(nrows=3, ncols=3, columns=((0,), (1,), (2,)))
-    assert rank_f2(identity) == 3
+    assert rank_f2((0b11, 0b11)) == 1
+    assert rank_f2((0b001, 0b010, 0b100)) == 3
+    assert rank_f2(iter((0b110, 0b011, 0b101))) == 2  # any iterable of masks
+    assert rank_f2(()) == 0
 
 
-def test_rank_f2_malformed_columns_rejected():
-    with pytest.raises(ValueError):
-        SparseF2Matrix(nrows=3, ncols=1, columns=((1, 1),))
-    with pytest.raises(ValueError):
-        SparseF2Matrix(nrows=3, ncols=1, columns=((2, 0),))
-    with pytest.raises(ValueError):
-        SparseF2Matrix(nrows=3, ncols=1, columns=((5,),))
-    # Every column is checked, not only the first ones.
-    good = ((0, 1), (1, 2), (0, 2))
-    for bad in ((2, 2), (2, 1), (-1, 0), (1, 3), (0, 1, 1)):
-        with pytest.raises(ValueError):
-            SparseF2Matrix(nrows=3, ncols=4, columns=good + (bad,))
-    assert SparseF2Matrix(nrows=3, ncols=4, columns=good + ((),)).ncols == 4
+def test_boundary_mask_columns_on_random_clouds():
+    # d1 columns have exactly 2 bits, all below V; d2 columns exactly 3,
+    # all below E; zero columns add no rank.
+    rng = random.Random(37)
+    for _ in range(40):
+        cx = build_complex(random_cloud(rng, 9), Fraction(rng.randint(1, 16), 2))
+        d1, d2 = boundary1(cx), boundary2(cx)
+        assert len(d1) == len(cx.edges) and len(d2) == len(cx.triangles)
+        assert all(col.bit_count() == 2 and col >> cx.n_vertices == 0 for col in d1)
+        assert all(col.bit_count() == 3 and col >> len(cx.edges) == 0 for col in d2)
+        for d, nrows in ((d1, cx.n_vertices), (d2, len(cx.edges))):
+            dense = [[col >> r & 1 for col in d] for r in range(nrows)]
+            assert rank_f2(d) == dense_rank_f2(dense)
+            padded = [0, *d, 0, 0]
+            rng.shuffle(padded)
+            assert rank_f2(padded) == rank_f2(d)
 
 
 def test_rank_f2_matches_dense_oracle_random():
@@ -114,11 +109,8 @@ def test_rank_f2_matches_dense_oracle_random():
     for _ in range(100):
         nrows, ncols = rng.randint(1, 20), rng.randint(1, 20)
         dense = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
-        cols = tuple(
-            tuple(r for r in range(nrows) if dense[r][c]) for c in range(ncols)
-        )
-        sparse = SparseF2Matrix(nrows=nrows, ncols=ncols, columns=cols)
-        assert rank_f2(sparse) == dense_rank_f2(dense)
+        cols = [sum(dense[r][c] << r for r in range(nrows)) for c in range(ncols)]
+        assert rank_f2(cols) == dense_rank_f2(dense)
 
 
 def test_rank_f2_permutation_invariant():
@@ -126,12 +118,12 @@ def test_rank_f2_permutation_invariant():
     for _ in range(30):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         cols = [
-            tuple(sorted(rng.sample(range(nrows), rng.randint(0, nrows))))
+            sum(1 << r for r in rng.sample(range(nrows), rng.randint(0, nrows)))
             for _ in range(ncols)
         ]
-        base = rank_f2(SparseF2Matrix(nrows=nrows, ncols=ncols, columns=tuple(cols)))
+        base = rank_f2(cols)
         rng.shuffle(cols)
-        assert rank_f2(SparseF2Matrix(nrows=nrows, ncols=ncols, columns=tuple(cols))) == base
+        assert rank_f2(cols) == base
 
 
 def test_betti_unit_square():

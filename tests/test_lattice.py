@@ -26,7 +26,7 @@ from exactrips.harness import (
     minimal_config,
 )
 from exactrips.homology import betti01
-from exactrips.rips import build_complex, build_edges
+from exactrips.rips import build_complex, build_edges, sq_dist
 from exactrips.space import (
     DEFAULT_BLOCKS,
     DEFAULT_SCALES,
@@ -175,12 +175,12 @@ def test_scale_edge_census_matches_edge_walk_on_reordered_csv_clouds(cube_grid, 
 
 @SETTINGS
 @given(clouds(max_points=12), st.sampled_from((1, 5, 7, 3**24)), st.data())
-def test_witness_matches_fraction_scan_off_the_cloud(case, den, data):
+def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
     # The partner is at the perpendicular of a cloud point b, shifted by
-    # shift = k/(4*den) in a slab coordinate, and is not added to the cloud;
-    # for den 7 or 3**24 it is off the cloud's lattice.  Planted sheet points: b
-    # itself (the rigid foot when shift = 0), one strictly within a, and
-    # one at distance exactly a when shift = 0.
+    # shift = k/(4*den) in a slab coordinate, and appended to the cloud;
+    # for den 7 or 3**24 it refines the cloud's lattice.  Planted sheet
+    # points: b itself (the rigid foot when shift = 0), one strictly within
+    # a, and one at distance exactly a when shift = 0.
     cloud, a = case
     base = data.draw(st.sampled_from(cloud.points)) if cloud.points else _point([0] * 4, "sheet")
     shift = Fraction(data.draw(st.integers(-1, 1)), 4 * den)
@@ -191,8 +191,8 @@ def test_witness_matches_fraction_scan_off_the_cloud(case, den, data):
         _point([b[0] + a / 2, b[1], b[2], b[3]], "sheet"),
         _point([b[0] + a * Fraction(2, 5), b[1] + a * Fraction(4, 5), b[2], b[3]], "sheet"),
     ]
-    cloud = Cloud(cloud.points + tuple(planted), None)
-    hits = second_neighbor_witness(partner, cloud, a)
+    cloud = Cloud(cloud.points + tuple(planted) + (partner,), None)
+    hits = second_neighbor_witness(cloud, len(cloud) - 1, a)
     assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == fraction_witness(
         partner, cloud, a
     )
@@ -222,10 +222,10 @@ def wide_rationals(draw):
 
 @st.composite
 def witness_cases(draw):
-    """(cloud, partner, a): up to six random points, a partner from the
-    cloud or off it, a scale of 0, a random one or one above every
-    distance, and optionally the rigid foot and a sheet point at
-    distance exactly a planted."""
+    """(cloud, partner, a): up to six random points, a partner vertex
+    drawn from them or appended as a new point, a scale of 0, a random
+    one or one above every distance, and optionally the rigid foot and a
+    sheet point at distance exactly a planted."""
     kinds = st.sampled_from(("sheet", "cube0", "cube1"))
     points = [
         _point([draw(wide_rationals()) for _ in range(4)], draw(kinds))
@@ -236,6 +236,7 @@ def witness_cases(draw):
         partner = draw(st.sampled_from(on_cloud))
     else:
         partner = _point([draw(wide_rationals()) for _ in range(4)], "cube1")
+        points.append(partner)
     a = draw(st.sampled_from((Fraction(0), Fraction(9))) | wide_rationals().map(abs))
     c = partner.coords
     if draw(st.booleans()):
@@ -244,32 +245,33 @@ def witness_cases(draw):
         diagonal = [c[0] - a * Fraction(3, 5), c[1] + a * Fraction(4, 5), c[2], c[3]]
         points.append(_point(diagonal, "sheet"))
     order = draw(st.permutations(range(len(points))))
-    return Cloud(tuple(points[k] for k in order), None), partner, a
+    cloud = Cloud(tuple(points[k] for k in order), None)
+    return cloud, cloud.points.index(partner), a
 
 
-def _witness_tuples(partner, cloud, a):
-    hits = second_neighbor_witness(partner, cloud, a)
+def _witness_tuples(cloud, partner, a):
+    hits = second_neighbor_witness(cloud, partner, a)
     return [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits]
 
 
 def test_packed_witness_matches_referees():
     seen = set()
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(witness_cases())
     def check(case):
         cloud, partner, a = case
+        point = cloud.points[partner]
         # The coordinates lie in [-2, 2], so every D is below the bound at
         # a + 2**32, whose slots are wider than the bound at a: one cloud,
         # two widths.
         for scale in (a, a + 2**32):
-            hits = _witness_tuples(partner, cloud, scale)
-            assert hits == lattice_witness(partner, cloud, scale)
-            assert hits == fraction_witness(partner, cloud, scale)
-        hits = _witness_tuples(partner, cloud, a)
+            hits = _witness_tuples(cloud, partner, scale)
+            assert hits == lattice_witness(point, cloud, scale)
+            assert hits == fraction_witness(point, cloud, scale)
+        hits = _witness_tuples(cloud, partner, a)
         sheets = [p for p in cloud.points if p.kind == "sheet"]
         assert len(cloud.sheet_pack.packs) == (2 if sheets else 0)
-        L, _ = cloud.lattice
         coords = [c for p in sheets for c in p.coords]
         seen.update(
             name
@@ -277,7 +279,6 @@ def test_packed_witness_matches_referees():
                 ("zero", a == 0),
                 ("exact", any(h[3] == a * a for h in hits)),
                 ("wide", sheets and len(hits) == len(sheets) and all(h[3] < a * a for h in hits)),
-                ("off lattice", any((c * L).denominator > 1 for c in partner.coords)),
                 ("negative", any(c < 0 for c in coords)),
                 ("3**24", any(c.denominator == 3**24 for c in coords)),
                 ("one point", len(cloud) == 1),
@@ -287,25 +288,28 @@ def test_packed_witness_matches_referees():
         )
 
     check()
-    assert seen == {
-        "zero", "exact", "wide", "off lattice", "negative", "3**24", "one point", "no sheets"
-    }
+    assert seen == {"zero", "exact", "wide", "negative", "3**24", "one point", "no sheets"}
 
 
 def test_sheet_pack_slots_hold_the_shifted_rows_at_every_width():
     cloud = Cloud(
         (
             _point([Fraction(-1, 3**24), 2, 0, Fraction(1, 7)], "sheet"),
-            _point([5, 5, 5, 5], "cube0"),
+            _point([-5, 5, 5, 5], "cube0"),
             _point([Fraction(3, 2), -2, 1, 0], "sheet"),
         ),
         None,
     )
     pack = cloud.sheet_pack
     _, lattice = cloud.lattice
+    # The shift and the diagonal are the whole cloud's, the cube0 point's too.
+    columns = list(zip(*lattice))
+    assert pack.low == tuple(map(min, columns)) and pack.low[0] == lattice[1][0]
+    assert pack.diagonal == sum((max(c) - min(c)) ** 2 for c in columns)
     rows = [[u - m for u, m in zip(lattice[i], pack.low)] for i in pack.index]
-    assert pack.index == (0, 2) and min(min(r) for r in rows) == 0
-    for w in (8 * ((pack.top.bit_length() + 8) // 8), 256):
+    assert pack.index == (0, 2) and min(min(r) for r in rows) >= 0
+    assert max(sum(u * u for u in r) for r in rows) <= pack.diagonal
+    for w in (pack.width(0), 256):
         cols, ps, ones = pack.packed(w)
 
         def slots(x):
@@ -320,21 +324,28 @@ def test_sheet_pack_slots_hold_the_shifted_rows_at_every_width():
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3**24), Fraction(1), Fraction(4)])
 def test_witness_slots_cannot_borrow_from_far_points(a):
-    # The partner sits off the lattice (s = 3**24) just outside a corner of
-    # the sheet points' box, so the far corner's D, about 2**80, decides
-    # the slot width and not the partner's own offset or the bound.
+    # The partner sits just outside a corner of the sheet points' box, on
+    # a lattice of step 3**-24, so the cloud's box runs from the partner
+    # to the far sheet corner: their D, about 2**80, is the diagonal and
+    # decides the slot width, not the bound.
     cloud = Cloud(
         (
             _point([0, 0, 0, 0], "sheet"),
             _point([2, 2, 2, 2], "sheet"),
             _point([1, 0, 0, 0], "sheet"),
+            _point([Fraction(-1, 3**24), 0, 0, 0], "cube1"),
         ),
         None,
     )
-    partner = _point([Fraction(-1, 3**24), 0, 0, 0], "cube1")
-    hits = _witness_tuples(partner, cloud, a)
+    partner = cloud.points[3]
+    hits = _witness_tuples(cloud, 3, a)
     assert hits == lattice_witness(partner, cloud, a) == fraction_witness(partner, cloud, a)
-    assert min(cloud.sheet_pack.packs) > 80
+    L, lattice = cloud.lattice
+    pack = cloud.sheet_pack
+    assert pack.diagonal == sq_dist(lattice[3], lattice[1])
+    bound, _ = lattice_bound(a, L)
+    assert set(pack.packs) == {pack.width(bound)} == {pack.width(0)}
+    assert min(pack.packs) > 80
 
 
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2)])
@@ -342,9 +353,10 @@ def test_witness_rejects_negative_scales(a):
     # Read as |a|, a negative scale would move the excluded rigid foot to
     # partner - (a, 0, 0, 0) and report the real one as a violation.
     cloud = build_cloud(minimal_config(2, Fraction(1)))
-    for partner in (p for p in cloud.points if p.kind == "cube1"):
-        with pytest.raises(ValueError, match="scale must be nonnegative"):
-            second_neighbor_witness(partner, cloud, a)
+    for partner, p in enumerate(cloud.points):
+        if p.kind == "cube1":
+            with pytest.raises(ValueError, match="scale must be nonnegative"):
+                second_neighbor_witness(cloud, partner, a)
 
 
 def _sweep_style_config() -> CloudConfig:
@@ -396,16 +408,17 @@ def test_rigid_free_witness_equals_the_referee_on_sampled_clouds(cfg):
     # in: the packed scan still reports exactly the referee's hits.
     wider = a + Fraction(1, 2**20)
     for r in rigid:
-        partner = cloud.points[r.partner_vertex]
-        hits = _witness_tuples(partner, cloud, wider)
-        assert hits == lattice_witness(partner, cloud, wider)
+        hits = _witness_tuples(cloud, r.partner_vertex, wider)
+        assert hits == lattice_witness(cloud.points[r.partner_vertex], cloud, wider)
 
 
 def test_sweep_style_cloud_takes_wide_slots():
     cloud = build_cloud(_sweep_style_config())
     den_bits = max(c.denominator.bit_length() for p in cloud.points for c in p.coords)
     assert den_bits == 93
-    for p in cloud.points:
+    for i, p in enumerate(cloud.points):
         if p.kind == "cube1":
-            second_neighbor_witness(p, cloud, cloud.config.scale)
+            second_neighbor_witness(cloud, i, cloud.config.scale)
+    # Every partner of the cloud scans at the one width its box sets.
+    assert len(cloud.sheet_pack.packs) == 1
     assert min(cloud.sheet_pack.packs) > 128

@@ -22,10 +22,11 @@ UNIT_SQUARE = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1
 
 
 def test_sq_dist_examples():
-    assert sq_dist(_pt(0, 0, 0, 0), _pt(1, 0, 0, 0)) == 1
-    p = _pt(Fraction(1, 7), 2, 3, Fraction(-1, 3))
+    assert sq_dist((0, 0, 0, 0), (1, 0, 0, 0)) == 1
+    p = _pt(Fraction(1, 7), 2, 3, Fraction(-1, 3)).coords
     assert sq_dist(p, p) == 0
-    assert sq_dist(_pt(0, Fraction(1, 3), 0, 0), _pt(Fraction(1, 2), 0, 0, 0)) == Fraction(13, 36)
+    assert sq_dist((0, Fraction(1, 3), 0, 0), (Fraction(1, 2), 0, 0, 0)) == Fraction(13, 36)
+    assert sq_dist((3, -1, 0, 2), (0, 3, 0, 2)) == 25  # lattice rows give an int
 
 
 def test_edge_at_exactly_the_scale_is_included():
@@ -136,7 +137,7 @@ def test_sweep_window_nesting_on_theorem_cloud():
     rigid_pair = next(
         (i, j)
         for (i, j) in out[0].edges
-        if sq_dist(cloud.points[i], cloud.points[j]) == lo * lo
+        if sq_dist(cloud.points[i].coords, cloud.points[j].coords) == lo * lo
     )
     for cx in out:
         assert rigid_pair in cx.edges
@@ -152,6 +153,6 @@ def test_threshold_perturbation_removes_exactly_threshold_edges():
     assert removed == {
         (i, j)
         for (i, j) in at
-        if sq_dist(cloud.points[i], cloud.points[j]) == a * a
+        if sq_dist(cloud.points[i].coords, cloud.points[j].coords) == a * a
     }
     assert len(removed) == 2  # the two rigid pairs

@@ -233,16 +233,16 @@ def test_circle_above_parabola_domain_errors():
 def test_second_neighbor_witness_empty_on_minimal_cloud():
     a = Fraction(1)
     cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
-    for p in cloud:
+    for i, p in enumerate(cloud):
         if p.kind == "cube1":
-            assert second_neighbor_witness(p, cloud, a) == []
+            assert second_neighbor_witness(cloud, i, a) == []
 
 
 def test_second_neighbor_witness_requires_cube1():
     cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=Fraction(1)))
-    sheetp = next(p for p in cloud if p.kind == "sheet")
+    sheet = next(i for i, p in enumerate(cloud) if p.kind == "sheet")
     with pytest.raises(ValueError):
-        second_neighbor_witness(sheetp, cloud, Fraction(1))
+        second_neighbor_witness(cloud, sheet, Fraction(1))
 
 
 def test_second_neighbor_witness_reports_adversarial_point():
@@ -260,7 +260,7 @@ def test_second_neighbor_witness_reports_adversarial_point():
         y,
     )
     cloud = Cloud((sheet, partner, intruder), None)
-    hits = second_neighbor_witness(partner, cloud, Fraction(1))
+    hits = second_neighbor_witness(cloud, 1, Fraction(1))
     assert len(hits) == 1
     assert hits[0].index == 2
     assert hits[0].eps == Fraction(1, 2)
