@@ -24,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .digits import format_rational, json_fields, parse_rational
+from .digits import format_rational, json_fields, parse_int, parse_rational
 # _json_text is looked up at call time; perfbench --trace 1 patches it.
 from .digits import json_text as _json_text
 from .harness import (
@@ -117,7 +117,7 @@ def _cmd_rigid(args) -> int:
 
 def _cmd_experiment(args) -> int:
     report = theorem_experiment(
-        sheet_counts=[int(s) for s in args.sheets.split(",") if s.strip()],
+        sheet_counts=[parse_int(s) for s in args.sheets.split(",") if s.strip()],
         scales=_rational_list(args.scales),
         blocks=args.blocks,
         cube_grid=args.cube_grid,
@@ -150,9 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemmas", help="randomized exact lemma checks")
-    p.add_argument("--blocks", type=int, default=DEFAULT_SUITE_BLOCKS)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--blocks", type=parse_int, default=DEFAULT_SUITE_BLOCKS)
+    p.add_argument("--samples", type=parse_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_lemmas)
 
@@ -180,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(format_rational(a) for a in DEFAULT_SCALES),
         help="comma-separated rationals in the window",
     )
-    p.add_argument("--blocks", type=int, default=DEFAULT_BLOCKS)
-    p.add_argument("--cube-grid", dest="cube_grid", type=int, default=0)
+    p.add_argument("--blocks", type=parse_int, default=DEFAULT_BLOCKS)
+    p.add_argument("--cube-grid", dest="cube_grid", type=parse_int, default=0)
     p.add_argument("--include-cube0", dest="include_cube0", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_experiment)

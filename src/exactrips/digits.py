@@ -27,6 +27,7 @@ from typing import Iterable
 __all__ = [
     "TernaryString",
     "BinaryString",
+    "parse_int",
     "parse_rational",
     "format_rational",
     "json_text",
@@ -107,6 +108,14 @@ class BinaryString(_DigitString):
 
 # ASCII digits only: int() would also take "1_0" and non-ASCII digits.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer: ASCII [+-]?[0-9]+ after stripping outer whitespace."""
+    if _INT.fullmatch(text.strip()) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -138,10 +147,12 @@ def json_text(obj) -> str:
     return _json_at(obj, "\n") + "\n"
 
 
-def json_fields(record) -> dict:
-    """A dataclass's fields by name, as JSON values: a Fraction becomes
-    "num/den", a digit string its text, a tuple a list of such values."""
-    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
+def json_fields(record, names=None) -> dict:
+    """A dataclass's fields (or the attributes `names`) by name, as JSON
+    values: a Fraction becomes "num/den", a digit string its text, a tuple
+    a list of such values."""
+    names = [f.name for f in fields(record)] if names is None else names
+    return {k: _json_value(getattr(record, k)) for k in names}
 
 
 def _json_value(v):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .digits import BinaryString, TernaryString, delta3_at, first_difference, json_fields
@@ -44,9 +45,6 @@ __all__ = [
     "estimate_equivalence",
 ]
 
-# Squared close-expanding constant: (1/243)**2 = 3**-10.
-CLOSE_EXPANDING_CONSTANT = Fraction(1, 243)
-_CSQ = CLOSE_EXPANDING_CONSTANT**2
 # Per-coordinate metric comparison constant of the image (3**-4).
 COORD_METRIC_CONSTANT = Fraction(1, 81)
 
@@ -74,12 +72,13 @@ class IManyPoint:
     y: BinaryString
 
     def __post_init__(self) -> None:
-        if self.t.depth < 1:
+        x, t = self.x, self.t
+        if t.depth < 1:
             raise ValueError("expansion must have at least one digit")
-        if self.t != to_ternary(self.x, self.t.depth):
-            raise ValueError(
-                f"t is not the chosen expansion of x: {self.t.text()!r} vs x={self.x}"
-            )
+        # A value-exact x (x * 3**depth == t.value) needs no round trip.
+        exact = x.numerator * 3**t.depth == t.value * x.denominator
+        if not exact and t != to_ternary(x, t.depth):
+            raise ValueError(f"t is not the chosen expansion of x: {t.text()!r} vs x={x}")
 
     @classmethod
     def from_value(cls, x: Fraction, y: BinaryString, depth: int) -> "IManyPoint":
@@ -194,7 +193,9 @@ class FactReport:
     combined is what the four facts chain to; it is computed independently
     here so the chain itself is testable.  First-difference positions are
     exposed because fact2's mechanism is positional: a t disagreement at
-    index n surfaces in some coordinate by index n//2 + 1.
+    index n surfaces in some coordinate by index n//2 + 1.  The fields are
+    ints (|x_p - x_q| = x_num/x_den, value gaps over 3**(3*blocks)); the
+    record (_JSON) writes the Fractions derived from them.
     """
 
     fact1: bool
@@ -202,23 +203,28 @@ class FactReport:
     fact3: bool
     fact4: bool
     combined: bool
-    x_gap: Fraction
-    t_delta: Fraction
-    coord_deltas: tuple[Fraction, Fraction, Fraction]
-    linf: Fraction
-    l2_sq: Fraction
     t_first_diff: int | None
     coord_first_diffs: tuple[int | None, int | None, int | None]
-    coord_gaps: tuple[Fraction, Fraction, Fraction]  # value gaps; not serialized
+    x_num: int
+    x_den: int
+    gaps: tuple[int, int, int]
+    blocks: int
+
+    _JSON = ("fact1", "fact2", "fact3", "fact4", "combined", "t_first_diff",
+             "coord_first_diffs", "x_gap", "t_delta", "coord_deltas", "linf", "l2_sq")
+    x_gap = property(lambda r: Fraction(r.x_num, r.x_den))
+    t_delta = property(lambda r: delta3_at(r.t_first_diff))
+    coord_deltas = property(lambda r: tuple(map(delta3_at, r.coord_first_diffs)))
+    coord_gaps = property(lambda r: tuple(Fraction(g, 3 ** (3 * r.blocks)) for g in r.gaps))
+    linf = property(lambda r: max(r.coord_gaps))
+    l2_sq = property(lambda r: sum(g * g for g in r.coord_gaps))
 
     @property
     def all_hold(self) -> bool:
         return self.fact1 and self.fact2 and self.fact3 and self.fact4 and self.combined
 
     def to_json_dict(self) -> dict:
-        d = json_fields(self)
-        del d["coord_gaps"]
-        return d
+        return json_fields(self, self._JSON)
 
 
 def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
@@ -226,39 +232,29 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
 
     Exactness of fact1 requires value-exact expansions, and fact2 requires
     the truncation to cover all digit data, so both points must fit inside
-    `blocks` (t.depth <= 6*blocks, y.depth <= blocks).
+    `blocks` (t.depth <= 6*blocks, y.depth <= blocks).  Each fact is an int
+    inequality, denominators cleared; a None first difference is delta 0.
     """
     if p.digit_data_equals(q):
         raise DegeneratePairError("points have identical digit data")
-    for pt in (p, q):
-        if pt.t.depth > 6 * blocks or pt.y.depth > blocks:
-            raise ValueError(
-                f"digit data deeper than {blocks} blocks; facts would be vacuous"
-            )
-    x_gap = abs(p.x - q.x)
-    t_first_diff = first_difference(p.t, q.t)
-    t_delta = delta3_at(t_first_diff)
+    if max(p.t.depth, q.t.depth) > 6 * blocks or max(p.y.depth, q.y.depth) > blocks:
+        raise ValueError(f"digit data deeper than {blocks} blocks; facts would be vacuous")
+    (pn, pd), (qn, qd) = p.x.as_integer_ratio(), q.x.as_integer_ratio()
+    x_num, x_den = abs(pn * qd - qn * pd), pd * qd
+    k = first_difference(p.t, q.t)
     sp, sq = embed_strings(p, blocks), embed_strings(q, blocks)
     coord_first_diffs = tuple(first_difference(a, b) for a, b in zip(sp, sq))
-    coord_deltas = tuple(map(delta3_at, coord_first_diffs))
-    max_delta = max(coord_deltas)
+    m = min((d for d in coord_first_diffs if d is not None), default=None)
     den = 3 ** (3 * blocks)  # every coordinate string has 3*blocks digits
-    gaps = [abs(a.value - b.value) for a, b in zip(sp, sq)]
-    linf, l2_sq = Fraction(max(gaps), den), Fraction(sum(g * g for g in gaps), den * den)
+    gaps = tuple(abs(a.value - b.value) for a, b in zip(sp, sq))
+    linf, l2 = max(gaps), sum(g * g for g in gaps)
     return FactReport(
-        fact1=x_gap <= t_delta,
-        fact2=t_delta <= 9 * max_delta * max_delta,
-        fact3=linf >= COORD_METRIC_CONSTANT * max_delta,
-        fact4=linf * linf <= l2_sq,
-        combined=l2_sq >= _CSQ * x_gap,
-        x_gap=x_gap,
-        t_delta=t_delta,
-        coord_deltas=coord_deltas,
-        linf=linf,
-        l2_sq=l2_sq,
-        t_first_diff=t_first_diff,
-        coord_first_diffs=coord_first_diffs,
-        coord_gaps=tuple(Fraction(g, den) for g in gaps),
+        x_num == 0 if k is None else x_num * 3**k <= x_den,  # fact1
+        k is None or m is not None and 2 * m <= k + 2,  # fact2
+        m is None or linf * 3 ** (4 + m) >= den,  # fact3
+        linf * linf <= l2,  # fact4
+        l2 * 3**10 * x_den >= x_num * den * den,  # combined
+        k, coord_first_diffs, x_num, x_den, gaps, blocks,
     )
 
 
@@ -282,8 +278,10 @@ def check_close_expanding(pairs, c: Fraction):
 def estimate_equivalence(samples) -> tuple[Fraction, Fraction]:
     """Tightest empirical constants (c1, c2) with c1*d1 >= d2 >= c2*d1.
 
-    Samples are (d1, d2) pairs with d1 > 0; a zero d1 against a positive d2
-    is a witness that no such constants exist and raises ZeroDivisionError.
+    Samples are (d1, d2) pairs of ints or Fractions with d1 > 0; a zero d1
+    against a positive d2 is a witness that no such constants exist and
+    raises ZeroDivisionError.  The ratios d2/d1 are compared as ints over
+    their least common denominator.
     """
     ratios = []
     for d1, d2 in samples:
@@ -293,7 +291,9 @@ def estimate_equivalence(samples) -> tuple[Fraction, Fraction]:
                     f"d1 = 0 with d2 = {d2} > 0: metrics not equivalent on sample"
                 )
             raise ValueError("sample with d1 = 0 violates the precondition")
-        ratios.append(Fraction(d2) / d1)
+        ratios.append((d2.numerator * d1.denominator, d2.denominator * d1.numerator))
     if not ratios:
         raise ValueError("at least one sample required")
-    return max(ratios), min(ratios)
+    den = lcm(*(d for _, d in ratios))  # den // d keeps the sign of d
+    scaled = [n * (den // d) for n, d in ratios]
+    return Fraction(max(scaled), den), Fraction(min(scaled), den)

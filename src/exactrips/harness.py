@@ -157,6 +157,8 @@ def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
     # on vertex indices.
     if start == goal:
         return []
+    if allowed[start] >> goal & 1:  # the one shortest path is the edge itself
+        return [bisect_left(c.edges, (start, goal) if start < goal else (goal, start))]
     parent: dict[int, int] = {start: start}
     seen, queue = 1 << start, deque([start])
     while queue:
@@ -476,6 +478,7 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     mechanism_failures = []
     expanding_counterexample = None
     equivalence_samples = []
+    scaled = [3 ** (3 * blocks - k) for k in range(3 * blocks)]
     for _ in range(samples):
         p, q = _random_pair(rng, blocks)
         report = check_facts(p, q, blocks)
@@ -501,9 +504,10 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
                         coord_first_diffs=list(report.coord_first_diffs),
                     )
                 )
-        for d1, d2 in zip(report.coord_deltas, report.coord_gaps):
-            if d1 > 0:
-                equivalence_samples.append((d1, d2))
+        # (delta, gap) scaled by 3**(3*blocks): 3**-k becomes scaled[k].
+        for k, gap in zip(report.coord_first_diffs, report.gaps):
+            if k is not None:
+                equivalence_samples.append((scaled[k], gap))
 
     roundtrip_failures = []
     reserved_checks = 0

@@ -7,7 +7,9 @@ integer-lattice distance tests, a walk over every edge that referees
 the scale-length edge census read off the neighbor masks, a per-point
 int-lattice loop that referees the packed second-neighbor scan,
 digit-by-digit versions of the digit-string operations, on plain tuples
-of digits, that referee the packed (int value, depth) strings, the full
+of digits, that referee the packed (int value, depth) strings, the
+lemma facts and the equivalence ratios in Fraction arithmetic, on those
+tuples, that referee their int comparisons, the full
 flag route (every triangle, sorted-list intersection, full boundary
 ranks) with a set-based domination test that referee the edge-collapse
 Betti engine, a collapse that tries every candidate dominator in turn,
@@ -29,6 +31,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 from exactrips.embedding import MalformedImageError
 from exactrips.harness import DisconnectionError
@@ -437,6 +440,50 @@ def tuple_decode(strings, blocks: int) -> tuple[tuple, tuple]:
             t[6 * k + 2 * i] = s[3 * k]
             t[6 * k + 2 * i + 1] = s[3 * k + 1]
     return tuple(t), tuple(b)
+
+
+def fraction_check_facts(p, q, blocks: int, images=None) -> SimpleNamespace:
+    """The four facts and their combination in Fraction arithmetic, the way
+    check_facts evaluated them before it compared ints, on digit tuples.
+
+    Returns every field a fact report reads.  `images`, two triples of
+    coordinate digit tuples, replaces the interleaving of p and q.
+    """
+    if images is None:
+        images = [
+            tuple(tuple_interleave(i, a.t.digits, a.y.digits, blocks) for i in range(3))
+            for a in (p, q)
+        ]
+    sp, sq = images
+    x_gap = abs(p.x - q.x)
+    t_delta = tuple_delta3(p.t.digits, q.t.digits)
+    coord_deltas = tuple(map(tuple_delta3, sp, sq))
+    max_delta = max(coord_deltas)
+    coord_gaps = tuple(
+        abs(tuple_ternary_value(a) - tuple_ternary_value(b)) for a, b in zip(sp, sq)
+    )
+    linf, l2_sq = max(coord_gaps), sum(g * g for g in coord_gaps)
+    return SimpleNamespace(
+        fact1=x_gap <= t_delta,
+        fact2=t_delta <= 9 * max_delta * max_delta,
+        fact3=linf >= Fraction(1, 81) * max_delta,
+        fact4=linf * linf <= l2_sq,
+        combined=l2_sq >= Fraction(1, 243) ** 2 * x_gap,
+        x_gap=x_gap,
+        t_delta=t_delta,
+        coord_deltas=coord_deltas,
+        linf=linf,
+        l2_sq=l2_sq,
+        t_first_diff=tuple_first_difference(p.t.digits, q.t.digits),
+        coord_first_diffs=tuple(map(tuple_first_difference, sp, sq)),
+        coord_gaps=coord_gaps,
+    )
+
+
+def ratio_estimate_equivalence(samples) -> tuple[Fraction, Fraction]:
+    """Largest and smallest d2/d1, from the list of Fraction ratios."""
+    ratios = [Fraction(d2) / d1 for d1, d2 in samples]
+    return max(ratios), min(ratios)
 
 
 def tuple_digit_data_equals(pt: tuple, py: tuple, qt: tuple, qy: tuple) -> bool:

@@ -123,6 +123,32 @@ def test_int_quirk_rationals_exit_code(tmp_path, capsys):
         assert "not a rational: '1_0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["experiment", "--sheets", "1_0", "--blocks", "4"],
+        ["experiment", "--sheets", "2", "--blocks", "\uff14"],
+        ["experiment", "--sheets", "\u0662", "--blocks", "4"],
+        ["experiment", "--sheets", "2", "--blocks", "4", "--cube-grid", "0_1"],
+        ["verify-lemmas", "--samples", "1_0"],
+        ["verify-lemmas", "--seed", "\uff17"],
+        ["verify-lemmas", "--blocks", "1_2"],
+    ],
+)
+def test_int_quirk_integers_exit_code(tmp_path, capsys, extra):
+    # int() reads "1_0" as 10 and full-width or Arabic-Indic digits as
+    # ASCII ones; the CLI takes ASCII digits only.
+    out = tmp_path / "out"
+    try:
+        code = main(extra + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a bad typed option
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: not an integer: " in err or "invalid parse_int value: " in err
+
+
 def _raise(exc):
     def raiser(*args, **kwargs):
         raise exc

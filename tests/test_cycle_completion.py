@@ -128,3 +128,23 @@ def test_complete_to_cycle_matches_adjacency_list_referee():
         assert seen[kind, "closed"] > 0, seen
     assert seen["layers", "disconnected"] > 0, seen
     assert seen["layers", "long path with ties"] > 0, seen
+
+
+def test_direct_edges_give_the_referee_chains():
+    # Rows where each pair of rigid edges closes through two direct edges,
+    # a 4-cycle; the chains must still be the breadth-first referee's.
+    lengths = Counter()
+    for n, cube_grid in ((2, 0), (5, 0), (33, 0), (8, 2)):
+        for scale in DEFAULT_SCALES:
+            cx = _sample_complex(n, scale, cube_grid)
+            rigid = find_rigid_edges(cx)
+            banned = {r[0] for r in fraction_scale_edges(cx)[0]}
+            if n <= 8:
+                pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            else:
+                pairs = [(0, j) for j in range(1, n)] + [(j, j - 1) for j in range(1, n)]
+            for i, j in pairs:
+                got = complete_to_cycle(rigid[i], rigid[j], cx).edge_indices
+                assert got == bfs_cycle_completion(cx, rigid[i], rigid[j], banned)
+                lengths[cube_grid, len(got)] += 1
+    assert lengths == {(0, 4): 3 * (2 + 20 + 64), (2, 4): 3 * 56}

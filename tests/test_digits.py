@@ -10,6 +10,7 @@ from exactrips.digits import (
     TernaryString,
     delta3,
     format_rational,
+    parse_int,
     parse_rational,
     ternary_value,
     to_ternary,
@@ -92,6 +93,16 @@ def test_rational_text_forms():
     for text in bad + ("", "/2", "1/", "1/-2", "1.5", "0x10", "\u00bd", "2e3", "--1"):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
+
+
+def test_int_text_forms():
+    assert parse_int("12") == 12
+    assert parse_int(" -007\n") == -7
+    assert parse_int("+0") == 0
+    bad = ("1_0", "\uff14", "\u0664", "1 0", "", "+", "1/1", "1.0", "0x10", "2e3", "--1")
+    for text in bad:
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_int(text)
 
 
 def test_ultrametric_inequality_random_triples():

@@ -1,0 +1,350 @@
+"""The lemma facts as int comparisons, against the Fraction evaluation.
+
+check_facts compares ints over powers of 3 and FactReport derives its
+Fraction fields when they are read; estimate_equivalence compares ratios
+as ints over a common denominator.  fraction_check_facts and
+ratio_estimate_equivalence in tests/oracles.py are the Fraction
+evaluations they replaced, on digit tuples.  The pairs below are
+derandomized and reach both depth extremes, equal t strings, 1 and 50
+blocks, points whose x is not the value of its expansion, and planted
+images that make each fact false, so failing records are compared too.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from exactrips import embedding, harness
+from exactrips.digits import BinaryString, TernaryString, json_text
+from exactrips.embedding import IManyPoint, check_facts, estimate_equivalence
+from exactrips.harness import run_lemma_suite
+
+from oracles import (
+    close_expanding_record,
+    fact_report_dict,
+    fraction_check_facts,
+    json_text_reference,
+    ratio_estimate_equivalence,
+    tuple_to_ternary,
+)
+
+FIELDS = (
+    "fact1", "fact2", "fact3", "fact4", "combined", "x_gap", "t_delta",
+    "coord_deltas", "linf", "l2_sq", "t_first_diff", "coord_first_diffs",
+    "coord_gaps",
+)
+FACTS = FIELDS[:5]
+
+
+def _assert_matches(r, ref):
+    for name in FIELDS:
+        assert getattr(r, name) == getattr(ref, name), name
+    assert r.all_hold == all(getattr(ref, f) for f in FACTS)
+    assert r.to_json_dict() == fact_report_dict(ref)
+    assert json_text(r.to_json_dict()) == json_text_reference(fact_report_dict(ref))
+
+
+def _string(rng, cls, depth):
+    return cls.from_int(rng.randrange(cls.base**depth), depth)
+
+
+def _digits(rng, blocks):
+    tdepth = rng.choice([1, 6 * blocks, rng.randint(1, 6 * blocks)])
+    ydepth = rng.choice([0, blocks, rng.randint(0, blocks)])
+    return _string(rng, TernaryString, tdepth), _string(rng, BinaryString, ydepth)
+
+
+def _partner(rng, blocks, t, y):
+    """A second point: independent, or t kept (zero-padded) with another y,
+    or t changed in one digit."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _digits(rng, blocks)
+    if kind == 1:
+        depth = rng.randint(t.depth, 6 * blocks)
+        return t.padded(depth), _string(rng, BinaryString, rng.randint(1, blocks))
+    k = rng.randrange(t.depth)
+    step = 3 ** (t.depth - 1 - k)
+    digit = t.value // step % 3
+    return TernaryString.from_int(t.value + ((digit + 1) % 3 - digit) * step, t.depth), y
+
+
+def _pairs(seed, blocks, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t, y = _digits(rng, blocks)
+        p = IManyPoint.from_digits(t, y)
+        q = IManyPoint.from_digits(*_partner(rng, blocks, t, y))
+        if not p.digit_data_equals(q):
+            out.append((p, q))
+    return out
+
+
+@pytest.mark.parametrize("seed,blocks,count", [(1, 1, 300), (2, 2, 300), (3, 12, 200), (4, 50, 40)])
+def test_facts_match_the_fraction_referee(seed, blocks, count):
+    kinds = set()
+    for p, q in _pairs(seed, blocks, count):
+        r = check_facts(p, q, blocks)
+        _assert_matches(r, fraction_check_facts(p, q, blocks))
+        assert r.all_hold
+        kinds.add(r.t_first_diff is None)
+        kinds.add(("depth", max(p.t.depth, q.t.depth) == 6 * blocks))
+        kinds.add(("shallow", min(p.t.depth, q.t.depth) == 1))
+    assert kinds == {True, False, ("depth", True), ("depth", False), ("shallow", True),
+                     ("shallow", False)}
+
+
+def _valued(rng, blocks):
+    # x a rational in [0, 1] that its expansion may only truncate.
+    den = rng.choice([1, 2, 5, 7, 3 ** rng.randint(0, 6), 2 * 3 ** rng.randint(1, 6)])
+    x = Fraction(rng.randint(0, den), den)
+    y = _string(rng, BinaryString, rng.randint(0, blocks))
+    return IManyPoint.from_value(x, y, rng.choice([1, 2, rng.randint(1, 6 * blocks)]))
+
+
+@pytest.mark.parametrize("seed,blocks", [(5, 1), (6, 3), (7, 12)])
+def test_truncated_values_match_the_fraction_referee(seed, blocks):
+    rng = random.Random(seed)
+    false_fact1 = 0
+    for _ in range(300):
+        p, q = _valued(rng, blocks), _valued(rng, blocks)
+        if p.digit_data_equals(q):
+            continue
+        r = check_facts(p, q, blocks)
+        _assert_matches(r, fraction_check_facts(p, q, blocks))
+        false_fact1 += not r.fact1
+    assert false_fact1 > 0
+
+
+def test_equal_expansions_of_unequal_values_fail_fact1_and_the_bound():
+    # 1/3 and 1/2 share the one-digit expansion "1"; only the last y digit
+    # tells the images apart, so each coordinate gap is 3**-12.
+    p = IManyPoint.from_value(Fraction(1, 3), BinaryString.from_text("0000"), 1)
+    q = IManyPoint.from_value(Fraction(1, 2), BinaryString.from_text("0001"), 1)
+    r = check_facts(p, q, 4)
+    _assert_matches(r, fraction_check_facts(p, q, 4))
+    assert r.to_json_dict() == {
+        "fact1": False,
+        "fact2": True,
+        "fact3": True,
+        "fact4": True,
+        "combined": False,
+        "x_gap": "1/6",
+        "t_delta": "0/1",
+        "coord_deltas": ["1/177147"] * 3,
+        "linf": "1/531441",
+        "l2_sq": "1/94143178827",
+        "t_first_diff": None,
+        "coord_first_diffs": [11, 11, 11],
+    }
+
+
+def _image(blocks, *values):
+    return tuple(TernaryString.from_int(v, 3 * blocks) for v in values)
+
+
+def _planted_report(monkeypatch, p, q, blocks, images):
+    # check_facts sees the coordinate strings `images`, p's then q's.
+    calls = iter(images)
+    monkeypatch.setattr(embedding, "embed_strings", lambda pt, blocks: next(calls))
+    r = check_facts(p, q, blocks)
+    ref = fraction_check_facts(p, q, blocks, [tuple(s.digits for s in i) for i in images])
+    _assert_matches(r, ref)
+    return r
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_late_image_difference_fails_fact2(monkeypatch, blocks):
+    # t differs at index 0 while the images differ only in their last digit;
+    # at 1 block that gap, 3**-3, still keeps the bound.
+    p = IManyPoint.from_digits(TernaryString.from_text("0"), BinaryString.from_text(""))
+    q = IManyPoint.from_digits(TernaryString.from_text("2"), BinaryString.from_text(""))
+    images = (_image(blocks, 0, 0, 0), _image(blocks, 1, 0, 0))
+    r = _planted_report(monkeypatch, p, q, blocks, images)
+    assert not r.fact2 and r.fact3 and r.combined == (blocks == 1)
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 50])
+def test_reserved_twos_fail_fact3(monkeypatch, blocks):
+    # "1000..." against "0222...": first difference at 0, gap 3**-(3*blocks).
+    top = 3 ** (3 * blocks - 1)
+    p = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("1"))
+    q = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("0"))
+    images = (_image(blocks, top, 0, 0), _image(blocks, top - 1, 0, 0))
+    r = _planted_report(monkeypatch, p, q, blocks, images)
+    assert r.fact1 and r.fact2 and not r.fact3 and r.fact4 and r.combined
+
+
+@pytest.mark.parametrize("k,holds", [(4, True), (3, False), (0, False)])
+def test_fact2_threshold(monkeypatch, k, holds):
+    # t first differs at k and the images at m = 3: fact2 is 2m <= k + 2.
+    p = IManyPoint.from_digits(TernaryString.from_int(0, k + 1), BinaryString.from_text(""))
+    q = IManyPoint.from_digits(TernaryString.from_int(1, k + 1), BinaryString.from_text(""))
+    images = (_image(4, 0, 0, 0), _image(4, 3**8, 0, 0))
+    assert _planted_report(monkeypatch, p, q, 4, images).fact2 == holds
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 50])
+@pytest.mark.parametrize("below", [0, 1])
+def test_fact3_threshold(monkeypatch, blocks, below):
+    # Images first differ at 0 with gap 3**-4, or one unit less.
+    top = 3 ** (3 * blocks - 1)
+    p = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("1"))
+    q = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("0"))
+    images = (_image(blocks, top, 0, 0), _image(blocks, top - 3 ** (3 * blocks - 4) + below, 0, 0))
+    assert _planted_report(monkeypatch, p, q, blocks, images).fact3 == (below == 0)
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_combined_threshold(monkeypatch, below):
+    # x gap 3**-2 and one coordinate gap 3**-6 at 3 blocks: the squared
+    # gap 3**-12 meets 3**-10 * 3**-2 exactly.
+    p = IManyPoint.from_digits(TernaryString.from_text("00"), BinaryString.from_text(""))
+    q = IManyPoint.from_digits(TernaryString.from_text("01"), BinaryString.from_text(""))
+    images = (_image(3, 0, 0, 0), _image(3, 27 - below, 0, 0))
+    assert _planted_report(monkeypatch, p, q, 3, images).combined == (below == 0)
+
+
+def test_fact1_threshold():
+    # x = 0 against x = 1 (the all-2s string): the gap 1 equals delta3 = 3**0.
+    p = IManyPoint.from_value(Fraction(0), BinaryString.from_text(""), 2)
+    q = IManyPoint.from_value(Fraction(1), BinaryString.from_text(""), 2)
+    r = check_facts(p, q, 1)
+    _assert_matches(r, fraction_check_facts(p, q, 1))
+    assert r.fact1 and r.x_gap == r.t_delta == 1
+
+
+def test_fact4_holds_for_every_gap_triple():
+    # max(g)**2 <= sum(g*g) for nonnegative gaps, so no pair makes fact4
+    # false; its failing record is written from the same fields.
+    p, q = _pairs(8, 3, 1)[0]
+    r = replace(check_facts(p, q, 3), fact4=False)
+    ref = fraction_check_facts(p, q, 3)
+    ref.fact4 = False
+    _assert_matches(r, ref)
+
+
+def _nudged(s):
+    # s with its last digit raised from 0, else lowered.
+    return TernaryString.from_int(s.value + (1 if s.value % 3 == 0 else -1), s.depth)
+
+
+@pytest.mark.parametrize("seed,samples,blocks", [(7, 60, 12), (1, 80, 1), (4, 50, 3)])
+def test_suite_failure_records_match_the_fraction_referee(monkeypatch, seed, samples, blocks):
+    # check_facts sees q's image as p's with the last digit of coordinate 0
+    # nudged, so facts fail; every record must read as the referee's.
+    real, images, reports = embedding.embed_strings, [], []
+    check = harness.check_facts
+
+    def planted(pt, blocks):
+        if len(images) % 2 == 0:
+            images.append(real(pt, blocks))
+        else:
+            s0, s1, s2 = images[-1]
+            images.append((_nudged(s0), s1, s2))
+        return images[-1]
+
+    def recorded(p, q, blocks):
+        reports.append((p, q, check(p, q, blocks)))
+        return reports[-1][2]
+
+    monkeypatch.setattr(embedding, "embed_strings", planted)
+    monkeypatch.setattr(harness, "check_facts", recorded)
+    report = run_lemma_suite(seed, samples, blocks)
+    assert len(reports) == samples and len(images) == 2 * samples
+    expected, cex = [], None
+    for k, (p, q, r) in enumerate(reports):
+        digits = [tuple(s.digits for s in images[i]) for i in (2 * k, 2 * k + 1)]
+        ref = fraction_check_facts(p, q, blocks, digits)
+        _assert_matches(r, ref)
+        pair = {"p": {"t": p.t.text(), "y": p.y.text()}, "q": {"t": q.t.text(), "y": q.y.text()}}
+        if not all(getattr(ref, f) for f in FACTS):
+            expected.append({**pair, "report": fact_report_dict(ref)})
+        if not ref.combined and cex is None:
+            cex = close_expanding_record(p, q, ref.x_gap, ref.l2_sq)
+    assert expected and list(report.fact_failures) == expected
+    assert json_text(report.to_json_dict()["fact_failures"]) == json_text_reference(expected)
+    assert report.close_expanding_counterexample == cex
+    assert report.close_expanding_ok == (cex is None) == (blocks == 1)
+
+
+def test_suite_equivalence_matches_the_ratio_referee(monkeypatch):
+    # The suite's int samples (3**(3*blocks - k), gap) give the constants
+    # the Fraction samples (3**-k, gap / 3**(3*blocks)) give.
+    reports, seen = [], []
+    check, estimate = harness.check_facts, harness.estimate_equivalence
+
+    def recorded(p, q, blocks):
+        reports.append(check(p, q, blocks))
+        return reports[-1]
+
+    def estimated(samples):
+        seen.append(samples)
+        return estimate(samples)
+
+    monkeypatch.setattr(harness, "check_facts", recorded)
+    monkeypatch.setattr(harness, "estimate_equivalence", estimated)
+    for seed, samples, blocks in [(7, 100, 12), (1, 200, 1), (5, 20, 50)]:
+        reports.clear()
+        report = run_lemma_suite(seed, samples, blocks)
+        fraction_samples = [
+            (d1, d2)
+            for r in reports
+            for d1, d2 in zip(r.coord_deltas, r.coord_gaps)
+            if d1 > 0
+        ]
+        assert len(seen[-1]) == len(fraction_samples) == report.equivalence_samples
+        assert all(type(v) is int for sample in seen[-1] for v in sample)
+        assert (report.equivalence_c1, report.equivalence_c2) == ratio_estimate_equivalence(
+            fraction_samples
+        )
+
+
+def _rational(rng):
+    if rng.random() < 0.3:
+        return rng.randint(-20, 20)
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+
+
+def test_estimate_equivalence_matches_the_ratio_referee():
+    rng = random.Random(11)
+    for size in [1, 2, 3, 10, 200]:
+        for _ in range(40):
+            samples = []
+            while len(samples) < size:
+                d1, d2 = _rational(rng), _rational(rng)
+                if d1 != 0:
+                    samples.append((d1, d2))
+            c1, c2 = estimate_equivalence(samples)
+            assert (c1, c2) == ratio_estimate_equivalence(samples)
+            assert type(c1) is type(c2) is Fraction
+            assert estimate_equivalence(iter(samples)) == (c1, c2)
+
+
+def test_point_check_matches_to_ternary():
+    # __post_init__ accepts t iff t is x's expansion; value-exact points
+    # skip the round trip, every other point takes it.
+    rng = random.Random(13)
+    accepted = rejected = 0
+    for _ in range(2000):
+        den = rng.choice([1, 2, 3, 4, 9, 10, 27, 81, 3**8])
+        x = Fraction(rng.randint(0, den), den)
+        depth = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            digits = tuple_to_ternary(x, depth)
+        else:
+            digits = tuple(rng.randrange(3) for _ in range(depth))
+        t, y = TernaryString(digits), BinaryString.from_text("1")
+        if digits == tuple_to_ternary(x, depth):
+            assert IManyPoint(x, t, y).t == t
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="not the chosen expansion"):
+                IManyPoint(x, t, y)
+            rejected += 1
+    assert accepted > 500 and rejected > 500
+    with pytest.raises(ValueError, match="at least one digit"):
+        IManyPoint.from_digits(TernaryString.from_text(""), BinaryString.from_text(""))

@@ -136,7 +136,7 @@ def _shrunk_from(k0):
     def edit(k, r):
         if k < k0:
             return r
-        return replace(r, l2_sq=Fraction(0), combined=0 >= C * C * r.x_gap)
+        return replace(r, gaps=(0, 0, 0), combined=0 >= C * C * r.x_gap)
 
     return edit
 
