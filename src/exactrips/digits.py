@@ -35,6 +35,7 @@ __all__ = [
     "to_ternary",
     "ternary_value",
     "first_difference",
+    "first_difference_packed",
     "delta3_at",
     "delta3",
 ]
@@ -223,7 +224,12 @@ _POW3 = tuple(3**k for k in range(256))
 def first_difference(s: TernaryString, t: TernaryString) -> int | None:
     """First index at which the zero-padded strings disagree, None if nowhere."""
     depth = max(s.depth, t.depth)
-    a, b = s.value_at(depth), t.value_at(depth)
+    return first_difference_packed(s.value_at(depth), t.value_at(depth), depth)
+
+
+def first_difference_packed(a: int, b: int, depth: int) -> int | None:
+    """First index at which the `depth`-digit ternary strings of packed
+    values a and b disagree, None if nowhere."""
     if a == b:
         return None
     p3 = _POW3 if depth < len(_POW3) else tuple(3**k for k in range(depth + 1))

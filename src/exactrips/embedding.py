@@ -29,7 +29,8 @@ from math import lcm
 from typing import Sequence
 
 from .digits import BinaryString, TernaryString, delta3_at, first_difference, json_fields
-from .digits import delta3, ternary_value, to_ternary  # delta3: for perfbench --trace 1
+from .digits import first_difference_packed, ternary_value, to_ternary
+from .digits import delta3  # for perfbench --trace 1
 
 __all__ = [
     "IManyPoint",
@@ -242,11 +243,12 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
     (pn, pd), (qn, qd) = p.x.as_integer_ratio(), q.x.as_integer_ratio()
     x_num, x_den = abs(pn * qd - qn * pd), pd * qd
     k = first_difference(p.t, q.t)
-    sp, sq = embed_strings(p, blocks), embed_strings(q, blocks)
-    coord_first_diffs = tuple(first_difference(a, b) for a, b in zip(sp, sq))
+    cp, cq = _coordinate_values(p.t, p.y, blocks), _coordinate_values(q.t, q.y, blocks)
+    depth = 3 * blocks  # every coordinate string has 3*blocks digits
+    coord_first_diffs = tuple(first_difference_packed(a, b, depth) for a, b in zip(cp, cq))
     m = min((d for d in coord_first_diffs if d is not None), default=None)
-    den = 3 ** (3 * blocks)  # every coordinate string has 3*blocks digits
-    gaps = tuple(abs(a.value - b.value) for a, b in zip(sp, sq))
+    den = 3**depth
+    gaps = tuple(abs(a - b) for a, b in zip(cp, cq))
     linf, l2 = max(gaps), sum(g * g for g in gaps)
     return FactReport(
         x_num == 0 if k is None else x_num * 3**k <= x_den,  # fact1

