@@ -38,6 +38,8 @@ __all__ = [
     "MalformedImageError",
     "DegeneratePairError",
     "interleave",
+    "t_coordinates",
+    "label_weight",
     "embed_strings",
     "embed",
     "decode",
@@ -101,21 +103,34 @@ class IManyPoint:
 _SPLIT = tuple((v // 81 * 3, v // 9 % 9 * 3, v % 9 * 3) for v in range(729))
 
 
-def _coordinate_values(t: TernaryString, b: BinaryString, blocks: int):
-    # Packed values of the three image coordinates, built lowest block first.
+def t_coordinates(t: TernaryString, blocks: int) -> tuple[int, int, int]:
+    """Packed values of the three image coordinates of (t, empty label):
+    block k of coordinate i holds (t[6k+2i], t[6k+2i+1], 0)."""
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
-    tv, bv = t.value_at(6 * blocks), b.value_at(blocks)
+    tv, split = t.value_at(6 * blocks), _SPLIT
     weight, c0, c1, c2 = 1, 0, 0, 0
-    for _ in range(blocks):
+    for _ in range(blocks):  # lowest block first
         tv, v = divmod(tv, 729)
-        bit, bv = bv & 1, bv >> 1
-        a0, a1, a2 = _SPLIT[v]
-        c0 += (a0 + bit) * weight
-        c1 += (a1 + bit) * weight
-        c2 += (a2 + bit) * weight
+        a0, a1, a2 = split[v]
+        c0 += a0 * weight
+        c1 += a1 * weight
+        c2 += a2 * weight
         weight *= 27
     return c0, c1, c2
+
+
+def label_weight(b: BinaryString, blocks: int) -> int:
+    """The label's share of every packed image coordinate: bit k of
+    b.value_at(blocks), counted from the last label digit, at weight 27**k."""
+    return int(format(b.value_at(blocks), "b"), 27)
+
+
+def _coordinate_values(t: TernaryString, b: BinaryString, blocks: int):
+    # Packed values of the three image coordinates: the t part plus the label term.
+    c0, c1, c2 = t_coordinates(t, blocks)
+    w = label_weight(b, blocks)
+    return c0 + w, c1 + w, c2 + w
 
 
 def interleave(i: int, t: TernaryString, b: BinaryString, blocks: int) -> TernaryString:

@@ -136,15 +136,13 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     The primary check looks the rigid edges up among the triangle sides
     (the rows of the triangle boundary at rigid indices must be empty;
     see RipsComplex2.sides_in_triangles); the cross-check runs the
-    second-neighbor scan on each partner, which catches the same failure
-    geometrically.  Violations are report content, not exceptions.
+    second-neighbor scan over all partners in one call, which catches the
+    same failure geometrically.  Violations are report content, not exceptions.
     """
     rigid = list(rigid)
     tri_violations = c.sides_in_triangles({r.edge_index for r in rigid})
-    witness_violations = []
-    for r in rigid:
-        for v in second_neighbor_witness(c.cloud, r.partner_vertex, c.scale):
-            witness_violations.append((r.edge_index, v.index))
+    hits = second_neighbor_witness(c.cloud, [r.partner_vertex for r in rigid], c.scale)
+    witness_violations = [(r.edge_index, v.index) for r, vs in zip(rigid, hits) for v in vs]
     return RigidFreeReport(
         checked=len(rigid),
         triangle_violations=tuple(tri_violations),

@@ -36,7 +36,7 @@ from .digits import (
     json_text,
     parse_rational,
 )
-from .embedding import IManyPoint, embed
+from .embedding import IManyPoint, label_weight, t_coordinates
 
 __all__ = [
     "SHEET_SCALE",
@@ -50,6 +50,7 @@ __all__ = [
     "scale_window",
     "fiber_value",
     "lattice_bound",
+    "fiber_points",
     "sheet_point",
     "build_cloud",
     "circle_above_parabola",
@@ -137,9 +138,10 @@ class CloudConfig:
                       in their first `blocks` digits (zero-padded), the
                       only ones the embedding reads, so n labels need
                       blocks >= ceil(log2 n)
-    scale             the Rips scale the cloud is built for; must lie in
-                      the window
-    x_values          extra sheet parameters sampled on every sheet
+    scale             the Rips scale the cloud is built for, a Fraction or
+                      int; must lie in the window
+    x_values          extra sheet parameters sampled on every sheet,
+                      Fractions or ints
     blocks            int truncation depth: 3*blocks digits per embedded
                       coordinate, consuming 6*blocks t digits
     cube_grid         int g > 0 adds the {1}-slab grid {0, 1/g, ..., 1}^3
@@ -161,6 +163,10 @@ class CloudConfig:
     include_partners: bool = True
 
     def __post_init__(self) -> None:
+        for key, value in (("scale", self.scale), *(("x_values", x) for x in self.x_values)):
+            # A float or bool would reach fiber_value and break the JSON round trip.
+            if isinstance(value, bool) or not isinstance(value, (Fraction, int)):
+                raise ValueError(f"config key {key!r} must be Fraction or int: {value!r}")
         lo, hi = scale_window()
         if not lo <= self.scale <= hi:
             raise ValueError(f"scale {self.scale} outside window [{lo}, {hi}]")
@@ -292,19 +298,30 @@ def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> N
         )
 
 
-def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
-    """The sampled sheet point (x/118098, embed(x, y)) at the working depth.
+def fiber_points(x: Fraction, sheets, blocks: int):
+    """The sampled sheet points (x/118098, embed(x, y)) for each label y of
+    `sheets` in turn, at the working depth.
 
     Any x in [0, 1] is accepted; the expansion is the greedy truncation at
     depth 6*blocks, so the sample is exact precisely when x terminates
-    there (see the module docstring for the closure convention).
+    there (see the module docstring for the closure convention).  x is
+    expanded once: every label shares its t part and first coordinate and
+    adds only its label term (embedding.label_weight).
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"sheet parameter out of [0, 1]: {x}")
-    p = IManyPoint.from_value(x, y, 6 * blocks)
-    c0, c1, c2 = embed(p, blocks)
-    return LabeledPoint4((x / SHEET_SCALE, c0, c1, c2), "sheet", sheet_x=x, sheet_y=y)
+    t = IManyPoint.from_value(x, BinaryString(), 6 * blocks).t
+    base, den, first = t_coordinates(t, blocks), 3 ** (3 * blocks), x / SHEET_SCALE
+    for y in sheets:
+        w = label_weight(y, blocks)
+        coords = (first, *(Fraction(c + w, den) for c in base))
+        yield LabeledPoint4(coords, "sheet", sheet_x=x, sheet_y=y)
+
+
+def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
+    """The sampled sheet point (x/118098, embed(x, y)); see fiber_points."""
+    return next(fiber_points(x, (y,), blocks))
 
 
 def build_cloud(cfg: CloudConfig) -> Cloud:
@@ -328,18 +345,12 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
             points.append(p)
 
     for x in cfg.x_values:
-        for y in cfg.sheets:
-            emit(sheet_point(x, y, cfg.blocks))
-    if cfg.include_partners:
-        xa = fiber_value(cfg.scale)
-        for y in cfg.sheets:
-            sp = sheet_point(xa, y, cfg.blocks)
+        for sp in fiber_points(x, cfg.sheets, cfg.blocks):
             emit(sp)
-            emit(
-                LabeledPoint4(
-                    (Fraction(1), sp.coords[1], sp.coords[2], sp.coords[3]), "cube1"
-                )
-            )
+    if cfg.include_partners:
+        for sp in fiber_points(fiber_value(cfg.scale), cfg.sheets, cfg.blocks):
+            emit(sp)
+            emit(LabeledPoint4((Fraction(1),) + sp.coords[1:], "cube1"))
     if cfg.cube_grid > 0:
         ticks = [Fraction(k, cfg.cube_grid) for k in range(cfg.cube_grid + 1)]
         for c0 in ticks:
@@ -433,13 +444,13 @@ class SheetPack:
 
 
 def second_neighbor_witness(
-    cloud: Cloud, partner: int, a: Fraction
-) -> list[NeighborViolation]:
-    """Scan for sheet points within a of the rigid partner vertex, other
-    than its own.
+    cloud: Cloud, partners, a: Fraction
+) -> list[list[NeighborViolation]]:
+    """For each {1}-slab partner vertex, in input order, the sheet points
+    within a of it other than its own rigid foot.
 
-    The construction predicts the empty list: a second neighbor would force
-    eps > l**2 / 2 between the first-coordinate gap eps and the slab
+    The construction predicts only empty lists: a second neighbor would
+    force eps > l**2 / 2 between the first-coordinate gap eps and the slab
     projection gap l, contradicting the close-expanding lower bound.  Any
     violation is returned with both gaps so the failed chain is inspectable.
 
@@ -454,32 +465,41 @@ def second_neighbor_witness(
     has bound + G - D_j in slot j.  With w = SheetPack.width(bound) and
     guard bit G = 2**(w-1), 0 <= D_j <= diagonal < G and bound < G, so
     each slot lies in (bound, 2G): none borrows from the next, and slot j
-    has its guard bit set iff D_j <= bound.  The rigid-foot exclusion and
-    the gaps of a violation are then computed exactly on the hits alone.
+    has its guard bit set iff D_j <= bound.  The bound, the width, the
+    pack and bound + G are computed once per call.  The rigid foot
+    (partner - (a, 0, 0, 0)) lies on the lattice iff a*L is an int; a hit
+    is excluded iff its lattice row equals the foot's.  The gaps of a
+    violation are exact Fractions, computed on the hits alone.
     """
-    p = cloud.points[partner]
-    if p.kind != "cube1":
-        raise ValueError("witness scan expects a {1}-slab partner vertex")
+    partners = list(partners)
+    bad = [(i, cloud.points[i].kind) for i in partners if cloud.points[i].kind != "cube1"]
+    if bad:
+        raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
     a = Fraction(a)
     L, lattice = cloud.lattice
     bound, _ = lattice_bound(a, L)
     pack = cloud.sheet_pack
     if not pack.index:
-        return []
-    t = [v - m for v, m in zip(lattice[partner], pack.low)]
+        return [[] for _ in partners]
     w = pack.width(bound)
     cols, ps, ones = pack.packed(w)
-    x = (bound + (1 << (w - 1)) - sum(u * u for u in t)) * ones - ps
-    x += 2 * sum(u * col for u, col in zip(t, cols))
-    size = w // 8
-    guards = x.to_bytes(size * len(pack.index), "little")[size - 1::size]
-    rigid_coords = (p.coords[0] - a,) + p.coords[1:]
+    size, top = w // 8, bound + (1 << (w - 1))
+    shift = a * L
     out = []
-    for idx in compress(pack.index, guards.translate(_GUARD)):
-        q = cloud.points[idx]
-        if q.coords == rigid_coords:
-            continue
-        eps = abs(q.coords[0] - p.coords[0])
-        l_sq = sum((q.coords[i] - p.coords[i]) ** 2 for i in (1, 2, 3))
-        out.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
+    for partner in partners:
+        row = lattice[partner]
+        t = [v - m for v, m in zip(row, pack.low)]
+        x = (top - sum(u * u for u in t)) * ones - ps
+        x += 2 * sum(u * col for u, col in zip(t, cols))
+        guards = x.to_bytes(size * len(pack.index), "little")[size - 1::size]
+        foot = (row[0] - shift.numerator,) + row[1:] if shift.denominator == 1 else None
+        hits = []
+        for idx in compress(pack.index, guards.translate(_GUARD)):
+            if lattice[idx] == foot:
+                continue
+            p, q = cloud.points[partner].coords, cloud.points[idx].coords
+            eps = abs(q[0] - p[0])
+            l_sq = sum((q[i] - p[i]) ** 2 for i in (1, 2, 3))
+            hits.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
+        out.append(hits)
     return out

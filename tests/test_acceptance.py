@@ -67,7 +67,7 @@ def test_criterion_02_rigid_edge_census():
             report = assert_rigid_free(cx, rigid)
             assert report.ok, (n, a, report)
             for r in rigid:
-                assert second_neighbor_witness(cx.cloud, r.partner_vertex, a) == []
+                assert second_neighbor_witness(cx.cloud, [r.partner_vertex], a)[0] == []
     print("ACCEPTANCE 2 rigid-edge census and freeness: PASS")
 
 

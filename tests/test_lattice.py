@@ -192,7 +192,7 @@ def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
         _point([b[0] + a * Fraction(2, 5), b[1] + a * Fraction(4, 5), b[2], b[3]], "sheet"),
     ]
     cloud = Cloud(cloud.points + tuple(planted) + (partner,), None)
-    hits = second_neighbor_witness(cloud, len(cloud) - 1, a)
+    hits = second_neighbor_witness(cloud, [len(cloud) - 1], a)[0]
     assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == fraction_witness(
         partner, cloud, a
     )
@@ -250,7 +250,7 @@ def witness_cases(draw):
 
 
 def _witness_tuples(cloud, partner, a):
-    hits = second_neighbor_witness(cloud, partner, a)
+    hits = second_neighbor_witness(cloud, [partner], a)[0]
     return [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits]
 
 
@@ -356,7 +356,7 @@ def test_witness_rejects_negative_scales(a):
     for partner, p in enumerate(cloud.points):
         if p.kind == "cube1":
             with pytest.raises(ValueError, match="scale must be nonnegative"):
-                second_neighbor_witness(cloud, partner, a)
+                second_neighbor_witness(cloud, [partner], a)
 
 
 def _sweep_style_config() -> CloudConfig:
@@ -418,7 +418,60 @@ def test_sweep_style_cloud_takes_wide_slots():
     assert den_bits == 93
     for i, p in enumerate(cloud.points):
         if p.kind == "cube1":
-            second_neighbor_witness(cloud, i, cloud.config.scale)
+            second_neighbor_witness(cloud, [i], cloud.config.scale)
     # Every partner of the cloud scans at the one width its box sets.
     assert len(cloud.sheet_pack.packs) == 1
     assert min(cloud.sheet_pack.packs) > 128
+
+
+@pytest.mark.parametrize("cfg", SAMPLED_CONFIGS)
+def test_one_witness_call_equals_the_referees_per_partner(cfg):
+    cloud = build_cloud(cfg)
+    L, _ = cloud.lattice
+    partners = [i for i, p in enumerate(cloud.points) if p.kind == "cube1"]
+    # Slightly beyond the cloud's scale a*L is not an int: partner - (a, 0,
+    # 0, 0) is off the lattice, so the rigid foot, now strictly within a,
+    # is reported like any other sheet point.
+    off = cfg.scale + Fraction(1, 2**20)
+    assert (off * L).denominator != 1
+    for a in (*DEFAULT_SCALES, off):
+        hits = second_neighbor_witness(cloud, partners, a)
+        assert len(hits) == len(partners)
+        for partner, found in zip(partners, hits):
+            point = cloud.points[partner]
+            expected = lattice_witness(point, cloud, a)
+            assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in found] == expected
+            assert expected == fraction_witness(point, cloud, a)
+    assert second_neighbor_witness(cloud, partners[::-1], off) == hits[::-1]
+    assert any(hits)
+
+
+def _two_partner_cloud() -> Cloud:
+    # Partner 1 has a second sheet point within 1 (vertex 2); partner 4,
+    # at the other corner, has only its rigid foot (vertex 3).
+    return Cloud(
+        (
+            _point([0, 0, 0, 0], "sheet"),
+            _point([1, 0, 0, 0], "cube1"),
+            _point([Fraction(1, 2), 0, 0, 0], "sheet"),
+            _point([0, 1, 1, 1], "sheet"),
+            _point([1, 1, 1, 1], "cube1"),
+        ),
+        None,
+    )
+
+
+def test_witness_hit_lists_follow_the_partner_order():
+    cloud = _two_partner_cloud()
+    forward = second_neighbor_witness(cloud, [1, 4], Fraction(1))
+    assert [[v.index for v in hits] for hits in forward] == [[2], []]
+    backward = second_neighbor_witness(cloud, iter([4, 1, 4]), Fraction(1))
+    assert backward == [forward[1], forward[0], forward[1]]
+    assert second_neighbor_witness(cloud, [], Fraction(1)) == []
+
+
+@pytest.mark.parametrize("partners", [[0], [1, 0], [1, 4, 3], [4, 1, 2]])
+def test_witness_rejects_a_non_cube1_vertex_anywhere(partners):
+    bad = next(i for i in partners if i not in (1, 4))
+    with pytest.raises(ValueError, match=f"vertex {bad} is sheet"):
+        second_neighbor_witness(_two_partner_cloud(), partners, Fraction(1))

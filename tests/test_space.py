@@ -235,14 +235,14 @@ def test_second_neighbor_witness_empty_on_minimal_cloud():
     cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
     for i, p in enumerate(cloud):
         if p.kind == "cube1":
-            assert second_neighbor_witness(cloud, i, a) == []
+            assert second_neighbor_witness(cloud, [i], a)[0] == []
 
 
 def test_second_neighbor_witness_requires_cube1():
     cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=Fraction(1)))
     sheet = next(i for i, p in enumerate(cloud) if p.kind == "sheet")
     with pytest.raises(ValueError):
-        second_neighbor_witness(cloud, sheet, Fraction(1))
+        second_neighbor_witness(cloud, [sheet], Fraction(1))
 
 
 def test_second_neighbor_witness_reports_adversarial_point():
@@ -260,7 +260,7 @@ def test_second_neighbor_witness_reports_adversarial_point():
         y,
     )
     cloud = Cloud((sheet, partner, intruder), None)
-    hits = second_neighbor_witness(cloud, 1, Fraction(1))
+    hits = second_neighbor_witness(cloud, [1], Fraction(1))[0]
     assert len(hits) == 1
     assert hits[0].index == 2
     assert hits[0].eps == Fraction(1, 2)
