@@ -240,19 +240,11 @@ class ExperimentRow:
     verdict: bool
 
     def to_csv_cells(self) -> list[str]:
-        return [
-            str(self.n),
-            format_rational(self.scale),
-            str(self.vertices),
-            str(self.edges),
-            str(self.triangles),
-            str(self.betti0),
-            str(self.betti1),
-            str(self.rigid_count),
-            "true" if self.rigid_free else "false",
-            str(self.lower_bound),
-            "pass" if self.verdict else "fail",
-        ]
+        """The fields in order: a Fraction as num/den, a bool as true or
+        false, and the verdict as pass or fail."""
+        cells = json_fields(self)
+        cells["verdict"] = "pass" if self.verdict else "fail"
+        return [str(v).lower() if type(v) is bool else str(v) for v in cells.values()]
 
 
 EXPERIMENT_CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))

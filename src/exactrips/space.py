@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
 
 from .digits import (
     BinaryString,
@@ -35,8 +35,9 @@ from .digits import (
     json_fields,
     json_text,
     parse_rational,
+    to_ternary,
 )
-from .embedding import IManyPoint, label_weight, t_coordinates
+from .embedding import label_weight, t_coordinates
 
 __all__ = [
     "SHEET_SCALE",
@@ -45,11 +46,11 @@ __all__ = [
     "LabeledPoint4",
     "CloudConfig",
     "Cloud",
-    "SheetPack",
     "NeighborViolation",
     "scale_window",
     "fiber_value",
     "lattice_bound",
+    "pack_rows",
     "fiber_points",
     "sheet_point",
     "build_cloud",
@@ -130,6 +131,14 @@ def _parse_label(text: str) -> tuple[str, Fraction | None, BinaryString | None]:
     raise ValueError(f"unrecognised point label {text!r}")
 
 
+def _typed(key: str, value, *kinds):
+    # Exact type, so a bool is not an int and nothing is coerced.
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"config key {key!r} must be {names}: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CloudConfig:
     """Finite-sampling policy for the counterexample space.
@@ -163,10 +172,19 @@ class CloudConfig:
     include_partners: bool = True
 
     def __post_init__(self) -> None:
-        for key, value in (("scale", self.scale), *(("x_values", x) for x in self.x_values)):
-            # A float or bool would reach fiber_value and break the JSON round trip.
-            if isinstance(value, bool) or not isinstance(value, (Fraction, int)):
-                raise ValueError(f"config key {key!r} must be Fraction or int: {value!r}")
+        # Exact types: a float or bool would reach fiber_value or the slab
+        # grids, or be written to JSON that from_json then refuses.
+        for key, values, *kinds in (
+            ("sheets", self.sheets, BinaryString),
+            ("scale", [self.scale], Fraction, int),
+            ("x_values", self.x_values, Fraction, int),
+            ("blocks", [self.blocks], int),
+            ("cube_grid", [self.cube_grid], int),
+            ("include_cube0", [self.include_cube0], bool),
+            ("include_partners", [self.include_partners], bool),
+        ):
+            for value in values:
+                _typed(key, value, *kinds)
         lo, hi = scale_window()
         if not lo <= self.scale <= hi:
             raise ValueError(f"scale {self.scale} outside window [{lo}, {hi}]")
@@ -193,29 +211,19 @@ class CloudConfig:
     def from_json_dict(cls, d: dict) -> "CloudConfig":
         if not isinstance(d, dict):
             raise ValueError("a cloud config must be a JSON object")
-
-        def typed(key, default, *kinds):
-            # Exact type, so a bool is not an int and nothing is coerced.
-            value = d.get(key, default)
-            if type(value) not in kinds:
-                names = " or ".join(k.__name__ for k in kinds)
-                raise ValueError(f"config key {key!r} must be {names}: {value!r}")
-            return value
-
-        sheets = typed("sheets", None, list)
+        # Only the JSON shapes are checked here; __post_init__ types the rest.
+        sheets = _typed("sheets", d.get("sheets"), list)
         if not all(isinstance(s, str) for s in sheets):
             raise ValueError(f"config key 'sheets' must list strings: {sheets!r}")
-        x_values = typed("x_values", [], list)
+        x_values = _typed("x_values", d.get("x_values", []), list)
         if not all(type(x) in (str, int) for x in x_values):
             raise ValueError(f"config key 'x_values' must list str or int: {x_values!r}")
         return cls(
             sheets=tuple(BinaryString.from_text(s) for s in sheets),
-            scale=parse_rational(str(typed("scale", "1", str, int))),
+            scale=parse_rational(str(_typed("scale", d.get("scale", "1"), str, int))),
             x_values=tuple(parse_rational(str(x)) for x in x_values),
-            blocks=typed("blocks", DEFAULT_BLOCKS, int),
-            cube_grid=typed("cube_grid", 0, int),
-            include_cube0=typed("include_cube0", False, bool),
-            include_partners=typed("include_partners", True, bool),
+            **{k: d[k] for k in ("blocks", "cube_grid", "include_cube0", "include_partners")
+               if k in d},
         )
 
     def to_json(self) -> str:
@@ -253,11 +261,6 @@ class Cloud:
             tuple(c.numerator * (L // c.denominator) for c in p.coords)
             for p in self.points
         )
-
-    @cached_property
-    def sheet_pack(self) -> SheetPack:
-        """The sheet points' lattice rows, packed for the witness scan."""
-        return SheetPack(self.points, self.lattice[1])
 
     def to_csv_text(self) -> str:
         lines = []
@@ -311,7 +314,7 @@ def fiber_points(x: Fraction, sheets, blocks: int):
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"sheet parameter out of [0, 1]: {x}")
-    t = IManyPoint.from_value(x, BinaryString(), 6 * blocks).t
+    t = to_ternary(x, 6 * blocks)
     base, den, first = t_coordinates(t, blocks), 3 ** (3 * blocks), x / SHEET_SCALE
     for y in sheets:
         w = label_weight(y, blocks)
@@ -353,15 +356,10 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
             emit(LabeledPoint4((Fraction(1),) + sp.coords[1:], "cube1"))
     if cfg.cube_grid > 0:
         ticks = [Fraction(k, cfg.cube_grid) for k in range(cfg.cube_grid + 1)]
-        for c0 in ticks:
-            for c1 in ticks:
-                for c2 in ticks:
-                    emit(LabeledPoint4((Fraction(1), c0, c1, c2), "cube1"))
-        if cfg.include_cube0:
-            for c0 in ticks:
-                for c1 in ticks:
-                    for c2 in ticks:
-                        emit(LabeledPoint4((Fraction(0), c0, c1, c2), "cube0"))
+        for first, kind in ((Fraction(1), "cube1"), (Fraction(0), "cube0")):
+            if kind == "cube1" or cfg.include_cube0:
+                for c in product(ticks, repeat=3):
+                    emit(LabeledPoint4((first, *c), kind))
     return Cloud(tuple(points), cfg)
 
 
@@ -398,49 +396,37 @@ class NeighborViolation:
 _GUARD = bytes(128) + bytes((1,)) * 128
 
 
-class SheetPack:
-    """A cloud's sheet points on its lattice, packed into big ints.
+def pack_rows(lattice, index, bound: int) -> tuple[int, tuple, tuple, int, int]:
+    """The lattice rows `index`, packed into big ints for a slot scan:
+    (w, low, cols, PS, ONES).
 
-    Each coordinate column is shifted by its minimum over the whole cloud,
-    so every shifted row u has 0 <= u[k] <= span[k], and `diagonal`, the
-    sum of span[k]**2, bounds the squared distance of any two rows.  For a
-    slot width w (a multiple of 8), packed(w) gives (cols, PS, ONES):
-    cols[k] holds sheet point j's u_j[k] in bits [w*j, w*(j+1)), PS holds
-    |u_j|**2 and ONES holds 1 in every slot.  Each width is packed once
-    and kept in `packs`.
+    Each column is shifted by its minimum low[k] over the *whole* lattice,
+    so every shifted row u has 0 <= u[k] <= span[k], and diagonal =
+    sum_k span[k]**2 bounds the squared distance D of any two rows.  w is
+    the least multiple of 8 whose guard bit G = 2**(w-1) exceeds both bound
+    and the diagonal.  cols[k] holds the j-th row's u[k] in bits
+    [w*j, w*(j+1)), PS holds |u|**2 and ONES holds 1 in every slot.
+
+    For any lattice row t, with t' = t - low,
+
+        X = (bound + G - |t'|**2)*ONES - PS + 2 * sum_k t'[k]*cols[k]
+
+    has bound + G - D_j in slot j.  As 0 <= D_j <= diagonal < G and
+    bound < G, each slot lies in (bound, 2G): none borrows from the next,
+    and slot j has its guard bit set iff D_j <= bound.
     """
+    columns = list(zip(*lattice))
+    low = tuple(map(min, columns))
+    diagonal = sum((max(c) - m) ** 2 for c, m in zip(columns, low))
+    w = 8 * ((max(bound, diagonal).bit_length() + 8) // 8)
+    size = w // 8
+    rows = [[v - m for v, m in zip(lattice[i], low)] for i in index]
 
-    __slots__ = ("index", "low", "diagonal", "packs", "_cols", "_norms")
+    def join(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
 
-    def __init__(self, points, lattice) -> None:
-        self.index = tuple(i for i, p in enumerate(points) if p.kind == "sheet")
-        cols = list(zip(*lattice))
-        self.low = tuple(map(min, cols))
-        self.diagonal = sum((max(c) - m) ** 2 for c, m in zip(cols, self.low))
-        self._cols = [tuple(c[i] - m for i in self.index) for c, m in zip(cols, self.low)]
-        self._norms = [sum(v * v for v in row) for row in zip(*self._cols)]
-        self.packs: dict[int, tuple] = {}
-
-    def width(self, bound: int) -> int:
-        """The least multiple of 8 whose guard bit 2**(w-1) exceeds both
-        bound and the diagonal, hence every packed value."""
-        return 8 * ((max(bound, self.diagonal).bit_length() + 8) // 8)
-
-    def packed(self, w: int) -> tuple[tuple[int, ...], int, int]:
-        pack = self.packs.get(w)
-        if pack is None:
-            size = w // 8
-
-            def join(values) -> int:
-                data = b"".join(v.to_bytes(size, "little") for v in values)
-                return int.from_bytes(data, "little")
-
-            pack = self.packs[w] = (
-                tuple(join(c) for c in self._cols),
-                join(self._norms),
-                join([1] * len(self.index)),
-            )
-        return pack
+    cols = tuple(join(c) for c in zip(*rows))
+    return w, low, cols, join(sum(u * u for u in r) for r in rows), join([1] * len(rows))
 
 
 def second_neighbor_witness(
@@ -456,20 +442,12 @@ def second_neighbor_witness(
 
     Distances are compared on the cloud's integer lattice: sheet point j
     is within a iff D_j = |p_j - t|**2 <= bound, with t the partner's
-    lattice row.  All sheet points are tested at once on the cloud's
-    SheetPack, whose slot j holds point j shifted by the column minima m
-    (and t' = t - m):
-
-        X = (bound + G - |t'|**2)*ONES - PS + 2 * sum_k t'[k]*cols[k]
-
-    has bound + G - D_j in slot j.  With w = SheetPack.width(bound) and
-    guard bit G = 2**(w-1), 0 <= D_j <= diagonal < G and bound < G, so
-    each slot lies in (bound, 2G): none borrows from the next, and slot j
-    has its guard bit set iff D_j <= bound.  The bound, the width, the
-    pack and bound + G are computed once per call.  The rigid foot
-    (partner - (a, 0, 0, 0)) lies on the lattice iff a*L is an int; a hit
-    is excluded iff its lattice row equals the foot's.  The gaps of a
-    violation are exact Fractions, computed on the hits alone.
+    lattice row.  The sheet rows are packed once per call (pack_rows), and
+    one big-int expression per partner sets the guard bit of exactly the
+    slots with D_j <= bound.  The rigid foot (partner - (a, 0, 0, 0)) lies
+    on the lattice iff a*L is an int; a hit is excluded iff its lattice row
+    equals the foot's.  The gaps of a violation are exact Fractions,
+    computed on the hits alone.
     """
     partners = list(partners)
     bad = [(i, cloud.points[i].kind) for i in partners if cloud.points[i].kind != "cube1"]
@@ -478,23 +456,22 @@ def second_neighbor_witness(
     a = Fraction(a)
     L, lattice = cloud.lattice
     bound, _ = lattice_bound(a, L)
-    pack = cloud.sheet_pack
-    if not pack.index:
+    index = tuple(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
+    if not index:
         return [[] for _ in partners]
-    w = pack.width(bound)
-    cols, ps, ones = pack.packed(w)
+    w, low, cols, ps, ones = pack_rows(lattice, index, bound)
     size, top = w // 8, bound + (1 << (w - 1))
     shift = a * L
     out = []
     for partner in partners:
         row = lattice[partner]
-        t = [v - m for v, m in zip(row, pack.low)]
+        t = [v - m for v, m in zip(row, low)]
         x = (top - sum(u * u for u in t)) * ones - ps
         x += 2 * sum(u * col for u, col in zip(t, cols))
-        guards = x.to_bytes(size * len(pack.index), "little")[size - 1::size]
+        guards = x.to_bytes(size * len(index), "little")[size - 1::size]
         foot = (row[0] - shift.numerator,) + row[1:] if shift.denominator == 1 else None
         hits = []
-        for idx in compress(pack.index, guards.translate(_GUARD)):
+        for idx in compress(index, guards.translate(_GUARD)):
             if lattice[idx] == foot:
                 continue
             p, q = cloud.points[partner].coords, cloud.points[idx].coords

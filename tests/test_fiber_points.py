@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrips import embedding
+from exactrips import space
 from exactrips.digits import BinaryString, TernaryString
 from exactrips.embedding import IManyPoint, embed, label_weight, t_coordinates
 from exactrips.space import (
@@ -98,18 +98,28 @@ def test_label_weight_is_the_bit_sum_of_the_digit_tuple(case):
 
 def test_fiber_points_shares_one_expansion(monkeypatch):
     calls = []
-    real = embedding.to_ternary
+    real = space.to_ternary
 
     def counted(q, depth):
         calls.append(q)
         return real(q, depth)
 
-    monkeypatch.setattr(embedding, "to_ternary", counted)
+    # The name fiber_points looks up, so a route around it is not counted
+    # as zero calls.
+    monkeypatch.setattr(space, "to_ternary", counted)
     labels = [BinaryString.from_int(v, 6) for v in range(64)]
     points = list(fiber_points(Fraction(1, 2), labels, 8))
     assert len(points) == 64
-    assert len(calls) <= 2  # from_value, and the validation of a non-terminating x
+    assert calls == [Fraction(1, 2)]  # non-terminating, yet expanded once
     assert len({id(p.coords[0]) for p in points}) == 1
+    calls.clear()
+    cfg = CloudConfig(
+        sheets=tuple(labels[:8]),
+        scale=Fraction(236195, 236196),
+        x_values=(Fraction(1, 3), Fraction(5, 7)),
+    )
+    build_cloud(cfg)
+    assert calls == [Fraction(1, 3), Fraction(5, 7), Fraction(1, 2)]  # once per fiber
 
 
 def test_fiber_points_rejects_out_of_range():
@@ -158,6 +168,17 @@ def test_build_cloud_csv_bytes_are_pinned(cfg, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+CONFIG_KINDS = {
+    "sheets": "BinaryString",
+    "scale": "Fraction or int",
+    "x_values": "Fraction or int",
+    "blocks": "int",
+    "cube_grid": "int",
+    "include_cube0": "bool",
+    "include_partners": "bool",
+}
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -166,14 +187,20 @@ def test_build_cloud_csv_bytes_are_pinned(cfg, digest):
         {"scale": "1"},
         {"x_values": (0.5,)},
         {"x_values": (Fraction(1, 2), False)},
+        {"blocks": True},
+        {"cube_grid": 2.0},
+        {"include_cube0": "false"},
+        {"include_partners": 0},
+        {"sheets": ("01",)},
     ],
 )
 def test_config_rejects_non_rational_scale_and_x_values(fields):
     # Before the check a float or bool was accepted and written to JSON,
-    # which from_json then refused.
+    # which from_json then refused; a "false" flag built cube0 points, and
+    # a str label or float grid failed later inside build_cloud.
     key = next(iter(fields))
-    with pytest.raises(ValueError, match=f"config key '{key}' must be Fraction or int"):
-        CloudConfig(sheets=_labels("0"), **fields)
+    with pytest.raises(ValueError, match=f"config key '{key}' must be {CONFIG_KINDS[key]}: "):
+        CloudConfig(**{"sheets": _labels("0"), "cube_grid": 1, **fields})
 
 
 def test_config_with_int_scale_and_x_values_round_trips():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactrips import space
 from exactrips.digits import BinaryString
 from exactrips.harness import (
     assert_rigid_free,
@@ -35,6 +36,7 @@ from exactrips.space import (
     LabeledPoint4,
     build_cloud,
     lattice_bound,
+    pack_rows,
     scale_window,
     second_neighbor_witness,
 )
@@ -254,7 +256,25 @@ def _witness_tuples(cloud, partner, a):
     return [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits]
 
 
-def test_packed_witness_matches_referees():
+@pytest.fixture
+def pack_widths(monkeypatch):
+    """The slot width of every pack the witness builds, in call order."""
+    widths = []
+
+    def recorded(lattice, index, bound):
+        pack = pack_rows(lattice, index, bound)
+        widths.append(pack[0])
+        return pack
+
+    monkeypatch.setattr(space, "pack_rows", recorded)
+    return widths
+
+
+def _width(diagonal):
+    return 8 * ((diagonal.bit_length() + 8) // 8)
+
+
+def test_packed_witness_matches_referees(pack_widths):
     seen = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -262,6 +282,7 @@ def test_packed_witness_matches_referees():
     def check(case):
         cloud, partner, a = case
         point = cloud.points[partner]
+        pack_widths.clear()
         # The coordinates lie in [-2, 2], so every D is below the bound at
         # a + 2**32, whose slots are wider than the bound at a: one cloud,
         # two widths.
@@ -271,7 +292,10 @@ def test_packed_witness_matches_referees():
             assert hits == fraction_witness(point, cloud, scale)
         hits = _witness_tuples(cloud, partner, a)
         sheets = [p for p in cloud.points if p.kind == "sheet"]
-        assert len(cloud.sheet_pack.packs) == (2 if sheets else 0)
+        # Each call packs the sheet rows afresh (none without sheet points),
+        # and the two scales take two widths.
+        assert len(pack_widths) == (3 if sheets else 0)
+        assert len(set(pack_widths)) == (2 if sheets else 0)
         coords = [c for p in sheets for c in p.coords]
         seen.update(
             name
@@ -295,22 +319,22 @@ def test_sheet_pack_slots_hold_the_shifted_rows_at_every_width():
     cloud = Cloud(
         (
             _point([Fraction(-1, 3**24), 2, 0, Fraction(1, 7)], "sheet"),
-            _point([-5, 5, 5, 5], "cube0"),
+            _point([-50, 50, 50, 50], "cube0"),
             _point([Fraction(3, 2), -2, 1, 0], "sheet"),
         ),
         None,
     )
-    pack = cloud.sheet_pack
     _, lattice = cloud.lattice
     # The shift and the diagonal are the whole cloud's, the cube0 point's too.
     columns = list(zip(*lattice))
-    assert pack.low == tuple(map(min, columns)) and pack.low[0] == lattice[1][0]
-    assert pack.diagonal == sum((max(c) - min(c)) ** 2 for c in columns)
-    rows = [[u - m for u, m in zip(lattice[i], pack.low)] for i in pack.index]
-    assert pack.index == (0, 2) and min(min(r) for r in rows) >= 0
-    assert max(sum(u * u for u in r) for r in rows) <= pack.diagonal
-    for w in (pack.width(0), 256):
-        cols, ps, ones = pack.packed(w)
+    diagonal = sum((max(c) - min(c)) ** 2 for c in columns)
+    for bound, width in ((0, _width(diagonal)), (2**254, 256)):
+        w, low, cols, ps, ones = pack_rows(lattice, (0, 2), bound)
+        assert w == width
+        assert low == tuple(map(min, columns)) and low[0] == lattice[1][0]
+        rows = [[u - m for u, m in zip(lattice[i], low)] for i in (0, 2)]
+        assert min(min(r) for r in rows) >= 0
+        assert max(sum(u * u for u in r) for r in rows) <= diagonal
 
         def slots(x):
             return [x >> (w * j) & ((1 << w) - 1) for j in range(len(rows))]
@@ -318,12 +342,13 @@ def test_sheet_pack_slots_hold_the_shifted_rows_at_every_width():
         assert [slots(col) for col in cols] == [list(c) for c in zip(*rows)]
         assert slots(ps) == [sum(u * u for u in r) for r in rows]
         assert slots(ones) == [1, 1]
-    assert len(pack.packs) == 2
-    assert cloud.sheet_pack is pack
+    # The cube0 corner sets the width: the sheet rows alone take fewer bits.
+    sheet_columns = list(zip(lattice[0], lattice[2]))
+    assert _width(sum((max(c) - min(c)) ** 2 for c in sheet_columns)) < _width(diagonal)
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3**24), Fraction(1), Fraction(4)])
-def test_witness_slots_cannot_borrow_from_far_points(a):
+def test_witness_slots_cannot_borrow_from_far_points(a, pack_widths):
     # The partner sits just outside a corner of the sheet points' box, on
     # a lattice of step 3**-24, so the cloud's box runs from the partner
     # to the far sheet corner: their D, about 2**80, is the diagonal and
@@ -341,11 +366,10 @@ def test_witness_slots_cannot_borrow_from_far_points(a):
     hits = _witness_tuples(cloud, 3, a)
     assert hits == lattice_witness(partner, cloud, a) == fraction_witness(partner, cloud, a)
     L, lattice = cloud.lattice
-    pack = cloud.sheet_pack
-    assert pack.diagonal == sq_dist(lattice[3], lattice[1])
     bound, _ = lattice_bound(a, L)
-    assert set(pack.packs) == {pack.width(bound)} == {pack.width(0)}
-    assert min(pack.packs) > 80
+    width = _width(sq_dist(lattice[3], lattice[1]))
+    assert pack_widths == [width] == [pack_rows(lattice, (0, 1, 2), 0)[0]]
+    assert pack_rows(lattice, (0, 1, 2), bound)[0] == width > 80
 
 
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2)])
@@ -412,7 +436,7 @@ def test_rigid_free_witness_equals_the_referee_on_sampled_clouds(cfg):
         assert hits == lattice_witness(cloud.points[r.partner_vertex], cloud, wider)
 
 
-def test_sweep_style_cloud_takes_wide_slots():
+def test_sweep_style_cloud_takes_wide_slots(pack_widths):
     cloud = build_cloud(_sweep_style_config())
     den_bits = max(c.denominator.bit_length() for p in cloud.points for c in p.coords)
     assert den_bits == 93
@@ -420,8 +444,8 @@ def test_sweep_style_cloud_takes_wide_slots():
         if p.kind == "cube1":
             second_neighbor_witness(cloud, [i], cloud.config.scale)
     # Every partner of the cloud scans at the one width its box sets.
-    assert len(cloud.sheet_pack.packs) == 1
-    assert min(cloud.sheet_pack.packs) > 128
+    assert len(pack_widths) > 1 and len(set(pack_widths)) == 1
+    assert min(pack_widths) > 128
 
 
 @pytest.mark.parametrize("cfg", SAMPLED_CONFIGS)
