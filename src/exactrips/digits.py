@@ -21,8 +21,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 __all__ = [
     "TernaryString",
@@ -30,6 +30,7 @@ __all__ = [
     "parse_int",
     "parse_rational",
     "format_rational",
+    "MaskRows",
     "json_text",
     "json_fields",
     "to_ternary",
@@ -136,14 +137,38 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def json_text(obj) -> str:
-    """The text json.dumps(obj, indent=2, sort_keys=True) + "\\n" writes.
+@dataclass(frozen=True)
+class MaskRows:
+    """Int rows held as runs: run r is the rows prefixes[r] + (k,), ascending,
+    for k = prefixes[r][-1] + 1 + b, b a set bit of masks[r]; all k < size."""
 
-    Every JSON report goes through here.  The stdlib encodes with its C
-    encoder only when indent is None, so a list of int rows (edges,
-    triangles) is encoded once compactly in C and re-indented by string
-    replacement; dicts and other lists recurse; scalars are the stdlib's.
-    Keys must be str.
+    prefixes: Sequence[tuple[int, ...]]
+    masks: Sequence[int]
+    size: int
+    _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
+
+    def json_at(self, nl: str) -> str:
+        """The list of rows as json_text writes it where `nl` starts a line."""
+        inner = nl + "  "
+        deeper, sep = inner + "  ", "," + inner
+        heads = [f"{k},{deeper}" for k in range(self.size)]
+        tails = [f"{k}{inner}]" for k in range(self.size)]
+        runs = []
+        for prefix, mask in zip(self.prefixes, self.masks):
+            if mask:
+                head = "[" + deeper + "".join([heads[k] for k in prefix])
+                flags = bin(mask).encode()[:1:-1].translate(self._FLAGS)  # bit b at b
+                runs.append(head + (sep + head).join(compress(tails[prefix[-1] + 1 :], flags)))
+        return "[" + inner + sep.join(runs) + nl + "]" if runs else "[]"
+
+
+def json_text(obj) -> str:
+    """The text json.dumps(obj, indent=2, sort_keys=True) + "\\n" writes,
+    with each MaskRows value written as the list of its rows.
+
+    Every JSON report goes through here.  Dicts and lists recurse, scalars
+    are the stdlib's, and MaskRows (edges, triangles) are written from the
+    masks, with no row tuple and no str() per row.  Keys must be str.
     """
     return _json_at(obj, "\n") + "\n"
 
@@ -168,6 +193,8 @@ def _json_value(v):
 
 def _json_at(obj, nl: str) -> str:
     """obj as the indented encoder writes it where `nl` starts a line."""
+    if isinstance(obj, MaskRows):
+        return obj.json_at(nl)
     inner = nl + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -181,19 +208,6 @@ def _json_at(obj, nl: str) -> str:
         return json.dumps(obj)
     if not obj:
         return "[]"
-    # Rows of exact ints, checked in C rather than row by row: the compact
-    # text of such rows has no comma or bracket but the encoder's own.
-    if (
-        set(map(type, obj)) <= {list, tuple}
-        and all(obj)
-        and set(map(type, chain.from_iterable(obj))) == {int}
-    ):
-        deeper = inner + "  "
-        body = json.dumps(obj, separators=(",", ":"))[2:-2]  # "0,1],[0,2"
-        body = body.replace(",", "," + deeper).replace(
-            "]," + deeper + "[", inner + "]," + inner + "[" + deeper
-        )
-        return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
     return "[" + inner + ("," + inner).join(_json_at(v, inner) for v in obj) + nl + "]"
 
 

@@ -16,10 +16,10 @@ call per pair on 4-D rows (kept until the benchmark counts pairs per
 build rather than `sq_dist` calls), each row's hits picked in C.
 
 A complex is its sorted edge list.  All else is derived from it once, on
-demand: int bitmask neighborhoods (nb[i] & nb[j] are an edge's triangle
-apexes), scale-length edge classes, and the triangles, listed from the
-masks only when read.  Sweeps check nesting on the masks, so only a JSON
-report that writes the triangles lists them.
+demand: int bitmask neighborhoods, each edge's apex mask (its triangles),
+scale-length edge classes, and the triangles, listed only when read.
+Sweeps check nesting on the masks, and JSON reports write edge and
+triangle rows from the masks (digits.MaskRows), so no command lists them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 
-from .digits import BinaryString, format_rational, json_text
+from .digits import BinaryString, MaskRows, format_rational, json_text
 from .space import lattice_bound
 
 __all__ = [
@@ -127,21 +127,26 @@ class RipsComplex2:
         return tuple(nb)
 
     @cached_property
+    def apex_masks(self) -> tuple[int, ...]:
+        """Per edge (i, j), in order, the mask (nb[i] & nb[j]) >> (j + 1):
+        its bit b is set iff (i, j, j + 1 + b) is a flag triangle."""
+        nb = self.neighbor_masks
+        return tuple([(nb[i] & nb[j]) >> (j + 1) for i, j in self.edges])
+
+    @cached_property
     def n_triangles(self) -> int:
         """Number of flag triangles, counted without listing them."""
-        nb = self.neighbor_masks
-        return sum(((nb[i] & nb[j]) >> (j + 1)).bit_count() for i, j in self.edges)
+        return sum(m.bit_count() for m in self.apex_masks)
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """Flag triangles, lexicographic: edges in order, apexes above j."""
-        nb, out = self.neighbor_masks, []
+        out = []
         add = out.append
-        for i, j in self.edges:
-            m = nb[i] & nb[j] & -(2 << j)
+        for (i, j), m in zip(self.edges, self.apex_masks):
             while m:
                 low = m & -m
-                add((i, j, low.bit_length() - 1))
+                add((i, j, j + low.bit_length()))
                 m ^= low
         return tuple(out)
 
@@ -195,11 +200,12 @@ class RipsComplex2:
         return [(e, t) for t, _, e in sorted(hits)]
 
     def to_json_dict(self) -> dict:
+        V, nb = self.n_vertices, self.neighbor_masks
         return {
             "scale": format_rational(self.scale),
-            "vertices": self.n_vertices,
-            "edges": self.edges,
-            "triangles": self.triangles,
+            "vertices": V,
+            "edges": MaskRows(list(zip(range(V))), [m >> (i + 1) for i, m in enumerate(nb)], V),
+            "triangles": MaskRows(self.edges, self.apex_masks, V),
         }
 
     def to_json(self) -> str:

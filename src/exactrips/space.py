@@ -231,7 +231,11 @@ class CloudConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CloudConfig":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("config JSON is nested too deeply") from None
+        return cls.from_json_dict(d)
 
 
 @dataclass(frozen=True)
@@ -256,11 +260,12 @@ class Cloud:
         """(L, every point's coordinates times L), with L the lcm of all
         coordinate denominators: the cloud on the integer lattice, where
         distance tests are exact int arithmetic."""
-        L = math.lcm(*{c.denominator for p in self.points for c in p.coords})
-        return L, tuple(
-            tuple(c.numerator * (L // c.denominator) for c in p.coords)
-            for p in self.points
-        )
+        ratios = [c.as_integer_ratio() for p in self.points for c in p.coords]
+        dens = {d for _, d in ratios}
+        L = math.lcm(*dens)
+        times = {d: L // d for d in dens}
+        flat = iter([n * times[d] for n, d in ratios])
+        return L, tuple(zip(flat, flat, flat, flat))
 
     def to_csv_text(self) -> str:
         lines = []

@@ -279,6 +279,11 @@ def test_config_error_exit_code(tmp_path):
             "sheet labels must differ in their first blocks=1 digits "
             "(telling 3 labels apart takes blocks >= 2)",
         ),
+        pytest.param(
+            "[" * 200000 + "]" * 200000,
+            "config JSON is nested too deeply",
+            id="nested-too-deeply",
+        ),
     ],
 )
 def test_malformed_config_exit_code(tmp_path, capsys, text, message):

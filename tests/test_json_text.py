@@ -1,10 +1,15 @@
 """The shared JSON writer against the stdlib's indented encoder."""
 
+from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactrips.digits import json_text
+from exactrips.rips import RipsComplex2
 
 from oracles import json_text_reference
 
@@ -20,7 +25,6 @@ scalars = st.one_of(
     st.floats(),  # inf, -inf and nan included
     st.text(max_size=6),  # control characters, quotes, non-ASCII
 )
-# Bools are rare in rows, so most rows take the int-row path.
 int_rows = st.lists(
     st.one_of(
         st.lists(st.one_of(ints, ints, ints, st.booleans()), max_size=4),
@@ -53,3 +57,58 @@ def test_json_text_matches_indented_stdlib_encoder(obj):
 def test_json_text_rejects_non_str_keys(key):
     with pytest.raises(TypeError, match="keys must be str"):
         json_text({"ok": [[1, 2]], "nested": {key: 0}})
+
+
+@st.composite
+def graphs(draw):
+    """(V, sorted edges): edges among a few vertices drawn from range(V), so
+    triangles are common, the other vertices isolated, and indices reach
+    two, three and four digits."""
+    V = draw(st.one_of(st.integers(0, 12), st.integers(10, 120), st.integers(100, 1100)))
+    hot = sorted(draw(st.sets(st.integers(0, max(V - 1, 0)), max_size=9))) if V else []
+    pairs = list(combinations(hot, 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return V, tuple(e for e, keep in zip(pairs, picked) if keep)
+
+
+def _complex(V, edges, scale=Fraction(1)):
+    return RipsComplex2(SimpleNamespace(points=range(V)), scale, edges)
+
+
+def _plain_dict(V, edges, scale=Fraction(1)):
+    """The report with tuple rows; triangles found from the edge set alone."""
+    present = set(edges)
+    ends = sorted({v for e in edges for v in e})
+    return {
+        "scale": f"{scale.numerator}/{scale.denominator}",
+        "vertices": V,
+        "edges": list(edges),
+        "triangles": [
+            (i, j, k) for i, j, k in combinations(ends, 3)
+            if {(i, j), (i, k), (j, k)} <= present
+        ],
+    }
+
+
+@SETTINGS
+@given(graphs(), graphs())
+@example((0, ()), (1, ()))
+@example((3, ((0, 1), (1, 2))), (12, ((0, 11), (10, 11))))
+@example(
+    (1005, ((9, 10), (9, 99), (10, 99), (99, 100), (100, 999), (100, 1000), (999, 1000))),
+    (120, ((0, 1), (0, 2), (1, 2), (100, 101), (100, 119), (101, 119))),
+)
+def test_complex_rows_written_from_masks(g1, g2):
+    (V1, e1), (V2, e2) = g1, g2
+    c1, c2 = _complex(V1, e1), _complex(V2, e2, Fraction(3, 2))
+    d1, d2 = c1.to_json_dict(), c2.to_json_dict()
+    ref1, ref2 = _plain_dict(V1, e1), _plain_dict(V2, e2, Fraction(3, 2))
+    assert c1.to_json() == json_text(d1) == json_text_reference(ref1)
+    payload = {
+        "scales": ["1/1", "3/2"],
+        "complexes": [d1, d2],
+        "betti": [{"vertices": V1}, {"vertices": V2}],
+    }
+    expected = dict(payload, complexes=[ref1, ref2])
+    assert json_text(payload) == json_text_reference(expected)
+    assert "triangles" not in c1.__dict__ and "triangles" not in c2.__dict__
