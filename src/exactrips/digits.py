@@ -69,7 +69,10 @@ class _DigitString:
 
     @classmethod
     def from_text(cls, text: str):
-        return cls(int(c) for c in text)
+        # ASCII digits below the base only: int() would also take "\u0661".
+        if text.lstrip("0123456789"[: cls.base]):
+            raise ValueError(f"{cls._digit_error}, got {text!r}")
+        return cls(map(int, text))
 
     @property
     def digits(self) -> tuple[int, ...]:

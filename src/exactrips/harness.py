@@ -25,9 +25,8 @@ so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .digits import (
@@ -157,7 +156,7 @@ def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
     if start == goal:
         return []
     if allowed[start] >> goal & 1:  # the one shortest path is the edge itself
-        return [bisect_left(c.edges, (start, goal) if start < goal else (goal, start))]
+        return [c.edge_index(start, goal)]
     parent: dict[int, int] = {start: start}
     seen, queue = 1 << start, deque([start])
     while queue:
@@ -169,7 +168,7 @@ def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
                 path = []
                 while v != start:
                     u = parent[v]
-                    path.append(bisect_left(c.edges, (u, v) if u < v else (v, u)))
+                    path.append(c.edge_index(u, v))
                     v = u
                 return path
             queue.append(v)
@@ -276,9 +275,9 @@ def theorem_experiment(
 ) -> ExperimentReport:
     """Run the construction's checks over sheet counts and window scales.
 
-    In the minimal configuration the row passes iff beta0 = 1,
-    beta1 = n-1, exactly n rigid edges all triangle-free, and the rigid
-    rank lower bound from the n-1 pairwise completed cycles equals n-1.
+    With cube_grid 0 the cloud is minimal, {0}-slab grid or not, and the row
+    passes iff beta0 = 1, beta1 = n-1, exactly n rigid edges all triangle-free,
+    and the rigid rank lower bound from the n-1 completed cycles equals n-1.
     There beta0, beta1 and T come from homology.two_cliques when it holds,
     else, as on grid rows, from collapse and rank.
     With cube grids present the Betti equality is relaxed to
@@ -290,12 +289,12 @@ def theorem_experiment(
         raise ValueError("need at least one sheet count and one scale")
     if any(b <= a for a, b in zip(sheet_counts, sheet_counts[1:])):
         raise ValueError("sheet counts must be strictly ascending")
-    minimal = cube_grid == 0 and not include_cube0
+    minimal = cube_grid == 0
     rows = []
     for n in sheet_counts:
         for a in scales:
-            cfg = replace(
-                minimal_config(n, a, blocks), cube_grid=cube_grid, include_cube0=include_cube0
+            cfg = CloudConfig(
+                default_sheets(n), Fraction(a), (), blocks, cube_grid, include_cube0
             )
             cloud = build_cloud(cfg)
             cx = build_complex(cloud, cfg.scale)

@@ -17,10 +17,11 @@ and falls back to the candidates lowest-first.
 `two_cliques` instead certifies a complex as two cliques joined by its n
 rigid edges, which fixes beta0 = 1 and beta1 = n-1 with no collapse or rank.
 
-A column is an int mask whose set bits are its nonzero rows.  `rank_f2`
-reduces columns left to right with lowest-one pivoting (the lowest
-nonzero row, i.e. the largest row index, as in standard boundary-matrix
-reduction).
+A column is an int mask whose set bits are its nonzero rows; a d2 column
+is edge r = (i, j) with its sides (i, k) and (j, k) for an apex k of its
+apex mask, at the positions of RipsComplex2.edge_index.  `rank_f2` reduces
+columns left to right with lowest-one pivoting (the lowest nonzero row,
+i.e. the largest row index, as in standard boundary-matrix reduction).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .rips import RipsComplex2
+from .rips import RipsComplex2, bits
 
 __all__ = [
     "Cycle",
@@ -61,11 +62,10 @@ def boundary1(c) -> tuple[int, ...]:
 
 
 def _triangle_masks(c):
-    # Per flag triangle, the mask of its sides' positions in the sorted
-    # edge list, built as the triangle is read.
-    idx = {e: r for r, e in enumerate(c.edges)}
-    for i, j, k in c.triangles:
-        yield 1 << idx[(i, j)] | 1 << idx[(i, k)] | 1 << idx[(j, k)]
+    # The d2 columns in triangle order (see the module docstring).
+    for r, ((i, j), m) in enumerate(zip(c.edges, c.apex_masks)):
+        for k in bits(m << j + 1):
+            yield 1 << r | 1 << c.edge_index(i, k) | 1 << c.edge_index(j, k)
 
 
 def boundary2(c) -> tuple[int, ...]:
@@ -154,11 +154,11 @@ def two_cliques(c, rigid):
     nb = c.neighbor_masks
     uncovered = (1 << len(nb)) - 1 & ~(S | P)
     if uncovered:
-        return None, ((uncovered & -uncovered).bit_length() - 1, None)
+        return None, (next(bits(uncovered)), None)
     for v, mask in enumerate(nb):
         wrong = mask ^ ((S if S >> v & 1 else P) & ~(1 << v) | 1 << other[v])
         if wrong:
-            return None, (v, (wrong & -wrong).bit_length() - 1)
+            return None, (v, next(bits(wrong)))
     return (1, n - 1, 2 * comb(n, 3)), None
 
 

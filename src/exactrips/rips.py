@@ -15,11 +15,11 @@ Enumeration is the dense O(V^2) pair scan over those ints, one `sq_dist`
 call per pair on 4-D rows (kept until the benchmark counts pairs per
 build rather than `sq_dist` calls), each row's hits picked in C.
 
-A complex is its sorted edge list.  All else is derived from it once, on
-demand: int bitmask neighborhoods, each edge's apex mask (its triangles),
-scale-length edge classes, and the triangles, listed only when read.
-Sweeps check nesting on the masks, and JSON reports write edge and
-triangle rows from the masks (digits.MaskRows), so no command lists them.
+A complex is its sorted edge list, and owns that order (edge_index).
+All else is derived once, on demand: int bitmask neighborhoods, each
+edge's apex mask (its triangles and d2 columns), scale-length edge
+classes, and the triangles, listed only when read.  Sweeps check nesting
+on the masks, and reports write rows from them (digits.MaskRows).
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class ScaleEdges:
 
 @dataclass(frozen=True)
 class RipsComplex2:
-    """Vertices, edges and flag triangles of Rips(cloud, scale), canonically
-    ordered: edges (i, j) with i < j lexicographic, triangles (i, j, k)
-    with i < j < k lexicographic."""
+    """Flag complex of a sorted edge list (i < j), triangles (i, j, k) with
+    i < j < k lexicographic: Rips(cloud, scale) from build_complex, and in
+    homology.betti01 the complex of the edges that survive collapse."""
 
     cloud: object
     scale: Fraction
@@ -116,6 +116,10 @@ class RipsComplex2:
     @property
     def n_vertices(self) -> int:
         return len(self.cloud.points)
+
+    def edge_index(self, u: int, v: int) -> int:
+        """Position of the edge {u, v}, given in either order, in `edges`."""
+        return bisect_left(self.edges, (u, v) if u < v else (v, u))
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -141,14 +145,8 @@ class RipsComplex2:
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """Flag triangles, lexicographic: edges in order, apexes above j."""
-        out = []
-        add = out.append
-        for (i, j), m in zip(self.edges, self.apex_masks):
-            while m:
-                low = m & -m
-                add((i, j, j + low.bit_length()))
-                m ^= low
-        return tuple(out)
+        pairs = zip(self.edges, self.apex_masks)
+        return tuple((i, j, j + 1 + b) for (i, j), m in pairs for b in bits(m))
 
     @cached_property
     def scale_edges(self) -> ScaleEdges:
@@ -176,11 +174,10 @@ class RipsComplex2:
             u = lattice[s]
             for c in bits(nb[s] & cube1):
                 if sum((x - y) ** 2 for x, y in zip(u, lattice[c])) == bound:
-                    found.append(((s, c) if s < c else (c, s), s, c))
+                    found.append((self.edge_index(s, c), s, c))
         found.sort()
         rigid, diagonal = [], []
-        for edge, s, c in found:
-            e_i = bisect_left(self.edges, edge)
+        for e_i, s, c in found:
             if lattice[s][1:] != lattice[c][1:]:
                 diagonal.append(e_i)
             else:

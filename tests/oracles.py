@@ -9,12 +9,13 @@ int-lattice loop that referees the packed second-neighbor scan,
 digit-by-digit versions of the digit-string operations, on plain tuples
 of digits, that referee the packed (int value, depth) strings, the
 lemma facts and the equivalence ratios in Fraction arithmetic, on those
-tuples, that referee their int comparisons, the full
-flag route (every triangle, sorted-list intersection, full boundary
-ranks) with a set-based domination test that referee the edge-collapse
-Betti engine, a collapse that tries every candidate dominator in turn,
-which referees the hinted search, a breadth-first search over adjacency
-lists and an edge dict that referees cycle completion on neighbor masks,
+tuples, that referee their int comparisons, the full flag route (every
+triangle, sorted-list intersection, d2 columns from a dict of edge
+positions, full boundary ranks) with a set-based domination test that
+referee the edge-collapse Betti engine, a collapse that tries every
+candidate dominator in turn, which referees the hinted search, a
+breadth-first search over adjacency lists and an edge dict that referees
+cycle completion on neighbor masks,
 the stdlib's indented JSON encoder that referees the shared report
 writer, one randrange call per digit that referees the lemma suite's
 word-batched digit draw, a per-digit reserved scan that referees the
@@ -35,7 +36,7 @@ from types import SimpleNamespace
 
 from exactrips.embedding import MalformedImageError
 from exactrips.harness import DisconnectionError
-from exactrips.homology import boundary1, boundary2, rank_f2
+from exactrips.homology import boundary1, rank_f2
 from exactrips.rips import RigidEdge, ScaleEdges, bits
 from exactrips.space import Cloud, LabeledPoint4, lattice_bound
 
@@ -324,11 +325,21 @@ def bfs_cycle_completion(cx, e1, e2, banned) -> tuple[int, ...]:
     return tuple(sorted(chain))
 
 
+def triangle_columns(cx) -> tuple[int, ...]:
+    """Per flag triangle (i, j, k), in order, the mask of the positions of
+    its sides in the edge list, looked up in a dict of edge positions."""
+    position = {e: r for r, e in enumerate(cx.edges)}
+    return tuple(
+        1 << position[(i, j)] | 1 << position[(i, k)] | 1 << position[(j, k)]
+        for i, j, k in merge_intersect_triangles(cx)
+    )
+
+
 def full_flag_betti01(cx) -> tuple[int, int]:
     """(beta0, beta1) from the boundary ranks of the whole flag 2-skeleton,
-    with no edge collapse."""
+    with no edge collapse and d2 columns of the oracle's own."""
     r1 = rank_f2(boundary1(cx))
-    r2 = rank_f2(boundary2(cx))
+    r2 = rank_f2(triangle_columns(cx))
     return cx.n_vertices - r1, len(cx.edges) - r1 - r2
 
 

@@ -107,6 +107,23 @@ def test_mislabelled_cloud_exit_code(tmp_path, capsys):
     assert "label cube1 needs first coordinate 1/1" in capsys.readouterr().err
 
 
+def test_non_ascii_label_digits_exit_code(tmp_path, capsys):
+    # int() reads the Arabic-Indic one as 1; a label takes ASCII digits only.
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(_write_config(tmp_path)), "--out", str(cloud_path)])
+    text = cloud_path.read_text()
+    assert text.count(":y=1,") == 1
+    cloud_path.write_text(text.replace(":y=1,", ":y=\u0661,"))
+    capsys.readouterr()
+    out = tmp_path / "rigid.json"
+    argv = ["rigid", "--cloud", str(cloud_path), "--scale", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert "binary digits must be 0 or 1, got '\u0661'" in err
+
+
 def test_int_quirk_rationals_exit_code(tmp_path, capsys):
     # int() reads "1_0" as 10; the CLI takes ASCII digits only.
     cfg = _write_config(tmp_path)
@@ -278,6 +295,16 @@ def test_config_error_exit_code(tmp_path):
             '{"sheets": ["00", "01", "10"], "blocks": 1}',
             "sheet labels must differ in their first blocks=1 digits "
             "(telling 3 labels apart takes blocks >= 2)",
+        ),
+        pytest.param(
+            '{"sheets": ["\u0660\u0661", "\u0661\u0660"]}',
+            "binary digits must be 0 or 1, got '\u0660\u0661'",
+            id="arabic-indic-sheets",
+        ),
+        pytest.param(
+            '{"sheets": ["0", "1a"]}',
+            "binary digits must be 0 or 1, got '1a'",
+            id="letter-sheet",
         ),
         pytest.param(
             "[" * 200000 + "]" * 200000,

@@ -73,6 +73,18 @@ def test_string_text_round_trip():
     assert BinaryString.from_text(b.text()) == b
 
 
+def test_string_text_takes_ascii_digits_only():
+    assert BinaryString.from_text("") == BinaryString(())
+    assert TernaryString.from_text("0012") == TernaryString((0, 0, 1, 2))
+    # int() would read the Arabic-Indic, full-width and superscript digits.
+    binary = ("\u0661\u0660", "\uff11", "\u00b9", "2", "01a", " 1", "1_0", "-1")
+    cases = [(BinaryString, t) for t in binary] + [(TernaryString, t) for t in "\u06623x"]
+    for cls, text in cases:
+        with pytest.raises(ValueError) as err:
+            cls.from_text(text)
+        assert str(err.value) == f"{cls._digit_error}, got {text!r}"
+
+
 def test_rational_text_forms():
     assert parse_rational("13/27") == Fraction(13, 27)
     assert parse_rational("5") == 5

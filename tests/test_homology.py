@@ -5,7 +5,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactrips.harness import default_sheets
 from exactrips.homology import (
     Cycle,
     betti01,
@@ -16,9 +19,15 @@ from exactrips.homology import (
     rigid_rank_lower_bound,
 )
 from exactrips.rips import bits, build_complex
-from exactrips.space import Cloud, LabeledPoint4
+from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
 
-from oracles import betti_bruteforce, component_count, dense_rank_f2, random_cloud
+from oracles import (
+    betti_bruteforce,
+    component_count,
+    dense_rank_f2,
+    random_cloud,
+    triangle_columns,
+)
 
 
 def _pt(*coords):
@@ -64,6 +73,34 @@ def test_boundary2_shared_edge():
     # every edge of the square lies in exactly 2 of the 4 triangles,
     # each diagonal in 2 as well
     assert sorted(hit) == [2, 2, 2, 2, 2, 2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 14), st.fractions(0, 10, max_denominator=4)
+)
+def test_boundary2_matches_oracle_columns_on_random_clouds(seed, points, a):
+    # The oracle lists triangles by merging neighbor lists and finds each
+    # side's position in a dict; boundary2 reads the apex masks.
+    cx = build_complex(random_cloud(random.Random(seed), points), a)
+    assert boundary2(cx) == triangle_columns(cx)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4),
+    st.integers(2, 3),  # grid 1 is the cube's edges alone, with no triangle
+    st.booleans(),
+    st.sampled_from(DEFAULT_SCALES),
+    st.lists(st.fractions(0, 1, max_denominator=5), max_size=2, unique=True),
+)
+def test_boundary2_matches_oracle_columns_on_cube_grid_clouds(n, cube_grid, cube0, a, xs):
+    cfg = CloudConfig(
+        default_sheets(n), a, tuple(xs), cube_grid=cube_grid, include_cube0=cube0
+    )
+    cx = build_complex(build_cloud(cfg), a)
+    assert cx.n_triangles > 0
+    assert boundary2(cx) == triangle_columns(cx)
 
 
 def test_d1_compose_d2_is_zero():

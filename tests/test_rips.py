@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactrips import rips
-from exactrips.harness import minimal_config
+from exactrips.harness import default_sheets, minimal_config
 from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
@@ -203,3 +203,26 @@ def test_threshold_perturbation_removes_exactly_threshold_edges():
         if sq_dist(cloud.points[i].coords, cloud.points[j].coords) == a * a
     }
     assert len(removed) == 2  # the two rigid pairs
+
+
+@pytest.mark.parametrize(
+    "cloud, a",
+    [
+        *[(random_cloud(random.Random(seed), 12), Fraction(seed % 4 + 3)) for seed in range(8)],
+        (build_cloud(minimal_config(16, Fraction(236195, 236196))), Fraction(236195, 236196)),
+        (
+            build_cloud(
+                CloudConfig(
+                    default_sheets(4), Fraction(1), (Fraction(1, 3),), cube_grid=2,
+                    include_cube0=True,
+                )
+            ),
+            Fraction(1),
+        ),
+    ],
+    ids=[*(f"random-{seed}" for seed in range(8)), "minimal-16", "grid-2-cube0"],
+)
+def test_edge_index_is_the_position_in_either_order(cloud, a):
+    cx = build_complex(cloud, a)
+    for r, (i, j) in enumerate(cx.edges):
+        assert cx.edge_index(i, j) == cx.edge_index(j, i) == r

@@ -74,6 +74,13 @@ def test_mutants_fail_and_name_the_vertex_and_neighbor():
         assert (mutant.neighbor_masks[v] >> w & 1) == has, name
 
 
+def test_the_lowest_of_several_wrong_neighbors_is_named():
+    _, cx, rigid = _minimal(5)
+    sheets = sorted(r.sheet_vertex for r in rigid)
+    u, v, w = sheets[0], sheets[2], sheets[4]
+    assert two_cliques(_mutant(cx, drop=[(u, v), (u, w)]), rigid) == (None, (u, v))
+
+
 def test_dropped_rigid_edge_leaves_its_ends_uncovered():
     # The mutant's own census no longer finds the dropped rigid edge, so
     # its lower end is the first vertex on no rigid edge.
@@ -142,7 +149,20 @@ def test_mutant_rows_take_the_betti01_route(monkeypatch):
         assert len(bettis) == 1, name
 
 
-@pytest.mark.parametrize("cube_grid,include_cube0", [(2, False), (0, True), (2, True)])
+def test_cube0_without_grid_is_minimal(monkeypatch):
+    # The {0}-slab grid matches the cube grid, so with no grid the flag
+    # adds no point: the rows are minimal and take the exact verdict.
+    def unranked(cx):
+        raise AssertionError("a minimal row was sent to collapse and rank")
+
+    monkeypatch.setattr(harness, "betti01", unranked)
+    report = theorem_experiment([3], DEFAULT_SCALES, include_cube0=True)
+    assert report.all_pass and len(report.rows) == len(DEFAULT_SCALES)
+    plain = theorem_experiment([3], DEFAULT_SCALES)
+    assert report.to_csv_text() == plain.to_csv_text()
+
+
+@pytest.mark.parametrize("cube_grid,include_cube0", [(2, False), (2, True)])
 def test_grid_rows_never_take_the_certificate(monkeypatch, cube_grid, include_cube0):
     verdicts, bettis = _routed(monkeypatch)
     report = theorem_experiment([2, 3], [INTERIOR], 8, cube_grid, include_cube0)
