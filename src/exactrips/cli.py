@@ -59,8 +59,8 @@ def _rational_list(text: str):
     return [parse_rational(part) for part in text.split(",") if part.strip()]
 
 
-def _betti_report(cx) -> dict:
-    b0, b1 = betti01(cx)  # the full complex's ranks follow from its Betti numbers
+def _betti_report(cx, betti: tuple[int, int]) -> dict:
+    b0, b1 = betti  # the full complex's ranks follow from its Betti numbers
     r1 = cx.n_vertices - b0
     return {
         "scale": format_rational(cx.scale),
@@ -92,7 +92,7 @@ def _cmd_build(args) -> int:
 def _cmd_betti(args) -> int:
     cloud = _load_cloud(args.cloud)
     cx = build_complex(cloud, parse_rational(args.scale))
-    report = _betti_report(cx)
+    report = _betti_report(cx, betti01(cx))
     _write(args.out, _json_text(report))
     print(f"betti: b0={report['betti0']} b1={report['betti1']} ({args.out})")
     return 0
@@ -130,12 +130,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Nested complexes at ascending scales.  Equal ones can only be
+    neighbours, so betti01 ranks each distinct edge tuple once; json_text
+    writes each repeated row run once."""
     cloud = _load_cloud(args.cloud)
     complexes = sweep(cloud, _rational_list(args.scales))
+    reports, edges = [], None
+    for c in complexes:
+        if c.edges != edges:
+            edges, betti = c.edges, betti01(c)
+        reports.append(_betti_report(c, betti))
     payload = {
         "scales": [format_rational(c.scale) for c in complexes],
         "complexes": [c.to_json_dict() for c in complexes],
-        "betti": [_betti_report(c) for c in complexes],
+        "betti": reports,
     }
     _write(args.out, _json_text(payload))
     print(f"sweep: {len(complexes)} scales ({args.out})")

@@ -150,18 +150,24 @@ class MaskRows:
     size: int
     _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
 
-    def json_at(self, nl: str) -> str:
-        """The list of rows as json_text writes it where `nl` starts a line."""
+    def json_at(self, nl: str, memo: dict) -> str:
+        """The list of rows as json_text writes it where `nl` starts a line.
+        `memo`, one per document, maps (nl, prefix, mask) to a run's text,
+        so a run repeated in the document is written once."""
         inner = nl + "  "
         deeper, sep = inner + "  ", "," + inner
         heads = [f"{k},{deeper}" for k in range(self.size)]
         tails = [f"{k}{inner}]" for k in range(self.size)]
         runs = []
         for prefix, mask in zip(self.prefixes, self.masks):
-            if mask:
+            if not mask:
+                continue
+            run = memo.get(key := (nl, prefix, mask))
+            if run is None:
                 head = "[" + deeper + "".join([heads[k] for k in prefix])
                 flags = bin(mask).encode()[:1:-1].translate(self._FLAGS)  # bit b at b
-                runs.append(head + (sep + head).join(compress(tails[prefix[-1] + 1 :], flags)))
+                run = memo[key] = head + (sep + head).join(compress(tails[prefix[-1] + 1 :], flags))
+            runs.append(run)
         return "[" + inner + sep.join(runs) + nl + "]" if runs else "[]"
 
 
@@ -171,9 +177,11 @@ def json_text(obj) -> str:
 
     Every JSON report goes through here.  Dicts and lists recurse, scalars
     are the stdlib's, and MaskRows (edges, triangles) are written from the
-    masks, with no row tuple and no str() per row.  Keys must be str.
+    masks, with no row tuple and no str() per row; a run of rows repeated
+    in the document (as across a sweep's complexes) is written once, from
+    a memo freed on return.  Keys must be str.
     """
-    return _json_at(obj, "\n") + "\n"
+    return _json_at(obj, "\n", {}) + "\n"
 
 
 def json_fields(record, names=None) -> dict:
@@ -194,10 +202,10 @@ def _json_value(v):
     return v
 
 
-def _json_at(obj, nl: str) -> str:
+def _json_at(obj, nl: str, memo: dict) -> str:
     """obj as the indented encoder writes it where `nl` starts a line."""
     if isinstance(obj, MaskRows):
-        return obj.json_at(nl)
+        return obj.json_at(nl, memo)
     inner = nl + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -205,13 +213,13 @@ def _json_at(obj, nl: str) -> str:
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        items = (f"{json.dumps(k)}: {_json_at(v, inner)}" for k, v in sorted(obj.items()))
+        items = (f"{json.dumps(k)}: {_json_at(v, inner, memo)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
     if not obj:
         return "[]"
-    return "[" + inner + ("," + inner).join(_json_at(v, inner) for v in obj) + nl + "]"
+    return "[" + inner + ("," + inner).join(_json_at(v, inner, memo) for v in obj) + nl + "]"
 
 
 def to_ternary(q: Fraction, depth: int) -> TernaryString:

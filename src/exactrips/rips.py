@@ -19,7 +19,9 @@ A complex is its sorted edge list, and owns that order (edge_index).
 All else is derived once, on demand: int bitmask neighborhoods, each
 edge's apex mask (its triangles and d2 columns), scale-length edge
 classes, and the triangles, listed only when read.  Sweeps check nesting
-on the masks, and reports write rows from them (digits.MaskRows).
+on the masks, and reports write rows from them (digits.MaskRows), each
+run of rows repeated in a report once.  The `sweep` command ranks each
+distinct complex of a sweep once.
 """
 
 from __future__ import annotations

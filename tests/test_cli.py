@@ -1,16 +1,18 @@
 """End-to-end CLI runs: file formats, exit codes, determinism."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from exactrips import cli, harness
 from exactrips.cli import main
-from exactrips.digits import BinaryString
-from exactrips.harness import DisconnectionError, OpenChainError
+from exactrips.digits import BinaryString, format_rational
+from exactrips.harness import DisconnectionError, OpenChainError, default_sheets
+from exactrips.homology import betti01
 from exactrips.rips import MonotonicityError
-from exactrips.space import Cloud, CloudConfig
+from exactrips.space import Cloud, CloudConfig, build_cloud, scale_window
 
 
 def _write_config(tmp_path, **overrides):
@@ -224,6 +226,57 @@ def test_sweep_subcommand(tmp_path):
     assert payload["scales"] == ["118097/118098", "236195/236196", "1/1"]
     sizes = [len(c["edges"]) for c in payload["complexes"]]
     assert sizes == sorted(sizes)
+
+
+def _seeded_cloud_and_scales(seed: int):
+    """A seeded 3-sheet cloud with cube grid 1, and the window ends plus 6
+    seeded scales inside the window: most fall between the same two
+    critical values, so most consecutive complexes are equal."""
+    rng = random.Random(seed)
+    lo, hi = scale_window()
+    cfg = CloudConfig(
+        sheets=default_sheets(3),
+        scale=lo,
+        x_values=tuple(Fraction(v, 3**6) for v in rng.sample(range(3**6 + 1), 2)),
+        cube_grid=1,
+        include_cube0=True,
+    )
+    inside = {lo + (hi - lo) * Fraction(rng.randrange(1, 1000), 1000) for _ in range(6)}
+    return build_cloud(cfg).to_csv_text(), sorted({lo, hi} | inside)
+
+
+@pytest.mark.parametrize(
+    "cloud_text, scales",
+    [
+        ("cube0,0,0,0,0\ncube0,0,0,0,0\n", [0, 1]),
+        ("cube0,0,0,0,0\ncube0,0,0,0,0\ncube1,1,0,0,0\n", [0, 1, 2, 3]),
+        _seeded_cloud_and_scales(1),
+        _seeded_cloud_and_scales(2),
+    ],
+    ids=["coincident", "coincident-then-far", "seeded-1", "seeded-2"],
+)
+def test_sweep_ranks_each_distinct_complex_once(tmp_path, monkeypatch, cloud_text, scales):
+    cloud_path, out = tmp_path / "cloud.csv", tmp_path / "sweep.json"
+    cloud_path.write_text(cloud_text)
+    ranked = []
+
+    def counted_betti01(c):
+        ranked.append(c.edges)
+        return betti01(c)
+
+    monkeypatch.setattr(cli, "betti01", counted_betti01)
+    texts = [format_rational(Fraction(a)) for a in scales]
+    argv = ["sweep", "--cloud", str(cloud_path), "--scales", ",".join(texts), "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    edge_sets = [tuple(map(tuple, c["edges"])) for c in payload["complexes"]]
+    distinct = [e for k, e in enumerate(edge_sets) if k == 0 or e != edge_sets[k - 1]]
+    assert ranked == distinct
+    assert len(distinct) == len(set(edge_sets)) < len(scales)
+    for text, report in zip(texts, payload["betti"]):
+        path = tmp_path / "betti.json"
+        assert main(["betti", "--cloud", str(cloud_path), "--scale", text, "--out", str(path)]) == 0
+        assert json.loads(path.read_text()) == report
 
 
 def test_experiment_subcommand_and_determinism(tmp_path):

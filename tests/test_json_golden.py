@@ -44,6 +44,12 @@ GOLDEN = {
 }
 
 
+# Seed 1's `sweep` at the window ends and the 7 interior eighths of the
+# window, taken before sweeps reused repeated row runs and Betti numbers:
+# its first eight complexes are equal.
+SWEEP9 = "5fe9f40d95bfbb773d1cc3478eb7b30729c8996fb6e0cb4b47c6423c4220fade"
+
+
 def seeded_config(seed: int) -> CloudConfig:
     """2-4 sheets, two seeded x values, partners at the lower window end,
     cube grid 1 on both slabs: 20-32 points."""
@@ -90,3 +96,13 @@ def test_json_writer_bytes(seed, tmp_path):
         for name, data in json_outputs(seed, tmp_path).items()
     }
     assert digests == GOLDEN[seed]
+
+
+def test_nine_scale_sweep_bytes(tmp_path):
+    cloud_path = tmp_path / "cloud.csv"
+    cloud_path.write_text(build_cloud(seeded_config(1)).to_csv_text())
+    lo, hi = scale_window()
+    scales = ",".join(format_rational(lo + (hi - lo) * k / 8) for k in range(9))
+    path = tmp_path / "sweep.json"
+    assert main(["sweep", "--cloud", str(cloud_path), "--scales", scales, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP9

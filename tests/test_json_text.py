@@ -112,3 +112,42 @@ def test_complex_rows_written_from_masks(g1, g2):
     expected = dict(payload, complexes=[ref1, ref2])
     assert json_text(payload) == json_text_reference(expected)
     assert "triangles" not in c1.__dict__ and "triangles" not in c2.__dict__
+
+
+@st.composite
+def nested_graphs(draw):
+    """(V, edges, more): a graph drawn by `graphs` and a supergraph of it on
+    the same vertices, so most of their row runs are equal."""
+    V, more = draw(graphs())
+    kept = draw(st.lists(st.booleans(), min_size=len(more), max_size=len(more)))
+    return V, tuple(e for e, keep in zip(more, kept) if keep), more
+
+
+@SETTINGS
+@given(nested_graphs())
+@example((0, (), ()))
+@example((3, ((0, 1),), ((0, 1), (0, 2), (1, 2))))
+@example((4, ((0, 1), (0, 2), (1, 2)), ((0, 1), (0, 2), (1, 2), (2, 3))))
+@example(
+    (1005, ((9, 10), (9, 99), (10, 99), (100, 999)),
+     ((9, 10), (9, 99), (10, 99), (99, 100), (100, 999), (100, 1000), (999, 1000))),
+)
+def test_repeated_row_runs_are_written_alike(g):
+    """Row runs that repeat within one document: one MaskRows object at two
+    depths (its text differs by indentation), a complex listed twice, and
+    a graph next to a supergraph of it (the runs they share)."""
+    V, sub, sup = g
+    c1, c2 = _complex(V, sub), _complex(V, sup, Fraction(3, 2))
+    d1, d2 = c1.to_json_dict(), c2.to_json_dict()
+    ref1, ref2 = _plain_dict(V, sub), _plain_dict(V, sup, Fraction(3, 2))
+    payload = {
+        "depths": {"edges": d2["edges"], "deeper": [{"edges": d2["edges"]}]},
+        "twice": [d1, d1],
+        "nested": [d1, d2],
+    }
+    expected = {
+        "depths": {"edges": ref2["edges"], "deeper": [{"edges": ref2["edges"]}]},
+        "twice": [ref1, ref1],
+        "nested": [ref1, ref2],
+    }
+    assert json_text(payload) == json_text_reference(expected)
