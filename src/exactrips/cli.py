@@ -20,7 +20,6 @@ fields by digits.json_fields.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -34,7 +33,6 @@ from .harness import (
     DisconnectionError,
     OpenChainError,
     assert_rigid_free,
-    find_diagonal_scale_edges,
     find_rigid_edges,
     run_lemma_suite,
     theorem_experiment,
@@ -107,7 +105,7 @@ def _cmd_rigid(args) -> int:
         "scale": format_rational(cx.scale),
         "rigid_count": len(rigid),
         "edges": [json_fields(r) for r in rigid],
-        "diagonal_scale_edges": find_diagonal_scale_edges(cx),
+        "diagonal_scale_edges": cx.scale_edges.diagonal,
         "freeness": free.to_json_dict(),
     }
     _write(args.out, _json_text(report))
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MonotonicityError, DisconnectionError, OpenChainError) as exc:

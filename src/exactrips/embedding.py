@@ -43,6 +43,7 @@ __all__ = [
     "embed_strings",
     "embed",
     "decode",
+    "reserved_twos",
     "check_facts",
     "check_close_expanding",
     "estimate_equivalence",
@@ -158,14 +159,30 @@ def embed(p: IManyPoint, blocks: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(map(ternary_value, embed_strings(p, blocks)))
 
 
+def _blocks27(s: TernaryString, blocks: int) -> list[int]:
+    # The lowest `blocks` base-27 blocks of s, highest first: block k of a
+    # 3*blocks-digit string is digits 3k..3k+2, so mod 3 it is digit 3k+2.
+    v, column = s.value, [0] * blocks
+    for k in range(blocks - 1, -1, -1):
+        v, column[k] = divmod(v, 27)
+    return column
+
+
+def reserved_twos(s: TernaryString, blocks: int) -> int:
+    """How many reserved digits 3k+2, k < blocks, of the 3*blocks-digit
+    coordinate string s are 2 (none, for an image of embed_strings)."""
+    return [w % 3 for w in _blocks27(s, blocks)].count(2)
+
+
 def decode(
     strings: Sequence[TernaryString], blocks: int
 ) -> tuple[TernaryString, BinaryString]:
     """Invert the interleaving: recover (t, b) from the three coordinate strings.
 
     Raises MalformedImageError if a reserved position (index 2 mod 3) holds
-    the digit 2, if the three coordinates disagree on the shared b digits,
-    or if a string does not have exactly 3*blocks digits.
+    the digit 2 (read off the base-27 blocks, as in reserved_twos), if the
+    three coordinates disagree on the shared b digits, or if a string does
+    not have exactly 3*blocks digits.
     """
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
@@ -177,11 +194,8 @@ def decode(
             raise MalformedImageError(
                 f"coordinate string must have {3 * blocks} digits, got {s.depth}"
             )
-        v, column = s.value, [0] * blocks  # 3-digit blocks, highest first
-        for k in range(blocks - 1, -1, -1):
-            v, column[k] = divmod(v, 27)
-        columns.append(column)
-        for k, w in enumerate(column):
+        columns.append(_blocks27(s, blocks))
+        for k, w in enumerate(columns[-1]):
             if w % 3 == 2:
                 raise MalformedImageError(
                     f"digit 2 at reserved position {3 * k + 2}: not an image point"

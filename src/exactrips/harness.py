@@ -47,6 +47,7 @@ from .embedding import (
     decode,
     embed_strings,
     estimate_equivalence,
+    reserved_twos,
 )
 from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound, two_cliques
 from .rips import RigidEdge, RipsComplex2, bits, build_complex
@@ -67,7 +68,6 @@ __all__ = [
     "DisconnectionError",
     "OpenChainError",
     "find_rigid_edges",
-    "find_diagonal_scale_edges",
     "assert_rigid_free",
     "complete_to_cycle",
     "default_sheets",
@@ -90,18 +90,12 @@ class OpenChainError(RuntimeError):
 
 
 def find_rigid_edges(c: RipsComplex2) -> list[RigidEdge]:
-    """All rigid edges of the complex (see RipsComplex2.scale_edges).
+    """All rigid edges of the complex, a list of c.scale_edges.rigid.
 
-    Diagonal edges of the same length are not rigid; see
-    find_diagonal_scale_edges.
-    """
+    A function of its own because perfbench --trace 1 counts its calls
+    (harness.rigid_scans: one per row and per completed cycle, 528 on
+    the growth workload)."""
     return list(c.scale_edges.rigid)
-
-
-def find_diagonal_scale_edges(c: RipsComplex2) -> list[int]:
-    """Sheet-to-slab edges of length exactly the scale that are not
-    perpendicular; reported separately, never classified rigid."""
-    return list(c.scale_edges.diagonal)
 
 
 @dataclass(frozen=True)
@@ -411,20 +405,6 @@ def _random_digits(rng: random.Random, cls, depth: int):
     return cls.from_int(value, depth)
 
 
-def _reserved_twos(s: TernaryString, blocks: int) -> int:
-    """How many reserved digits 3k+2, k < blocks, of s are 2.
-
-    Digit 3k+2 ends block k, so it is the last ternary digit of one base-27
-    block; the walk reads the lowest `blocks` blocks, all of a 3*blocks-digit
-    coordinate string.
-    """
-    v, twos = s.value, 0
-    for _ in range(blocks):
-        v, block = divmod(v, 27)
-        twos += block % 3 == 2
-    return twos
-
-
 def _random_point(rng: random.Random, blocks: int) -> IManyPoint:
     t = _random_digits(rng, TernaryString, rng.randint(1, 6 * blocks))
     y = _random_digits(rng, BinaryString, rng.randint(0, blocks))
@@ -450,13 +430,14 @@ def _random_pair(rng: random.Random, blocks: int) -> tuple[IManyPoint, IManyPoin
 def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     """Randomized exact verification of both geometric lemmas.
 
-    Runs `samples` fact checks on random digit-string pairs (with the
-    positional mechanism behind the digit-shift inequality), the same
+    Runs `samples` fact checks on random digit-string pairs, the same
     number of decode round trips, reserved-digit scans, ultrametric
     triples, the circle/parabola grid and the per-coordinate
-    metric-equivalence estimate.  The close-expanding bound is each fact
-    check's `combined` inequality; its counterexample is the first pair,
-    in sample order, where that fails.  Failures are report content,
+    metric-equivalence estimate.  The positional mechanism behind the
+    digit-shift inequality is each fact check's fact2 (on pairs whose t
+    strings differ), the close-expanding bound its `combined` inequality,
+    whose counterexample is the first pair, in sample order, where it
+    fails.  Failures are report content,
     reported verbatim: an image that `decode` rejects as malformed is a
     round-trip failure carrying the decoder's message.
     """
@@ -486,9 +467,7 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
             )
         if report.t_first_diff is not None:
             mechanism_checks += 1
-            bound = report.t_first_diff // 2 + 1
-            coord_diffs = [d for d in report.coord_first_diffs if d is not None]
-            if not coord_diffs or min(coord_diffs) > bound:
+            if not report.fact2:
                 mechanism_failures.append(
                     _pair_record(
                         p,
@@ -510,7 +489,7 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         strings = embed_strings(p, blocks)
         for s in strings:
             reserved_checks += blocks
-            for _ in range(_reserved_twos(s, blocks)):
+            for _ in range(reserved_twos(s, blocks)):
                 reserved_failures.append(_digits_record(p, coord_digits=s.text()))
         try:
             t_back, y_back = decode(strings, blocks)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .digits import BinaryString, MaskRows, format_rational, json_text
 from .space import lattice_bound
@@ -94,15 +95,12 @@ class RigidEdge:
     x_fiber: Fraction
 
 
-class ScaleEdges:
+class ScaleEdges(NamedTuple):
     """Sheet-to-{1}-slab edges of length exactly the scale, by edge order:
     the perpendicular ones are rigid, the rest are diagonal edge indices."""
 
-    __slots__ = ("rigid", "diagonal")
-
-    def __init__(self, rigid: tuple[RigidEdge, ...], diagonal: tuple[int, ...]) -> None:
-        self.rigid = rigid
-        self.diagonal = diagonal
+    rigid: tuple[RigidEdge, ...]
+    diagonal: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -158,21 +156,17 @@ class RipsComplex2:
         exactly scale**2 AND the slab endpoint's last three coordinates
         equal the sheet endpoint's, which is what makes the slab point the
         unique nearest one.  The candidates are each sheet vertex's
-        {1}-slab neighbors, read off the masks and sorted into edge order.
+        {1}-slab neighbors, read off the neighbor masks and the cloud's
+        kind masks, and sorted into edge order.
         """
         pts = self.cloud.points
         L, lattice = self.cloud.lattice
         bound, exact = lattice_bound(self.scale, L)
         if not exact:  # no lattice distance is exactly the scale
             return ScaleEdges((), ())
-        nb, cube1, sheets = self.neighbor_masks, 0, []
-        for i, p in enumerate(pts):
-            if p.kind == "cube1":
-                cube1 |= 1 << i
-            elif p.kind == "sheet":
-                sheets.append(i)
-        found = []
-        for s in sheets:
+        sheets, _, cube1 = self.cloud.kind_masks
+        nb, found = self.neighbor_masks, []
+        for s in bits(sheets):
             u = lattice[s]
             for c in bits(nb[s] & cube1):
                 if sum((x - y) ** 2 for x, y in zip(u, lattice[c])) == bound:

@@ -63,6 +63,8 @@ SHEET_SCALE = 2 * 243**2  # 118098
 
 DEFAULT_BLOCKS = 8
 
+_KINDS = ("sheet", "cube0", "cube1")  # the order of Cloud.kind_masks
+
 # Window endpoints plus an interior scale; fiber values 0, 1/2, 1.
 DEFAULT_SCALES = (
     Fraction(1),
@@ -95,7 +97,7 @@ class LabeledPoint4:
     sheet_y: BinaryString | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sheet", "cube0", "cube1"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown point kind {self.kind!r}")
         if len(self.coords) != 4:
             raise ValueError("points live in R^4")
@@ -159,8 +161,8 @@ class CloudConfig:
                       partners (the rigid pairs)
 
     In JSON, `sheets` is a list of strings, `scale` and the `x_values`
-    list hold rationals ("num/den" or ints), and the int and bool keys
-    must have exactly those JSON types.
+    list hold rationals ("num/den" or ints on input, stored as Fractions
+    and written "num/den"), and the int and bool keys must be exactly so.
     """
 
     sheets: tuple[BinaryString, ...]
@@ -185,6 +187,8 @@ class CloudConfig:
         ):
             for value in values:
                 _typed(key, value, *kinds)
+        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "x_values", tuple(map(Fraction, self.x_values)))
         lo, hi = scale_window()
         if not lo <= self.scale <= hi:
             raise ValueError(f"scale {self.scale} outside window [{lo}, {hi}]")
@@ -266,6 +270,14 @@ class Cloud:
         times = {d: L // d for d in dens}
         flat = iter([n * times[d] for n, d in ratios])
         return L, tuple(zip(flat, flat, flat, flat))
+
+    @cached_property
+    def kind_masks(self) -> tuple[int, ...]:
+        """Per kind (sheet, cube0, cube1), the int whose set bits are its points."""
+        masks = dict.fromkeys(_KINDS, 0)
+        for i, p in enumerate(self.points):
+            masks[p.kind] |= 1 << i
+        return tuple(masks.values())
 
     def to_csv_text(self) -> str:
         lines = []
@@ -450,9 +462,11 @@ def second_neighbor_witness(
     lattice row.  The sheet rows are packed once per call (pack_rows), and
     one big-int expression per partner sets the guard bit of exactly the
     slots with D_j <= bound.  The rigid foot (partner - (a, 0, 0, 0)) lies
-    on the lattice iff a*L is an int; a hit is excluded iff its lattice row
-    equals the foot's.  The gaps of a violation are exact Fractions,
-    computed on the hits alone.
+    on the lattice iff a*L is an int, so iff a**2 L**2 is (lattice_bound
+    is exact), and is then the partner's row less isqrt(bound) = a*L in
+    its first entry; a hit is excluded iff its lattice row equals the
+    foot's.  The gaps of a violation are exact Fractions, computed on the
+    hits alone.
     """
     partners = list(partners)
     bad = [(i, cloud.points[i].kind) for i in partners if cloud.points[i].kind != "cube1"]
@@ -460,13 +474,12 @@ def second_neighbor_witness(
         raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
     a = Fraction(a)
     L, lattice = cloud.lattice
-    bound, _ = lattice_bound(a, L)
+    bound, exact = lattice_bound(a, L)
     index = tuple(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
     if not index:
         return [[] for _ in partners]
     w, low, cols, ps, ones = pack_rows(lattice, index, bound)
     size, top = w // 8, bound + (1 << (w - 1))
-    shift = a * L
     out = []
     for partner in partners:
         row = lattice[partner]
@@ -474,7 +487,7 @@ def second_neighbor_witness(
         x = (top - sum(u * u for u in t)) * ones - ps
         x += 2 * sum(u * col for u, col in zip(t, cols))
         guards = x.to_bytes(size * len(index), "little")[size - 1::size]
-        foot = (row[0] - shift.numerator,) + row[1:] if shift.denominator == 1 else None
+        foot = (row[0] - math.isqrt(bound),) + row[1:] if exact else None
         hits = []
         for idx in compress(index, guards.translate(_GUARD)):
             if lattice[idx] == foot:

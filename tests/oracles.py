@@ -19,7 +19,9 @@ cycle completion on neighbor masks,
 the stdlib's indented JSON encoder that referees the shared report
 writer, one randrange call per digit that referees the lemma suite's
 word-batched digit draw, a per-digit reserved scan that referees the
-base-27 block walk, dense F2 elimination and a from-scratch Betti count
+base-27 block walk, the lemma suite's first positional test (min first
+coordinate difference <= k//2 + 1) that referees fact2's 2m <= k + 2,
+dense F2 elimination and a from-scratch Betti count
 on tiny clouds that referee the sparse homology route, and the
 hand-listed record builders that referee the field-driven JSON records.
 """
@@ -516,6 +518,13 @@ def randrange_digits(rng: random.Random, base: int, depth: int) -> tuple:
 def reserved_twos(digits: tuple, blocks: int) -> int:
     """How many of the reserved digits 3k+2, k < blocks, are 2."""
     return sum(_digit(digits, 3 * k + 2) == 2 for k in range(blocks))
+
+
+def positional_bound_fails(t_first_diff: int, coord_first_diffs) -> bool:
+    """The positional mechanism fails: t first differs at index k, yet no
+    image coordinate first differs at an index <= k//2 + 1."""
+    coord_diffs = [d for d in coord_first_diffs if d is not None]
+    return not coord_diffs or min(coord_diffs) > t_first_diff // 2 + 1
 
 
 # The hand-listed record builders the reports were written with before

@@ -206,6 +206,9 @@ def test_config_rejects_non_rational_scale_and_x_values(fields):
 def test_config_with_int_scale_and_x_values_round_trips():
     cfg = CloudConfig(sheets=_labels("0", "1"), scale=1, x_values=(0, Fraction(1, 3), 1))
     assert CloudConfig.from_json(cfg.to_json()) == cfg
+    # Stored as Fractions, so the text is "num/den" and a byte fixed point.
+    assert type(cfg.scale) is Fraction and {type(x) for x in cfg.x_values} == {Fraction}
+    assert CloudConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
     assert build_cloud(cfg).to_csv_text() == build_cloud(
         CloudConfig.from_json(cfg.to_json())
     ).to_csv_text()

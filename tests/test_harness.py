@@ -10,7 +10,6 @@ from exactrips.harness import (
     assert_rigid_free,
     complete_to_cycle,
     default_sheets,
-    find_diagonal_scale_edges,
     find_rigid_edges,
     minimal_config,
     run_lemma_suite,
@@ -81,7 +80,7 @@ def test_diagonal_scale_edge_reported_not_rigid():
     cloud = Cloud((sheet_a, diag), None)
     cx = build_complex(cloud, Fraction(1))
     assert find_rigid_edges(cx) == []
-    assert find_diagonal_scale_edges(cx) == [0]
+    assert cx.scale_edges.diagonal == (0,)
 
 
 def test_assert_rigid_free_minimal():

@@ -15,6 +15,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exactrips import embedding, harness
 from exactrips.digits import BinaryString, TernaryString, json_text
@@ -26,6 +28,7 @@ from oracles import (
     fact_report_dict,
     fraction_check_facts,
     json_text_reference,
+    positional_bound_fails,
     ratio_estimate_equivalence,
     tuple_to_ternary,
 )
@@ -185,6 +188,39 @@ def test_fact2_threshold(monkeypatch, k, holds):
     q = IManyPoint.from_digits(TernaryString.from_int(1, k + 1), BinaryString.from_text(""))
     images = (_image(4, 0, 0, 0), _image(4, 3**8, 0, 0))
     assert _planted_report(monkeypatch, p, q, 4, images).fact2 == holds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda blocks: st.tuples(
+    st.just(blocks),
+    st.integers(0, 6 * blocks - 1),
+    st.none() | st.integers(0, 3 * blocks - 1),
+    st.integers(0, 2),
+)))
+@example((1, 0, None, 0))
+@example((1, 0, 1, 2))
+@example((1, 0, 2, 0))
+@example((4, 4, 3, 1))
+@example((4, 3, 3, 1))
+@example((12, 71, 35, 2))
+def test_fact2_is_the_old_positional_bound(case):
+    # t first differs at k and image coordinate i first differs at m (the
+    # other two coordinates agree), or no coordinate differs when m is None.
+    blocks, k, m, i = case
+    p = IManyPoint.from_digits(TernaryString.from_int(0, 6 * blocks), BinaryString.from_text(""))
+    q = IManyPoint.from_digits(
+        TernaryString.from_int(3 ** (6 * blocks - 1 - k), 6 * blocks), BinaryString.from_text("")
+    )
+    moved = [0, 0, 0]
+    if m is not None:
+        moved[i] = 3 ** (3 * blocks - 1 - m)
+    calls = iter([(0, 0, 0), tuple(moved)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_coordinate_values", lambda t, y, blocks: next(calls))
+        r = check_facts(p, q, blocks)
+    assert r.t_first_diff == k
+    assert min((d for d in r.coord_first_diffs if d is not None), default=None) == m
+    assert r.fact2 != positional_bound_fails(k, r.coord_first_diffs)
 
 
 @pytest.mark.parametrize("blocks", [2, 3, 50])

@@ -5,7 +5,8 @@ would return, one call per digit, and leave the generator in the same
 state, so the suite checks the same samples as the per-digit loop.  Both
 are run on equal generators, through sequences of draws of both classes
 and of randint calls, and compared on values and on rng.getstate() after
-every step.  The base-27 reserved scan is compared with a per-digit scan.
+every step.  embedding.reserved_twos, the suite's base-27 reserved scan,
+is compared with a per-digit scan.
 """
 
 import random
@@ -13,8 +14,9 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactrips import embedding
 from exactrips.digits import BinaryString, TernaryString
-from exactrips.harness import _random_digits, _reserved_twos
+from exactrips.harness import _random_digits
 
 from oracles import randrange_digits, reserved_twos
 
@@ -88,4 +90,4 @@ def test_rejected_words_are_redrawn():
 def test_reserved_scan_matches_per_digit_scan(case):
     blocks, digits = case
     s = TernaryString(digits)
-    assert _reserved_twos(s, blocks) == reserved_twos(tuple(digits), blocks)
+    assert embedding.reserved_twos(s, blocks) == reserved_twos(tuple(digits), blocks)

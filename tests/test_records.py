@@ -93,12 +93,17 @@ def _seeded_configs():
             include_cube0=rng.random() < 0.5,
             include_partners=rng.random() < 0.8,
         )
+    # Int-valued rationals, stored and written as Fractions.
+    yield CloudConfig(sheets=default_sheets(2), scale=1, x_values=(0, 1))
+    yield CloudConfig(sheets=default_sheets(3), scale=1, x_values=(1, Fraction(1, 3), 0),
+                      blocks=3, cube_grid=1, include_cube0=True)
 
 
 def test_cloud_config_dict_matches_referee():
     for cfg in _seeded_configs():
         assert cfg.to_json_dict() == cloud_config_dict(cfg)
         assert CloudConfig.from_json(cfg.to_json()) == cfg
+        assert CloudConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
 
 
 def test_rigid_edge_rows_match_referee():
@@ -178,6 +183,37 @@ def test_other_false_facts_leave_the_bound_alone(monkeypatch):
     assert len(report.fact_failures) == 7
     assert report.fact_failures[0]["report"]["fact1"] is False
     assert not report.passed
+    assert report.to_json_dict() == lemma_suite_dict(report)
+
+
+@pytest.mark.parametrize(
+    "seed,samples,blocks,flip", [(7, 60, 12, 0), (1, 80, 1, 41), (4, 50, 3, 17)]
+)
+def test_mechanism_failure_is_a_false_fact2(monkeypatch, seed, samples, blocks, flip):
+    # The mechanism check reads fact2 itself: flipping it on one pair whose
+    # t strings differ gives exactly one mechanism failure, for that pair.
+    reports = []
+
+    def edit(k, r):
+        r = replace(r, fact2=False) if k == flip else r
+        reports.append(r)
+        return r
+
+    pairs = _recording_check_facts(monkeypatch, edit)
+    report = run_lemma_suite(seed, samples, blocks)
+    p, q, _, _ = pairs[flip]
+    r = reports[flip]
+    assert r.t_first_diff is not None
+    assert report.mechanism_failures == (
+        {
+            "p": {"t": p.t.text(), "y": p.y.text()},
+            "q": {"t": q.t.text(), "y": q.y.text()},
+            "t_first_diff": r.t_first_diff,
+            "coord_first_diffs": list(r.coord_first_diffs),
+        },
+    )
+    assert report.mechanism_checks == sum(r.t_first_diff is not None for r in reports)
+    assert len(report.fact_failures) == 1 and not report.passed
     assert report.to_json_dict() == lemma_suite_dict(report)
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from exactrips.digits import BinaryString
+from exactrips.harness import minimal_config
 from exactrips.space import (
+    DEFAULT_SCALES,
     SHEET_SCALE,
     Cloud,
     CloudConfig,
@@ -191,6 +193,38 @@ def test_cloud_csv_accepts_consistent_labels():
     text = "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
     kinds = [p.kind for p in Cloud.from_csv_text(text)]
     assert kinds == ["cube0", "cube1", "sheet"]
+
+
+def _kind_scan(cloud) -> tuple[int, int, int]:
+    # One pass per kind over the points, by kind name.
+    return tuple(
+        sum(1 << i for i, p in enumerate(cloud) if p.kind == kind)
+        for kind in ("sheet", "cube0", "cube1")
+    )
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        *(build_cloud(minimal_config(n, a, 4)) for n in (1, 3, 8) for a in DEFAULT_SCALES),
+        *(
+            build_cloud(CloudConfig(
+                (Y0, Y1), DEFAULT_SCALES[1], (Fraction(1, 3),), 4, g, True, partners
+            ))
+            for g in (1, 3)
+            for partners in (True, False)
+        ),
+        Cloud.from_csv_text(
+            "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
+            "cube1,1,1/3,0,0\ncube0,0,0,0,0\n"
+        ),
+        Cloud((), None),
+    ],
+)
+def test_kind_masks_match_per_point_scan(cloud):
+    masks = cloud.kind_masks
+    assert masks == _kind_scan(cloud)
+    assert cloud.kind_masks is masks  # computed once
 
 
 def test_hand_built_cloud_labels_are_not_checked():
