@@ -179,10 +179,10 @@ def decode(
 ) -> tuple[TernaryString, BinaryString]:
     """Invert the interleaving: recover (t, b) from the three coordinate strings.
 
-    Raises MalformedImageError if a reserved position (index 2 mod 3) holds
-    the digit 2 (read off the base-27 blocks, as in reserved_twos), if the
-    three coordinates disagree on the shared b digits, or if a string does
-    not have exactly 3*blocks digits.
+    Raises MalformedImageError if a reserved position (index 2 mod 3, read
+    off the base-27 blocks as in reserved_twos) holds the digit 2, if the
+    coordinates disagree on the shared b digits, or if a string does not
+    have exactly 3*blocks digits.
     """
     if blocks < 1:
         raise ValueError("blocks must be at least 1")

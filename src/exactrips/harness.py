@@ -90,11 +90,9 @@ class OpenChainError(RuntimeError):
 
 
 def find_rigid_edges(c: RipsComplex2) -> list[RigidEdge]:
-    """All rigid edges of the complex, a list of c.scale_edges.rigid.
-
-    A function of its own because perfbench --trace 1 counts its calls
-    (harness.rigid_scans: one per row and per completed cycle, 528 on
-    the growth workload)."""
+    """All rigid edges of the complex, a list of c.scale_edges.rigid.  Kept a
+    function because perfbench --trace 1 counts its calls as rigid_scans
+    (one per row and per completed cycle, 528 on the growth workload)."""
     return list(c.scale_edges.rigid)
 
 
@@ -431,15 +429,14 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     """Randomized exact verification of both geometric lemmas.
 
     Runs `samples` fact checks on random digit-string pairs, the same
-    number of decode round trips, reserved-digit scans, ultrametric
-    triples, the circle/parabola grid and the per-coordinate
-    metric-equivalence estimate.  The positional mechanism behind the
-    digit-shift inequality is each fact check's fact2 (on pairs whose t
-    strings differ), the close-expanding bound its `combined` inequality,
-    whose counterexample is the first pair, in sample order, where it
-    fails.  Failures are report content,
-    reported verbatim: an image that `decode` rejects as malformed is a
-    round-trip failure carrying the decoder's message.
+    number of decode round trips, reserved-digit scans, ultrametric triples,
+    the circle/parabola grid and the per-coordinate metric-equivalence
+    estimate.  The positional mechanism behind the digit-shift inequality
+    is each fact check's fact2 (on pairs whose t strings differ), the
+    close-expanding bound its `combined` inequality, whose counterexample
+    is the first pair, in sample order, where it fails.  Failures are
+    report content, reported verbatim: an image that `decode` rejects as
+    malformed is a round-trip failure carrying the decoder's message.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

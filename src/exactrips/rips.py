@@ -155,20 +155,18 @@ class RipsComplex2:
         Rigidity is the perpendicular-partner reading: squared length
         exactly scale**2 AND the slab endpoint's last three coordinates
         equal the sheet endpoint's, which is what makes the slab point the
-        unique nearest one.  The candidates are each sheet vertex's
-        {1}-slab neighbors, read off the neighbor masks and the cloud's
-        kind masks, and sorted into edge order.
+        unique nearest one.  Candidates are each sheet vertex's {1}-slab
+        neighbors (neighbor and kind masks), sorted into edge order.
         """
-        pts = self.cloud.points
         L, lattice = self.cloud.lattice
         bound, exact = lattice_bound(self.scale, L)
         if not exact:  # no lattice distance is exactly the scale
             return ScaleEdges((), ())
-        sheets, _, cube1 = self.cloud.kind_masks
+        kinds = self.cloud.kind_masks
         nb, found = self.neighbor_masks, []
-        for s in bits(sheets):
+        for s in bits(kinds.sheet):
             u = lattice[s]
-            for c in bits(nb[s] & cube1):
+            for c in bits(nb[s] & kinds.cube1):
                 if sum((x - y) ** 2 for x, y in zip(u, lattice[c])) == bound:
                     found.append((self.edge_index(s, c), s, c))
         found.sort()
@@ -177,7 +175,7 @@ class RipsComplex2:
             if lattice[s][1:] != lattice[c][1:]:
                 diagonal.append(e_i)
             else:
-                sheet = pts[s]
+                sheet = self.cloud.points[s]
                 rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
+from typing import NamedTuple
 
 from .digits import (
     BinaryString,
@@ -46,6 +47,7 @@ __all__ = [
     "LabeledPoint4",
     "CloudConfig",
     "Cloud",
+    "KindMasks",
     "NeighborViolation",
     "scale_window",
     "fiber_value",
@@ -62,8 +64,6 @@ __all__ = [
 SHEET_SCALE = 2 * 243**2  # 118098
 
 DEFAULT_BLOCKS = 8
-
-_KINDS = ("sheet", "cube0", "cube1")  # the order of Cloud.kind_masks
 
 # Window endpoints plus an interior scale; fiber values 0, 1/2, 1.
 DEFAULT_SCALES = (
@@ -97,7 +97,7 @@ class LabeledPoint4:
     sheet_y: BinaryString | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KindMasks._fields:
             raise ValueError(f"unknown point kind {self.kind!r}")
         if len(self.coords) != 4:
             raise ValueError("points live in R^4")
@@ -242,6 +242,14 @@ class CloudConfig:
         return cls.from_json_dict(d)
 
 
+class KindMasks(NamedTuple):
+    """Per point kind, the int whose set bits are that kind's points."""
+
+    sheet: int
+    cube0: int
+    cube1: int
+
+
 @dataclass(frozen=True)
 class Cloud:
     """Immutable indexed point list; coordinate tuples are pairwise distinct
@@ -272,12 +280,11 @@ class Cloud:
         return L, tuple(zip(flat, flat, flat, flat))
 
     @cached_property
-    def kind_masks(self) -> tuple[int, ...]:
-        """Per kind (sheet, cube0, cube1), the int whose set bits are its points."""
-        masks = dict.fromkeys(_KINDS, 0)
+    def kind_masks(self) -> KindMasks:
+        masks = dict.fromkeys(KindMasks._fields, 0)
         for i, p in enumerate(self.points):
             masks[p.kind] |= 1 << i
-        return tuple(masks.values())
+        return KindMasks(**masks)
 
     def to_csv_text(self) -> str:
         lines = []
@@ -461,25 +468,24 @@ def second_neighbor_witness(
     is within a iff D_j = |p_j - t|**2 <= bound, with t the partner's
     lattice row.  The sheet rows are packed once per call (pack_rows), and
     one big-int expression per partner sets the guard bit of exactly the
-    slots with D_j <= bound.  The rigid foot (partner - (a, 0, 0, 0)) lies
-    on the lattice iff a*L is an int, so iff a**2 L**2 is (lattice_bound
-    is exact), and is then the partner's row less isqrt(bound) = a*L in
-    its first entry; a hit is excluded iff its lattice row equals the
-    foot's.  The gaps of a violation are exact Fractions, computed on the
-    hits alone.
+    slots with D_j <= bound.  The rigid foot (partner - (a, 0, 0, 0)) is
+    on the lattice iff a*L, so iff a**2 L**2, is an int (lattice_bound is
+    exact); its row is then the partner's less isqrt(bound) = a*L in the
+    first entry, and hits on it are excluded.  The gaps of a violation are
+    exact Fractions, computed on the hits alone.
     """
     partners = list(partners)
     bad = [(i, cloud.points[i].kind) for i in partners if cloud.points[i].kind != "cube1"]
     if bad:
         raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
-    a = Fraction(a)
     L, lattice = cloud.lattice
-    bound, exact = lattice_bound(a, L)
+    bound, exact = lattice_bound(Fraction(a), L)
     index = tuple(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
     if not index:
         return [[] for _ in partners]
     w, low, cols, ps, ones = pack_rows(lattice, index, bound)
     size, top = w // 8, bound + (1 << (w - 1))
+    shift = math.isqrt(bound) if exact else None
     out = []
     for partner in partners:
         row = lattice[partner]
@@ -487,7 +493,7 @@ def second_neighbor_witness(
         x = (top - sum(u * u for u in t)) * ones - ps
         x += 2 * sum(u * col for u, col in zip(t, cols))
         guards = x.to_bytes(size * len(index), "little")[size - 1::size]
-        foot = (row[0] - math.isqrt(bound),) + row[1:] if exact else None
+        foot = (row[0] - shift,) + row[1:] if exact else None
         hits = []
         for idx in compress(index, guards.translate(_GUARD)):
             if lattice[idx] == foot:

@@ -195,12 +195,12 @@ def test_cloud_csv_accepts_consistent_labels():
     assert kinds == ["cube0", "cube1", "sheet"]
 
 
-def _kind_scan(cloud) -> tuple[int, int, int]:
+def _kind_scan(cloud) -> dict[str, int]:
     # One pass per kind over the points, by kind name.
-    return tuple(
-        sum(1 << i for i, p in enumerate(cloud) if p.kind == kind)
+    return {
+        kind: sum(1 << i for i, p in enumerate(cloud) if p.kind == kind)
         for kind in ("sheet", "cube0", "cube1")
-    )
+    }
 
 
 @pytest.mark.parametrize(
@@ -223,7 +223,7 @@ def _kind_scan(cloud) -> tuple[int, int, int]:
 )
 def test_kind_masks_match_per_point_scan(cloud):
     masks = cloud.kind_masks
-    assert masks == _kind_scan(cloud)
+    assert masks._asdict() == _kind_scan(cloud)
     assert cloud.kind_masks is masks  # computed once
 
 
