@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -63,8 +63,8 @@ class _DigitString:
         if depth < 0 or not 0 <= value < cls.base**depth:
             raise ValueError(f"no {depth}-digit base-{cls.base} string has value {value}")
         s = object.__new__(cls)
-        object.__setattr__(s, "value", value)
-        object.__setattr__(s, "depth", depth)
+        _set_value(s, value)
+        _set_depth(s, depth)
         return s
 
     @classmethod
@@ -93,6 +93,11 @@ class _DigitString:
 
     def text(self) -> str:
         return "".join(map(str, self.digits))
+
+
+# The slots' own setters, which a frozen dataclass's __setattr__ does not
+# guard: from_int fills each new string through them, once.
+_set_value, _set_depth = _DigitString.value.__set__, _DigitString.depth.__set__
 
 
 class TernaryString(_DigitString):
@@ -259,10 +264,13 @@ def first_difference_packed(a: int, b: int, depth: int) -> int | None:
         return None
     p3 = _POW3 if depth < len(_POW3) else tuple(3**k for k in range(depth + 1))
     # The digits at 3**m and up agree iff a // 3**m == b // 3**m, never when
-    # 3**m <= |a - b|, so the least m at which they agree is at least lo with
-    # 3**(lo-1) <= |a - b| < 3**lo.  Index depth - m is the first difference.
-    lo = bisect_right(p3, abs(a - b))
-    m = bisect_left(range(depth + 1), True, lo, key=lambda m: a // p3[m] == b // p3[m])
+    # 3**m <= |a - b|, and once they agree at m they agree above it.  So the
+    # least such m is found probing up from the least m with |a - b| < 3**m;
+    # it is that m unless a carry runs past it, and at most depth.  Index
+    # depth - m is the first difference.
+    m = bisect_right(p3, abs(a - b))
+    while a // p3[m] != b // p3[m]:
+        m += 1
     return depth - m
 
 

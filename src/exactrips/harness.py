@@ -55,7 +55,7 @@ from .space import (
     DEFAULT_BLOCKS,
     CloudConfig,
     build_cloud,
-    circle_above_parabola,
+    circle_above_parabola_cleared,
     second_neighbor_witness,
 )
 
@@ -204,10 +204,12 @@ def default_sheets(n: int) -> tuple[BinaryString, ...]:
 def minimal_config(
     n: int, scale: Fraction, blocks: int = DEFAULT_BLOCKS
 ) -> CloudConfig:
-    """The minimal cloud config: n fiber sheets with partners, nothing else."""
+    """The minimal cloud config: n fiber sheets with partners, nothing else.
+    The scale goes to CloudConfig as given, so a float or bool raises
+    ValueError there."""
     return CloudConfig(
         sheets=default_sheets(n),
-        scale=Fraction(scale),
+        scale=scale,
         x_values=(),
         blocks=blocks,
         cube_grid=0,
@@ -275,6 +277,8 @@ def theorem_experiment(
     With cube grids present the Betti equality is relaxed to
     beta1 >= n-1 (coarse grids contribute threshold edges of their own);
     the census and the lower bound stay exact.
+    Each scale goes to CloudConfig as given: a Fraction or int, never a
+    float or bool (ValueError), and each row's scale is the config's.
     """
     sheet_counts, scales = list(sheet_counts), list(scales)
     if not sheet_counts or not scales:
@@ -286,7 +290,7 @@ def theorem_experiment(
     for n in sheet_counts:
         for a in scales:
             cfg = CloudConfig(
-                default_sheets(n), Fraction(a), (), blocks, cube_grid, include_cube0
+                default_sheets(n), a, (), blocks, cube_grid, include_cube0
             )
             cloud = build_cloud(cfg)
             cx = build_complex(cloud, cfg.scale)
@@ -312,7 +316,7 @@ def theorem_experiment(
             rows.append(
                 ExperimentRow(
                     n=n,
-                    scale=Fraction(a),
+                    scale=cfg.scale,
                     vertices=cx.n_vertices,
                     edges=len(cx.edges),
                     triangles=triangles,
@@ -372,40 +376,92 @@ class LemmaSuiteReport:
         return json_text(self.to_json_dict())
 
 
-# Byte b read as the ASCII digit of its top two bits, and per base the
-# bytes whose top two bits are not a digit of that base.
-_TOP2 = bytes(48 + (b >> 6) for b in range(256))
-_REJECT = {base: bytes(range(64 * base, 256)) for base in (2, 3)}
+# Per base, byte b read as the ASCII digit of its top two bits, or as "x"
+# where those bits are not a digit of that base.
+_TOP2 = {base: bytes(48 + (b >> 6) if b >> 6 < base else 120 for b in range(256))
+         for base in (2, 3)}
 _INT_CHUNK = 640  # digits int() converts at any int_max_str_digits setting
 
 
-def _random_digits(rng: random.Random, cls, depth: int):
-    """`depth` digits of rng.randrange(cls.base), most significant first.
+class _WordStream:
+    """The 32-bit words of random.Random(seed), read in bulk.
 
-    randrange(n) draws getrandbits(k) with k = n.bit_length(), which is 2
-    for both bases: the top two bits of one 32-bit word, redrawn while at
-    least n.  getrandbits(32 * m) returns m whole words, the first drawn
-    least significant, so byte 3 of every 4 little-endian bytes is the top
-    of each word in draw order.  Each round draws one word per digit still
-    missing, so the generator ends where the per-digit loop ends.
+    Each draw returns what the same call on the generator itself returns,
+    from the same words in the same order.  Words are drawn REFILL or more
+    at a time, so those past the last one read are drawn and never read:
+    harmless for a generator no one else holds.  A refill is
+    `getrandbits(32 * m)`, m whole words with the first drawn least
+    significant, as little-endian bytes: word i is _buf[4i : 4i + 4].
+    Per base, _views holds one _TOP2 character per word: the digit
+    randrange(base) takes from the word, or "x" where it rejects it.
     """
-    base, reject = cls.base, _REJECT[cls.base]
-    chars, need = b"", depth
-    while need:
-        tops = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
-        got = tops.translate(_TOP2, reject)
-        chars += got
-        need -= len(got)
-    value = 0
-    for i in range(0, depth, _INT_CHUNK):
-        piece = chars[i : i + _INT_CHUNK]
-        value = value * base ** len(piece) + int(piece, base)
-    return cls.from_int(value, depth)
+
+    __slots__ = ("_rng", "_buf", "_views", "_pos")
+    REFILL = 4096
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        self._buf, self._pos = b"", 0  # _pos: the next word's index
+        self._refill(0)
+
+    def _refill(self, m: int) -> None:
+        # Keep the unread words, add at least m fresh ones, start at word 0.
+        fresh = max(m, self.REFILL)
+        words = self._rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
+        self._buf = self._buf[4 * self._pos :] + words
+        tops = self._buf[3::4]
+        self._views = {base: tops.translate(table) for base, table in _TOP2.items()}
+        self._pos = 0
+
+    def below(self, n: int) -> int:
+        """rng.randrange(n), n >= 1: getrandbits(k) for k = n.bit_length(),
+        drawn again while at least n.  getrandbits(k) is the top k bits of
+        one word for k <= 32; wider, it fills whole words least significant
+        first and keeps the top k % 32 bits of the last."""
+        k = n.bit_length()
+        words = (k + 31) // 32
+        low, drop = 32 * (words - 1), 32 * words - k
+        while True:
+            if self._pos + words > len(self._buf) // 4:
+                self._refill(words)
+            at = 4 * self._pos
+            self._pos += words
+            x = int.from_bytes(self._buf[at : at + 4 * words], "little")
+            r = x & ((1 << low) - 1) | x >> (low + drop) << low
+            if r < n:
+                return r
+
+    def digits(self, cls, depth: int):
+        """`depth` digits of rng.randrange(cls.base), most significant first.
+
+        randrange takes the top two bits of one word for both bases.  The
+        draw ends at its depth-th accepted word: it spans depth words, then
+        one more for each "x" among the words it added last.
+        """
+        base, pos = cls.base, self._pos
+        start, end = pos, pos + depth
+        view = self._views[base]
+        while True:
+            if end > len(view):  # the unread words, from pos, go to offset 0
+                self._refill(end - pos)
+                start, end, pos, view = start - pos, end - pos, 0, self._views[base]
+            rejected = view.count(b"x", start, end)
+            if not rejected:
+                break
+            start, end = end, end + rejected
+        self._pos = end
+        chars = view[pos:end].replace(b"x", b"")
+        value = int(chars[:_INT_CHUNK] or b"0", base)
+        for i in range(_INT_CHUNK, depth, _INT_CHUNK):
+            piece = chars[i : i + _INT_CHUNK]
+            value = value * base ** len(piece) + int(piece, base)
+        return cls.from_int(value, depth)
 
 
-def _random_point(rng: random.Random, blocks: int) -> IManyPoint:
-    t = _random_digits(rng, TernaryString, rng.randint(1, 6 * blocks))
-    y = _random_digits(rng, BinaryString, rng.randint(0, blocks))
+def _random_point(rng: _WordStream, blocks: int) -> IManyPoint:
+    # randint(lo, hi) is lo + randrange(hi - lo + 1).
+    t = rng.digits(TernaryString, 1 + rng.below(6 * blocks))
+    y = rng.digits(BinaryString, rng.below(blocks + 1))
     return IManyPoint.from_digits(t, y)
 
 
@@ -417,7 +473,7 @@ def _pair_record(p: IManyPoint, q: IManyPoint, **extra) -> dict:
     return {"p": _digits_record(p), "q": _digits_record(q), **extra}
 
 
-def _random_pair(rng: random.Random, blocks: int) -> tuple[IManyPoint, IManyPoint]:
+def _random_pair(rng: _WordStream, blocks: int) -> tuple[IManyPoint, IManyPoint]:
     p = _random_point(rng, blocks)
     while True:
         q = _random_point(rng, blocks)
@@ -437,12 +493,20 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     is the first pair, in sample order, where it fails.  Failures are
     report content, reported verbatim: an image that `decode` rejects as
     malformed is a round-trip failure carrying the decoder's message.
+
+    The samples are drawn from random.Random(seed): per point a t depth
+    randint(1, 6*blocks) and its base-3 digits, then a label depth
+    randint(0, blocks) and its base-2 digits, each digit a
+    randrange(base); per triple a depth randint(1, 6*blocks) and three
+    strings of it.  The suite reads these from the generator's words in
+    bulk (_WordStream), which returns the same values in the same order,
+    so the samples and the report bytes are those of the calls themselves.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
-    rng = random.Random(seed)
+    rng = _WordStream(seed)
 
     fact_failures = []
     mechanism_checks = 0
@@ -493,18 +557,18 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
         except MalformedImageError as exc:
             roundtrip_failures.append(_digits_record(p, error=str(exc)))
             continue
-        if t_back != p.t.padded(6 * blocks) or y_back != p.y.padded(blocks):
+        # decode returns 6*blocks t digits and `blocks` label digits.
+        if t_back.value != p.t.value_at(6 * blocks) or y_back.value != p.y.value_at(blocks):
             roundtrip_failures.append(
                 _digits_record(p, t_back=t_back.text(), y_back=y_back.text())
             )
 
     ultrametric_failures = []
     for _ in range(samples):
-        depth = rng.randint(1, 6 * blocks)
-        s, t, u = (_random_digits(rng, TernaryString, depth) for _ in range(3))
-        if delta3(s, u) > max(delta3(s, t), delta3(t, u)) or delta3(s, t) != delta3(
-            t, s
-        ) or delta3(s, s) != 0:
+        depth = 1 + rng.below(6 * blocks)
+        s, t, u = (rng.digits(TernaryString, depth) for _ in range(3))
+        st = delta3(s, t)
+        if delta3(s, u) > max(st, delta3(t, u)) or st != delta3(t, s) or delta3(s, s) != 0:
             ultrametric_failures.append(
                 {"s": s.text(), "t": t.text(), "u": u.text()}
             )
@@ -512,10 +576,11 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
     parabola_checks = 0
     parabola_failures = []
     for r in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
+        # x = -r + 2r k/31: over 31 den(r), r is 31 num(r) and x num(r)(2k - 31).
         for k in range(32):
-            x = r * Fraction(2 * k - 31, 31)  # -r + 2r k/31
             parabola_checks += 1
-            if not circle_above_parabola(r, x):
+            if not circle_above_parabola_cleared(31 * r.numerator, r.numerator * (2 * k - 31)):
+                x = r * Fraction(2 * k - 31, 31)
                 parabola_failures.append(
                     {"r": format_rational(r), "x": format_rational(x)}
                 )

@@ -57,6 +57,7 @@ __all__ = [
     "sheet_point",
     "build_cloud",
     "circle_above_parabola",
+    "circle_above_parabola_cleared",
     "second_neighbor_witness",
 ]
 
@@ -398,10 +399,17 @@ def circle_above_parabola(r: Fraction, x: Fraction) -> bool:
     if r <= 0:
         raise ValueError("radius must be positive")
     d = math.lcm(r.denominator, x.denominator)
-    rr = (r.numerator * (d // r.denominator)) ** 2
-    xx = (x.numerator * (d // x.denominator)) ** 2
-    if xx > rr:
+    rn, xn = r.numerator * (d // r.denominator), x.numerator * (d // x.denominator)
+    if abs(xn) > rn:
         raise ValueError(f"|x| = {abs(x)} exceeds radius {r}")
+    return circle_above_parabola_cleared(rn, xn)
+
+
+def circle_above_parabola_cleared(rn: int, xn: int) -> bool:
+    """circle_above_parabola(rn/D, xn/D) for ints 0 <= |xn| <= rn, rn > 0,
+    over any common denominator D > 0: the int inequality is homogeneous
+    in (R, X), so D drops out."""
+    rr, xx = rn * rn, xn * xn
     return (2 * rr - xx) ** 2 >= 4 * rr * (rr - xx)
 
 

@@ -256,3 +256,51 @@ def test_experiment_deterministic():
         theorem_experiment(**kwargs).to_csv_text()
         == theorem_experiment(**kwargs).to_csv_text()
     )
+
+
+@pytest.mark.parametrize("scale", [0.99999999, 1.0, True, False])
+def test_float_and_bool_scales_are_refused(scale):
+    # A float used to run at its binary expansion, and True at scale 1.
+    with pytest.raises(ValueError, match="config key 'scale' must be Fraction or int"):
+        theorem_experiment([2], [scale])
+    with pytest.raises(ValueError, match="config key 'scale' must be Fraction or int"):
+        minimal_config(2, scale)
+
+
+# Taken before theorem_experiment passed scales through unchanged.
+SMALL_EXPERIMENT_CSV = (
+    "n,scale,vertices,edges,triangles,betti0,betti1,rigid_count,rigid_free,lower_bound,verdict\n"
+    "2,1/1,4,4,0,1,1,2,true,1,pass\n"
+    "2,236195/236196,4,4,0,1,1,2,true,1,pass\n"
+    "3,1/1,6,9,2,1,2,3,true,2,pass\n"
+    "3,236195/236196,6,9,2,1,2,3,true,2,pass\n"
+)
+
+
+@pytest.mark.parametrize("top", [1, Fraction(1)])
+def test_int_and_fraction_scales_keep_csv_bytes(top):
+    report = theorem_experiment([2, 3], [top, INTERIOR])
+    assert report.to_csv_text() == SMALL_EXPERIMENT_CSV
+    assert all(type(row.scale) is Fraction for row in report.rows)
+    assert minimal_config(2, top) == minimal_config(2, Fraction(1))
+
+
+def test_parabola_failure_records_the_grid_point(monkeypatch):
+    # The grid is checked in ints over 31 den(r); a failure is written with
+    # r and x as Fractions, x = r (2k - 31)/31.
+    import exactrips.harness as harness
+
+    seen = []
+
+    def refuse_k5(rn, xn):
+        seen.append((rn, xn))
+        return xn != rn * (2 * 5 - 31) // 31
+
+    monkeypatch.setattr(harness, "circle_above_parabola_cleared", refuse_k5)
+    rep = run_lemma_suite(seed=1, samples=1, blocks=1)
+    assert rep.parabola_checks == len(seen) == 128
+    assert not rep.passed
+    assert rep.parabola_failures == tuple(
+        {"r": r, "x": x}
+        for r, x in (("1/4", "-21/124"), ("1/2", "-21/62"), ("1/1", "-21/31"), ("2/1", "-42/31"))
+    )

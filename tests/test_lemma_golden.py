@@ -1,10 +1,12 @@
 """Golden digests of the lemma suite's report bytes.
 
 The digests were taken from the digit-tuple implementation, before the
-digit strings were packed into integers, and the 50-block one from the
+digit strings were packed into integers, the 50-block one from the
 per-digit randrange draw, before digits were drawn a batch of words at a
-time.  Equal digests mean the suite draws the same random samples, checks
-them in the same order and writes the same bytes.
+time, and the 42- and 43-block ones from the generator's own randint and
+getrandbits calls, before the suite read its words from a bulk buffer.
+Equal digests mean the suite draws the same random samples, checks them
+in the same order and writes the same bytes.
 """
 
 import hashlib
@@ -24,6 +26,10 @@ GOLDEN = {
     # t depths up to 300 digits: single draws of over 8,000 random bits,
     # and first_difference on depths past its 256-entry power table.
     (5, 40, 50): "79b9e1a995c9b513cfd12fbfe32ab137df75e28f8f6475f88c4560cc9406c806",
+    # 6*blocks = 252 and 258: the t depth draw randint(1, 6*blocks) keeps
+    # 8 and then 9 bits of its word, past the word's top byte.
+    (3, 30, 42): "0cdbf3c5ebacc1a33ca5f71eb534946753770da8fea0e1b3dc2cfc8a25bdaf00",
+    (3, 30, 43): "9ca22f4e3df27869e7448afe997d447c4c8aadd4baca77bf0199e50bb5a907f2",
 }
 
 CLI_GOLDEN = "577cd9a55cc26d8d0a8b7e879c5d8357df4841d711239fca3f19446976c21770"

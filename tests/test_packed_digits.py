@@ -23,6 +23,7 @@ from exactrips.digits import (
     TernaryString,
     delta3,
     first_difference,
+    first_difference_packed,
     ternary_value,
     to_ternary,
 )
@@ -155,6 +156,46 @@ def test_first_difference_on_deep_strings(depth):
             t = head[:k] + (0,) + (2,) * chain + head[k + chain + 1 :]
             assert first_difference(TernaryString(s), TernaryString(t)) == k
             assert first_difference(TernaryString(s[:-1]), TernaryString(t)) == k
+
+
+def _base3(v: int, depth: int) -> tuple:
+    digits = []
+    for _ in range(depth):
+        v, d = divmod(v, 3)
+        digits.append(d)
+    assert v == 0
+    return tuple(reversed(digits))
+
+
+@st.composite
+def packed_pairs(draw):
+    depth = draw(st.one_of(st.integers(1, 40), st.integers(250, 400)))
+    a = draw(st.integers(0, 3**depth - 1))
+    near = st.integers(max(0, a - 3**5), min(3**depth - 1, a + 3**5))
+    return a, draw(st.one_of(st.integers(0, 3**depth - 1), near)), depth
+
+
+@SETTINGS
+@given(packed_pairs())
+@example((3**5 - 1, 3**5, 9))  # a carry chain: 000022222 against 000100000
+@example((3**5, 3**5 - 1, 6))
+@example((3**30 - 1, 3**30, 31))  # the chain runs up to the first digit
+@example((2 * 3**7 - 1, 2 * 3**7 + 3**6, 12))
+@example((0, 0, 1))  # equal values
+@example((12345, 12345, 20))
+@example((0, 3**4, 9))  # |a - b| a power of 3
+@example((3**4 - 1, 2 * 3**4 - 1, 9))
+@example((2 * 3**8, 3**8, 9))  # |a - b| = 3**(depth - 1)
+@example((2, 1, 1))
+@example((0, 1, 256))  # depths past the precomputed powers of 3
+@example((3**255, 3**255 - 1, 256))
+@example((3**200 - 1, 3**200, 300))
+@example((3**299, 2 * 3**299, 300))
+@example((7, 7, 400))
+def test_first_difference_packed_matches_per_digit_scan(case):
+    a, b, depth = case
+    expected = tuple_first_difference(_base3(a, depth), _base3(b, depth))
+    assert first_difference_packed(a, b, depth) == expected
 
 
 @SETTINGS

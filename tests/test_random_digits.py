@@ -1,12 +1,16 @@
-"""The lemma suite's word-batched digit draw against one randrange per digit.
+"""The lemma suite's word stream against one call per draw on the generator.
 
-`harness._random_digits` must return the digits `rng.randrange(base)`
-would return, one call per digit, and leave the generator in the same
-state, so the suite checks the same samples as the per-digit loop.  Both
-are run on equal generators, through sequences of draws of both classes
-and of randint calls, and compared on values and on rng.getstate() after
-every step.  embedding.reserved_twos, the suite's base-27 reserved scan,
-is compared with a per-digit scan.
+`harness._WordStream(seed)` reads the 32-bit words of random.Random(seed)
+in bulk.  Every draw must return what the same call returns on the
+generator itself: `below(n)` what `randrange(n)` returns, `lo + below(hi
+- lo + 1)` what `randint(lo, hi)` returns, and `digits(cls, d)` the d
+digits of d calls of `randrange(cls.base)`.  Both are run on equal
+generators through mixed sequences of draws and compared value by value.
+The stream draws words ahead of the last one it reads, so the two
+generators' states differ and are not compared; an equal next value after
+every draw shows that each draw read the words the call would, no more
+and no fewer.  embedding.reserved_twos, the suite's base-27 reserved
+scan, is compared with a per-digit scan.
 """
 
 import random
@@ -16,67 +20,94 @@ from hypothesis import strategies as st
 
 from exactrips import embedding
 from exactrips.digits import BinaryString, TernaryString
-from exactrips.harness import _random_digits
+from exactrips.harness import _WordStream
 
 from oracles import randrange_digits, reserved_twos
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 CLASSES = {"ternary": TernaryString, "binary": BinaryString}
+# One word in its top byte (k <= 8), in all 32 bits, and two words (k = 33).
+BOUNDS = [1, 2, 13, 72, 255, 256, 257, 2**32]
 
 depths = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 80), st.integers(301, 700))
 steps = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(sorted(CLASSES)), depths),
+        st.tuples(st.just("below"), st.one_of(st.sampled_from(BOUNDS), st.integers(1, 2**70))),
         st.tuples(st.just("randint"), st.integers(0, 300)),
     ),
     min_size=1,
-    max_size=8,
+    max_size=10,
 )
+
+
+def _same_draw(stream, rng, kind, n):
+    if kind == "below":
+        assert stream.below(n) == rng.randrange(n)
+    elif kind == "randint":
+        assert 1 + stream.below(n + 1) == rng.randint(1, n + 1)
+    else:
+        cls = CLASSES[kind]
+        s = stream.digits(cls, n)
+        assert type(s) is cls and s.depth == n
+        assert s.digits == randrange_digits(rng, cls.base, n)
 
 
 @SETTINGS
 @given(st.integers(0, 2**64), steps)
-@example(0, [("ternary", 0), ("binary", 0)])
+@example(0, [("ternary", 0), ("binary", 0), ("below", 1)])
 @example(1, [("ternary", 1), ("binary", 1), ("randint", 6)])
 @example(2, [("ternary", 300), ("randint", 72), ("binary", 301), ("ternary", 640)])
 @example(3, [("ternary", 641), ("binary", 1281)])
-@example(4, [("ternary", 4301)])  # past int()'s default 4300-digit limit
+@example(4, [("ternary", 4301)])  # past int()'s default 4300-digit limit, and REFILL
+@example(5, [("below", n) for n in BOUNDS] * 3)
+@example(6, [("below", 2**32), ("binary", 3), ("below", 2**64 + 1), ("ternary", 5)])
 def test_draw_matches_randrange_stream(seed, step_list):
-    fast, slow = random.Random(seed), random.Random(seed)
-    for kind, n in step_list:
-        if kind == "randint":
-            assert fast.randint(0, n) == slow.randint(0, n)
-        else:
-            cls = CLASSES[kind]
-            s = _random_digits(fast, cls, n)
-            assert type(s) is cls and s.depth == n
-            assert s.digits == randrange_digits(slow, cls.base, n)
-        assert fast.getstate() == slow.getstate()
+    stream, rng = _WordStream(seed), random.Random(seed)
+    for kind, n in step_list + [("below", 2**32)]:  # the next word agrees too
+        _same_draw(stream, rng, kind, n)
+
+
+def test_randrange_bounds_over_many_draws():
+    # Each bound's rejections, over enough draws to cross several refills.
+    for n in BOUNDS:
+        stream, rng = _WordStream(n), random.Random(n)
+        assert [stream.below(n) for _ in range(3000)] == [rng.randrange(n) for _ in range(3000)]
 
 
 def test_depth_zero_draws_nothing():
-    rng = random.Random(5)
-    before = rng.getstate()
     for cls in CLASSES.values():
-        s = _random_digits(rng, cls, 0)
-        assert (s.value, s.depth) == (0, 0)
-    assert rng.getstate() == before
+        stream, rng = _WordStream(5), random.Random(5)
+        for _ in range(3):
+            s = stream.digits(cls, 0)
+            assert (type(s), s.value, s.depth) == (cls, 0, 0)
+        assert stream.digits(TernaryString, 9).digits == randrange_digits(rng, 3, 9)
+
+
+def test_draw_straddles_a_refill():
+    # A draw that starts `left` words before the end of the buffer reads
+    # those words first, then fresh ones; below(2**32) takes two words.
+    for left, kind, n in [(40, "ternary", 60), (40, "binary", 60), (1, "ternary", 60),
+                          (0, "binary", 60), (1, "below", 2**32), (0, "below", 1)]:
+        stream, rng = _WordStream(17), random.Random(17)
+        skip = len(stream._buf) // 4 - left
+        stream._pos = skip
+        rng.getrandbits(32 * skip)
+        buf = stream._buf
+        _same_draw(stream, rng, kind, n)
+        assert stream._buf is not buf  # the draw refilled
+        _same_draw(stream, rng, "below", 2**32)
 
 
 def test_rejected_words_are_redrawn():
-    # A draw long enough to reject words of both classes in its first round
-    # still ends on the stream's own word.
+    # 400 digits cost more than 400 words: some were rejected, and the
+    # draw still ends on the word that gave its last digit.
     for cls in CLASSES.values():
-        fast, slow = random.Random(11), random.Random(11)
-        assert _random_digits(fast, cls, 400).digits == randrange_digits(
-            slow, cls.base, 400
-        )
-        assert fast.getstate() == slow.getstate()
-        # 400 digits cost more than 400 words: some were rejected.
-        first_round = random.Random(11)
-        first_round.getrandbits(32 * 400)
-        assert first_round.getstate() != fast.getstate()
+        stream, rng = _WordStream(11), random.Random(11)
+        assert stream.digits(cls, 400).digits == randrange_digits(rng, cls.base, 400)
+        assert stream._pos > 400
+        assert stream.below(2**32) == rng.randrange(2**32)
 
 
 @SETTINGS

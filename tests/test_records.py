@@ -66,8 +66,8 @@ def test_json_fields_values():
 
 
 def _seeded_pairs(seed: int, count: int, blocks: int):
-    rng = random.Random(seed)
-    return [harness._random_pair(rng, blocks) for _ in range(count)]
+    stream = harness._WordStream(seed)
+    return [harness._random_pair(stream, blocks) for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed,blocks", [(1, 1), (2, 3), (3, 12)])
