@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
@@ -216,6 +216,12 @@ class CloudConfig:
     def from_json_dict(cls, d: dict) -> "CloudConfig":
         if not isinstance(d, dict):
             raise ValueError("a cloud config must be a JSON object")
+        # A misspelt key such as "cube-grid" would otherwise build the
+        # cloud without it.
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; the keys are {', '.join(keys)}")
         # Only the JSON shapes are checked here; __post_init__ types the rest.
         sheets = _typed("sheets", d.get("sheets"), list)
         if not all(isinstance(s, str) for s in sheets):

@@ -360,6 +360,14 @@ def test_config_error_exit_code(tmp_path):
             id="letter-sheet",
         ),
         pytest.param(
+            # The CLI flag's spelling: before the check, a 4-point cloud
+            # without the grid was built and `build` exited 0.
+            '{"sheets": ["0", "1"], "scale": "1", "cube-grid": 2, "include_cube0": true}',
+            "unknown config keys ['cube-grid']; the keys are sheets, scale, x_values, "
+            "blocks, cube_grid, include_cube0, include_partners",
+            id="misspelt-key",
+        ),
+        pytest.param(
             "[" * 200000 + "]" * 200000,
             "config JSON is nested too deeply",
             id="nested-too-deeply",

@@ -3,11 +3,10 @@
 space.fiber_points expands x once and adds each label's term to the
 shared t part; these tests referee it against the per-label route
 embed(IManyPoint.from_value(x, y, 6*blocks), blocks) and the digit-tuple
-interleave of tests/oracles.py.  The build_cloud digests pin the bytes
-the per-label route wrote.
+interleave of tests/oracles.py.  The build/ pins in tests/test_golden.py
+hold the bytes the per-label route wrote.
 """
 
-import hashlib
 from fractions import Fraction
 
 import pytest
@@ -131,41 +130,6 @@ def test_fiber_points_rejects_out_of_range():
 
 def _labels(*texts):
     return tuple(BinaryString.from_text(s) for s in texts)
-
-
-# SHA-256 of Cloud.to_csv_text(), written by the per-label route.
-GOLDEN_BUILDS = [
-    pytest.param(
-        # x = 1/2 is the fiber x_a of this scale: its sheet points merge.
-        CloudConfig(
-            sheets=_labels(*(format(v, "03b") for v in range(8))),
-            scale=Fraction(236195, 236196),
-            x_values=(Fraction(1, 2), Fraction(1), Fraction(0), Fraction(2, 3), Fraction(5, 7)),
-            blocks=8,
-            cube_grid=2,
-            include_cube0=True,
-        ),
-        "f4961c2d2eef20e585910fc0da2b335a7840a8b77ba9050d840319cf0e479304",
-        id="A-eight-sheets-five-x",
-    ),
-    pytest.param(
-        CloudConfig(
-            sheets=_labels("0", "1", "01", "011", "0011"),
-            scale=Fraction(118097, 118098),
-            x_values=(Fraction(1, 3), Fraction(7, 729)),
-            blocks=3,
-            cube_grid=1,
-        ),
-        "b9b23e3605f17a8a0b62da0c814e2f34f2441358bf15ba3ebea0c17c28a4180c",
-        id="B-uneven-labels",
-    ),
-]
-
-
-@pytest.mark.parametrize("cfg, digest", GOLDEN_BUILDS)
-def test_build_cloud_csv_bytes_are_pinned(cfg, digest):
-    text = build_cloud(cfg).to_csv_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 CONFIG_KINDS = {
