@@ -23,6 +23,7 @@ checked in squared or cleared form).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -61,7 +62,7 @@ class DegeneratePairError(ValueError):
     """Two points with identical digit data where distinct ones are required."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class IManyPoint:
     """A point (x, y) of the many-sheeted interval with its chosen expansion.
 
@@ -69,28 +70,55 @@ class IManyPoint:
     ternary_value(t) == x exactly whenever x terminates within t.depth
     (x = 1 is carried by the all-2s string, and a non-terminating x by its
     truncation; both are documented sampling conventions).
+
+    x is held as the int pair x_ratio = (num, den), and the Fraction x is
+    made only when read.  A point built from its digits (from_digits) holds
+    (t.value, 3**t.depth), t's own value, unreduced and never checked; a
+    point built from x (a Fraction or int, never a float or bool) holds
+    x.as_integer_ratio().  Equality and hash are on the value (x, t, y).
     """
 
-    x: Fraction
+    x_ratio: tuple[int, int]
     t: TernaryString
     y: BinaryString
 
-    def __post_init__(self) -> None:
-        x, t = self.x, self.t
+    def __init__(self, x: Fraction | int, t: TernaryString, y: BinaryString) -> None:
+        num, den = _exact(x).as_integer_ratio()
         if t.depth < 1:
             raise ValueError("expansion must have at least one digit")
         # A value-exact x (x * 3**depth == t.value) needs no round trip.
-        exact = x.numerator * 3**t.depth == t.value * x.denominator
-        if not exact and t != to_ternary(x, t.depth):
+        if num * 3**t.depth != t.value * den and t != to_ternary(x, t.depth):
             raise ValueError(f"t is not the chosen expansion of x: {t.text()!r} vs x={x}")
+        _set_x(self, (num, den))
+        _set_t(self, t)
+        _set_y(self, y)
 
     @classmethod
-    def from_value(cls, x: Fraction, y: BinaryString, depth: int) -> "IManyPoint":
-        return cls(x, to_ternary(Fraction(x), depth), y)
+    def from_value(cls, x: Fraction | int, y: BinaryString, depth: int) -> "IManyPoint":
+        return cls(x, to_ternary(_exact(x), depth), y)
 
     @classmethod
     def from_digits(cls, t: TernaryString, y: BinaryString) -> "IManyPoint":
-        return cls(ternary_value(t), t, y)
+        # x is t's own value by construction: no gcd, Fraction or check.
+        if t.depth < 1:
+            raise ValueError("expansion must have at least one digit")
+        p = object.__new__(cls)
+        _set_x(p, (t.value, 3**t.depth))
+        _set_t(p, t)
+        _set_y(p, y)
+        return p
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(*self.x_ratio)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.t, self.y) == (other.x, other.t, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.t, self.y))
 
     def digit_data_equals(self, other: "IManyPoint") -> bool:
         """Equality of (t, y) under the zero-padding convention."""
@@ -98,6 +126,18 @@ class IManyPoint:
         ydepth = max(self.y.depth, other.y.depth)
         same_t = self.t.value_at(tdepth) == other.t.value_at(tdepth)
         return same_t and self.y.value_at(ydepth) == other.y.value_at(ydepth)
+
+
+def _exact(x):
+    # Exact types, as CloudConfig takes them: a float or a bool is refused.
+    if type(x) not in (Fraction, int):
+        raise ValueError(f"x must be Fraction or int: {x!r}")
+    return x
+
+
+# The slots' own setters, which a frozen dataclass's __setattr__ does not
+# guard: each new point is filled through them, once.
+_set_x, _set_t, _set_y = IManyPoint.x_ratio.__set__, IManyPoint.t.__set__, IManyPoint.y.__set__
 
 
 # t block v = t[6k..6k+5] -> (3 * t[6k+2i..6k+2i+1] as a 2-digit value, i < 3).
@@ -159,19 +199,30 @@ def embed(p: IManyPoint, blocks: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(map(ternary_value, embed_strings(p, blocks)))
 
 
-def _blocks27(s: TernaryString, blocks: int) -> list[int]:
-    # The lowest `blocks` base-27 blocks of s, highest first: block k of a
-    # 3*blocks-digit string is digits 3k..3k+2, so mod 3 it is digit 3k+2.
+def _reserved_digits(s: TernaryString, blocks: int) -> list[int]:
+    # Digits 3k+2, k < blocks, of s, in order: block k of a 3*blocks-digit
+    # string is its base-27 digit k, highest first, and mod 3 it is digit 3k+2.
     v, column = s.value, [0] * blocks
     for k in range(blocks - 1, -1, -1):
-        v, column[k] = divmod(v, 27)
+        v, w = divmod(v, 27)
+        column[k] = w % 3
     return column
 
 
 def reserved_twos(s: TernaryString, blocks: int) -> int:
     """How many reserved digits 3k+2, k < blocks, of the 3*blocks-digit
     coordinate string s are 2 (none, for an image of embed_strings)."""
-    return [w % 3 for w in _blocks27(s, blocks)].count(2)
+    return _reserved_digits(s, blocks).count(2)
+
+
+# Two base-27 blocks (hi, lo) of one coordinate as a base-729 digit d: the
+# t digits of coordinate 2 as a 12-digit value (coordinates 0 and 1 hold 81
+# and 9 times that), and the label bit pair, -1 where a reserved digit is 2.
+# Arrays, not tuples: 2.2 KB in all where tuples of ints take 32 KB.
+_PAIR_T = array("H", [d // 81 * 729 + d % 27 // 3 for d in range(729)])
+_PAIR_LABEL = array("b", [
+    -1 if d // 27 % 3 == 2 or d % 3 == 2 else d // 27 % 3 * 2 + d % 3 for d in range(729)
+])
 
 
 def decode(
@@ -179,34 +230,56 @@ def decode(
 ) -> tuple[TernaryString, BinaryString]:
     """Invert the interleaving: recover (t, b) from the three coordinate strings.
 
-    Raises MalformedImageError if a reserved position (index 2 mod 3, read
-    off the base-27 blocks as in reserved_twos) holds the digit 2, if the
-    coordinates disagree on the shared b digits, or if a string does not
-    have exactly 3*blocks digits.
+    Each step reads two base-27 blocks of every coordinate as one base-729
+    digit, lowest first, through a 729-entry table (at odd blocks the top
+    half of the last step reads the zero block).  Raises MalformedImageError
+    if a string does not have exactly 3*blocks digits, if a reserved
+    position (index 2 mod 3) holds the digit 2, or if the coordinates
+    disagree on the shared b digits; the message names the first defect, in
+    that order per string, then by position (the per-block scan,
+    _malformed, reads a refused image again to find it).
     """
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
     if len(strings) != 3:
         raise MalformedImageError("exactly three coordinate strings required")
+    s0, s1, s2 = strings
+    if s0.depth == s1.depth == s2.depth == 3 * blocks:
+        v0, v1, v2 = s0.value, s1.value, s2.value
+        tpart, label = _PAIR_T, _PAIR_LABEL
+        t = b = 0
+        weight = 1
+        for shift in range(0, blocks, 2):
+            v0, d0 = divmod(v0, 729)
+            v1, d1 = divmod(v1, 729)
+            v2, d2 = divmod(v2, 729)
+            pair = label[d0]
+            if pair < 0 or pair != label[d1] or pair != label[d2]:
+                break
+            t += (tpart[d0] * 81 + tpart[d1] * 9 + tpart[d2]) * weight
+            b |= pair << shift
+            weight *= 531441  # 3**12: two t blocks
+        else:
+            return TernaryString.from_int(t, 6 * blocks), BinaryString.from_int(b, blocks)
+    raise _malformed(strings, blocks)
+
+
+def _malformed(strings: Sequence[TernaryString], blocks: int) -> MalformedImageError:
+    # The first defect of an image that decode refused, read block by block.
     columns = []
     for s in strings:
         if s.depth != 3 * blocks:
-            raise MalformedImageError(
+            return MalformedImageError(
                 f"coordinate string must have {3 * blocks} digits, got {s.depth}"
             )
-        columns.append(_blocks27(s, blocks))
-        for k, w in enumerate(columns[-1]):
-            if w % 3 == 2:
-                raise MalformedImageError(
-                    f"digit 2 at reserved position {3 * k + 2}: not an image point"
-                )
-    t = b = 0
-    for k, (w0, w1, w2) in enumerate(zip(*columns)):
-        if not w0 % 3 == w1 % 3 == w2 % 3:
-            raise MalformedImageError(f"coordinates disagree on shared digit {k}")
-        t = t * 729 + w0 // 3 * 81 + w1 // 3 * 9 + w2 // 3
-        b = 2 * b + w0 % 3
-    return TernaryString.from_int(t, 6 * blocks), BinaryString.from_int(b, blocks)
+        columns.append(_reserved_digits(s, blocks))
+        if 2 in columns[-1]:
+            k = columns[-1].index(2)
+            return MalformedImageError(
+                f"digit 2 at reserved position {3 * k + 2}: not an image point"
+            )
+    k = next(k for k, shared in enumerate(zip(*columns)) if len(set(shared)) > 1)
+    return MalformedImageError(f"coordinates disagree on shared digit {k}")
 
 
 @dataclass(frozen=True)
@@ -264,12 +337,14 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
     the truncation to cover all digit data, so both points must fit inside
     `blocks` (t.depth <= 6*blocks, y.depth <= blocks).  Each fact is an int
     inequality, denominators cleared; a None first difference is delta 0.
+    x is read as each point's x_ratio: scaling a pair changes no fact, so a
+    reduced and an unreduced pair give the same record.
     """
     if p.digit_data_equals(q):
         raise DegeneratePairError("points have identical digit data")
     if max(p.t.depth, q.t.depth) > 6 * blocks or max(p.y.depth, q.y.depth) > blocks:
         raise ValueError(f"digit data deeper than {blocks} blocks; facts would be vacuous")
-    (pn, pd), (qn, qd) = p.x.as_integer_ratio(), q.x.as_integer_ratio()
+    (pn, pd), (qn, qd) = p.x_ratio, q.x_ratio
     x_num, x_den = abs(pn * qd - qn * pd), pd * qd
     k = first_difference(p.t, q.t)
     cp, cq = _coordinate_values(p.t, p.y, blocks), _coordinate_values(q.t, q.y, blocks)

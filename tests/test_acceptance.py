@@ -99,7 +99,7 @@ def test_criterion_04_lemma1_property_suite():
 
 def test_criterion_05_injectivity_round_trips():
     rng = random.Random(11)
-    for blocks in (4, 8, 12):
+    for blocks in (4, 5, 8, 12):
         for _ in range(1000):
             tdepth = rng.randint(1, 6 * blocks)
             ydepth = rng.randint(0, blocks)
@@ -113,7 +113,7 @@ def test_criterion_05_injectivity_round_trips():
             t_back, y_back = decode(strings, blocks)
             assert t_back == p.t.padded(6 * blocks)
             assert y_back.digits == tuple(p.y.digit(k) for k in range(blocks))
-    print("ACCEPTANCE 5 decode/embed identity (10^3 x blocks 4,8,12): PASS")
+    print("ACCEPTANCE 5 decode/embed identity (10^3 x blocks 4,5,8,12): PASS")
 
 
 def test_criterion_06_circle_above_parabola_grid():

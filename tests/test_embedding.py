@@ -286,3 +286,27 @@ def test_imany_point_invariant():
     # x = 1 rides the all-2s truncation
     p = IManyPoint.from_value(Fraction(1), BinaryString((1,)), 6)
     assert p.t.digits == (2,) * 6
+    # A digit point holds its x unreduced, yet equals and hashes as the
+    # point built from the reduced x.
+    t, y = TernaryString.from_text("10"), BinaryString((1,))
+    p, q = IManyPoint.from_digits(t, y), IManyPoint(Fraction(1, 3), t, y)
+    assert p.x_ratio == (3, 9) and q.x_ratio == (1, 3)
+    assert p == q and hash(p) == hash(q) and p.x == q.x == Fraction(1, 3)
+    assert type(p.x) is Fraction
+    assert p != IManyPoint.from_digits(TernaryString.from_text("1"), y)
+    assert p != IManyPoint.from_digits(t, BinaryString((1, 0)))
+    assert len({p, q, IManyPoint.from_value(Fraction(1, 3), y, 2)}) == 1
+
+
+def test_imany_point_refuses_float_and_bool_x():
+    # Exact types, as CloudConfig takes a scale: True is not x = 1, even
+    # where t = 222 would fit it.
+    y = BinaryString((1,))
+    for x in (0.5, 1.0, True, False, "1/2"):
+        with pytest.raises(ValueError, match="x must be Fraction or int"):
+            IManyPoint(x, TernaryString.from_text("222"), y)
+        with pytest.raises(ValueError, match="x must be Fraction or int"):
+            IManyPoint.from_value(x, y, 3)
+    assert IManyPoint(1, TernaryString.from_text("222"), y).x == 1
+    assert IManyPoint.from_value(0, y, 3).t == TernaryString.from_text("000")
+

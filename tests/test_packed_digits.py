@@ -5,8 +5,9 @@ oracles.py: construction and the public accessors, the greedy expansion,
 values, first differences and delta3 (with zero padding of unequal
 depths), interleave (with t deeper than 6*blocks and empty sheet labels),
 decode (results, and the message and precedence of every
-MalformedImageError), digit-data equality and the check_facts fields the
-lemma suite reads.
+MalformedImageError, with defects in either half of a two-block step and
+at odd blocks), digit-data equality and the check_facts fields the lemma
+suite reads, on points built from their digits and from their Fraction x.
 """
 
 import copy
@@ -237,17 +238,51 @@ def _outcome(fn, *args):
         return ("MalformedImageError", str(exc))
 
 
-@SETTINGS
-@given(blocks_st, st.data())
-def test_decode_matches_the_oracle_on_any_strings(blocks, data):
+@st.composite
+def coordinate_strings(draw):
+    blocks = draw(st.one_of(blocks_st, st.just(13)))
     lengths = st.sampled_from((3 * blocks,) * 4 + (3 * blocks - 1, 3 * blocks + 3))
     # Mostly 0s and 1s, so that the checks after the reserved-2 scan are reached.
     digit = st.sampled_from((0, 1, 2, 0, 1, 0, 1, 0, 1))
-    count = data.draw(st.sampled_from((3, 3, 3, 2)))
-    strings = [
-        tuple(data.draw(st.lists(digit, min_size=n, max_size=n)))
-        for n in (data.draw(lengths) for _ in range(count))
+    count = draw(st.sampled_from((3, 3, 3, 2)))
+    return blocks, [
+        tuple(draw(st.lists(digit, min_size=n, max_size=n)))
+        for n in (draw(lengths) for _ in range(count))
     ]
+
+
+def _image(blocks, *edits):
+    # Three all-zero coordinate strings with digit k of string i set to d
+    # for each (i, k, d).
+    strings = [[0] * (3 * blocks) for _ in range(3)]
+    for i, k, d in edits:
+        strings[i][k] = d
+    return blocks, [tuple(s) for s in strings]
+
+
+# decode reads blocks in pairs, lowest first: at blocks 2 block 0 (digits
+# 0-2) is the high and block 1 the low half of one pair; at odd blocks
+# block 0 is the high half of a pair whose low half lies past the string.
+@SETTINGS
+@given(coordinate_strings())
+@example(_image(2, (0, 2, 2), (0, 5, 2)))  # reserved 2s in both halves of a pair
+@example(_image(2, (1, 2, 2), (1, 5, 2)))
+@example(_image(2, (0, 2, 1), (1, 2, 1), (2, 2, 1), (2, 5, 2)))
+@example(_image(4, (0, 8, 2), (0, 11, 2), (1, 2, 1)))
+@example(_image(2, (0, 2, 2), (1, 2, 2), (2, 2, 2)))  # the same 2 in every coordinate
+@example(_image(2, (0, 5, 2), (1, 5, 2), (2, 5, 2)))
+@example(_image(3, (0, 2, 2), (1, 2, 2), (2, 2, 2)))
+@example(_image(3, (0, 2, 1)))  # labels disagree only in the top half-pair
+@example(_image(3, (2, 2, 1), (0, 5, 1), (1, 5, 1), (2, 5, 1)))
+@example(_image(5, (1, 2, 1)))
+@example(_image(5, (0, 2, 1), (1, 2, 1), (2, 0, 2), (2, 1, 2)))
+@example(_image(3, (0, 2, 1), (1, 2, 1), (2, 2, 1), (0, 0, 2)))  # top half-pair agrees
+@example(_image(13, (0, 38, 1), (1, 38, 1), (2, 38, 1), (0, 36, 2), (2, 37, 2)))
+@example(_image(13, (0, 38, 1), (1, 38, 1)))
+@example(_image(13, (2, 2, 2), (2, 38, 2)))
+@example((13, [(0, 1, 1) * 13, (2, 2, 1) * 13, (1, 0, 1) * 13]))
+def test_decode_matches_the_oracle_on_any_strings(case):
+    blocks, strings = case
     packed = _outcome(decode, [TernaryString(s) for s in strings], blocks)
     if isinstance(packed, tuple) and isinstance(packed[0], TernaryString):
         packed = (packed[0].digits, packed[1].digits)
@@ -259,17 +294,29 @@ def test_decode_error_precedence():
     two = (0, 0, 2, 0, 0, 0)
     short = (0,) * 3
     cases = [
-        ((two, ok, short), "digit 2 at reserved position 2"),
-        ((ok, short, two), "coordinate string must have 6 digits, got 3"),
-        (((0, 0, 1, 0, 0, 0), ok, (0, 0, 0, 0, 0, 2)), "digit 2 at reserved position 5"),
-        (((0, 0, 0, 0, 0, 1), ok, ok), "coordinates disagree on shared digit 1"),
+        ((2, (two, ok, short)), "digit 2 at reserved position 2"),
+        ((2, (ok, short, two)), "coordinate string must have 6 digits, got 3"),
+        ((2, ((0, 0, 1, 0, 0, 0), ok, (0, 0, 0, 0, 0, 2))), "digit 2 at reserved position 5"),
+        ((2, ((0, 0, 0, 0, 0, 1), ok, ok)), "coordinates disagree on shared digit 1"),
+        # Reserved 2s in both halves of one pair: the first string holding
+        # one is named, at its earliest position.
+        (_image(2, (1, 2, 2), (1, 5, 2)), "digit 2 at reserved position 2"),
+        (_image(2, (0, 5, 2), (2, 2, 2)), "digit 2 at reserved position 5"),
+        (_image(4, (1, 8, 2), (1, 11, 2), (0, 2, 1)), "digit 2 at reserved position 8"),
+        (_image(3, (0, 2, 2), (1, 2, 2), (2, 2, 2)), "digit 2 at reserved position 2"),
+        # Labels that disagree only in the top half-pair, at odd blocks.
+        (_image(3, (2, 2, 1)), "coordinates disagree on shared digit 0"),
+        (_image(5, (0, 2, 1), (1, 2, 1)), "coordinates disagree on shared digit 0"),
+        (_image(5, (1, 2, 1), (0, 14, 1)), "coordinates disagree on shared digit 0"),
+        (_image(13, (0, 35, 1), (1, 38, 1)), "coordinates disagree on shared digit 11"),
+        (_image(13, (2, 38, 2), (0, 2, 1)), "digit 2 at reserved position 38"),
     ]
-    for strings, message in cases:
+    for (blocks, strings), message in cases:
         with pytest.raises(MalformedImageError) as exc:
-            decode([TernaryString(s) for s in strings], 2)
+            decode([TernaryString(s) for s in strings], blocks)
         assert str(exc.value).startswith(message)
         with pytest.raises(MalformedImageError) as oracle:
-            tuple_decode(strings, 2)
+            tuple_decode(strings, blocks)
         assert str(exc.value) == str(oracle.value)
 
 
@@ -286,9 +333,18 @@ def test_digit_data_equals_matches_the_oracle(pt, py, qt, qy):
 @given(blocks_st, st.data())
 def test_check_facts_fields_match_the_oracle(blocks, data):
     p, q = data.draw(points(blocks)), data.draw(points(blocks))
+    # The same points built from x = ternary_value(t): x held reduced, not
+    # as (t.value, 3**depth), and checked against t.
+    fp, fq = (IManyPoint(ternary_value(a.t), a.t, a.y) for a in (p, q))
+    for a, fa in ((p, fp), (q, fq)):
+        assert a == fa and hash(a) == hash(fa)
+        assert a.x == fa.x == ternary_value(a.t) and type(a.x) is Fraction
     if p.digit_data_equals(q):
         return
     r = check_facts(p, q, blocks)
+    json_dict = r.to_json_dict()
+    for pair in ((fp, fq), (p, fq), (fp, q)):
+        assert check_facts(*pair, blocks).to_json_dict() == json_dict
     sp = [s.digits for s in embed_strings(p, blocks)]
     sq = [s.digits for s in embed_strings(q, blocks)]
     assert r.t_first_diff == tuple_first_difference(p.t.digits, q.t.digits)
