@@ -6,8 +6,9 @@ length exactly a and must be present.  Triangles are the flag completion
 (all three sides present), which is all the 2-skeleton needs since first
 homology of a flag complex is determined by it.
 
-Coordinates stay Fractions at the I/O boundary.  Every distance test
-runs on the cloud's integer lattice: scaled once by L, the lcm of its
+A complex reads its cloud's integer lattice, point labels and length,
+never its Fraction points, which a built cloud makes only at I/O.  Every
+distance test runs on that lattice: scaled by L, the lcm of the cloud's
 coordinate denominators, each squared distance is an int D, and
 D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
@@ -115,7 +116,7 @@ class RipsComplex2:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.cloud.points)
+        return len(self.cloud)
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge {u, v}, given in either order, in `edges`."""
@@ -175,8 +176,8 @@ class RipsComplex2:
             if lattice[s][1:] != lattice[c][1:]:
                 diagonal.append(e_i)
             else:
-                sheet = self.cloud.points[s]
-                rigid.append(RigidEdge(e_i, s, c, sheet.sheet_y, sheet.sheet_x))
+                _, x, y = self.cloud.labels[s]
+                rigid.append(RigidEdge(e_i, s, c, y, x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
 
     def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:

@@ -17,7 +17,8 @@ point lies exactly on a sheet; x = 1 (all-2s) and non-terminating x
 (e.g. the fiber 1/2 of the default interior scale) are carried by their
 truncations and stand in for the closure points they converge to.  All
 downstream checks operate on the sampled coordinates exactly, so nothing
-depends on the truncated tail.
+depends on the truncated tail.  A built cloud is its integer lattice rows
+and point labels; Fractions are made only when its points are read.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, product
+from functools import cache, cached_property
+from itertools import chain, compress, product
 from typing import NamedTuple
 
 from .digits import (
@@ -104,6 +105,11 @@ class LabeledPoint4:
             raise ValueError("points live in R^4")
         if self.kind == "sheet" and (self.sheet_x is None or self.sheet_y is None):
             raise ValueError("sheet points must carry their x and y labels")
+        # Exact types, as CloudConfig takes them: a float would put a 2**k
+        # denominator on the lattice, and a bool or str is not a number.
+        for c in self.coords if self.sheet_x is None else (*self.coords, self.sheet_x):
+            if type(c) not in (Fraction, int):
+                raise ValueError(f"point coordinates and sheet_x must be Fraction or int: {c!r}")
 
     def label_text(self) -> str:
         if self.kind == "sheet":
@@ -257,16 +263,43 @@ class KindMasks(NamedTuple):
     cube1: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cloud:
-    """Immutable indexed point list; coordinate tuples are pairwise distinct
-    when produced by build_cloud (hand-built clouds may violate that)."""
+    """Immutable indexed point cloud: `lattice` is (L, every point's
+    coordinates times L), L the lcm of the reduced denominators, where
+    distance tests are exact int arithmetic, and `labels` each point's
+    (kind, sheet_x, sheet_y).  Cloud(points) derives both from the points;
+    on_lattice takes them as built, and makes the Fraction `points` on first
+    read.  Coordinate tuples are pairwise distinct when produced by
+    build_cloud (hand-built clouds may violate that)."""
 
-    points: tuple[LabeledPoint4, ...]
-    config: CloudConfig | None = None
+    lattice: tuple[int, tuple[tuple[int, ...], ...]]
+    labels: tuple[tuple, ...]
+    config: CloudConfig | None
+
+    def __init__(self, points, config: CloudConfig | None = None) -> None:
+        points = tuple(points)
+        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
+        dens = {d for _, d in ratios}
+        L = math.lcm(*dens)
+        times = {d: L // d for d in dens}
+        flat = iter([n * times[d] for n, d in ratios])
+        lattice = L, tuple(zip(flat, flat, flat, flat))
+        labels = tuple([(p.kind, p.sheet_x, p.sheet_y) for p in points])
+        self.__dict__.update(lattice=lattice, labels=labels, config=config, points=points)
+
+    @classmethod
+    def on_lattice(cls, den: int, rows, labels, config: CloudConfig | None = None) -> "Cloud":
+        """Points rows[i] / den (int rows) labelled labels[i]; L is den /
+        gcd(den, every entry), the lcm of the reduced denominators."""
+        g = math.gcd(den, *chain.from_iterable(rows))
+        lattice = den // g, tuple([tuple([v // g for v in r]) for r in rows])
+        cloud = cls.__new__(cls)
+        cloud.__dict__.update(lattice=lattice, labels=tuple(labels), config=config)
+        return cloud
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.points)
@@ -275,30 +308,22 @@ class Cloud:
         return self.points[i]
 
     @cached_property
-    def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, every point's coordinates times L), with L the lcm of all
-        coordinate denominators: the cloud on the integer lattice, where
-        distance tests are exact int arithmetic."""
-        ratios = [c.as_integer_ratio() for p in self.points for c in p.coords]
-        dens = {d for _, d in ratios}
-        L = math.lcm(*dens)
-        times = {d: L // d for d in dens}
-        flat = iter([n * times[d] for n, d in ratios])
-        return L, tuple(zip(flat, flat, flat, flat))
+    def points(self) -> tuple[LabeledPoint4, ...]:
+        """The labelled points, with Fraction coordinates row / L."""
+        L, rows = self.lattice
+        coord = cache(lambda v: Fraction(v, L))
+        return tuple(LabeledPoint4(tuple(map(coord, r)), *k) for r, k in zip(rows, self.labels))
 
     @cached_property
     def kind_masks(self) -> KindMasks:
         masks = dict.fromkeys(KindMasks._fields, 0)
-        for i, p in enumerate(self.points):
-            masks[p.kind] |= 1 << i
+        for i, (kind, _, _) in enumerate(self.labels):
+            masks[kind] |= 1 << i
         return KindMasks(**masks)
 
     def to_csv_text(self) -> str:
-        lines = []
-        for p in self.points:
-            cells = [p.label_text()] + [format_rational(c) for c in p.coords]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = (",".join([p.label_text(), *map(format_rational, p.coords)]) for p in self.points)
+        return "\n".join(rows) + "\n"
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Cloud":
@@ -332,25 +357,33 @@ def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> N
         )
 
 
+def _fiber_rows(x: Fraction, sheets, blocks: int, den: int):
+    """(y, the sampled sheet point (x/118098, embed(x, y)) times den) per
+    label y of `sheets`, den a multiple of 27**blocks and of 118098 times
+    x's denominator.  x is expanded once; a label adds only label_weight."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"sheet parameter out of [0, 1]: {x}")
+    unit = den // 3 ** (3 * blocks)
+    first = x.numerator * (den // (x.denominator * SHEET_SCALE))
+    c0, c1, c2 = (c * unit for c in t_coordinates(to_ternary(x, 6 * blocks), blocks))
+    for y in sheets:
+        w = label_weight(y, blocks) * unit
+        yield y, (first, c0 + w, c1 + w, c2 + w)
+
+
 def fiber_points(x: Fraction, sheets, blocks: int):
     """The sampled sheet points (x/118098, embed(x, y)) for each label y of
-    `sheets` in turn, at the working depth.
+    `sheets` in turn, at the working depth: _fiber_rows as Fractions.
 
     Any x in [0, 1] is accepted; the expansion is the greedy truncation at
     depth 6*blocks, so the sample is exact precisely when x terminates
-    there (see the module docstring for the closure convention).  x is
-    expanded once: every label shares its t part and first coordinate and
-    adds only its label term (embedding.label_weight).
+    there (see the module docstring for the closure convention).
     """
     x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"sheet parameter out of [0, 1]: {x}")
-    t = to_ternary(x, 6 * blocks)
-    base, den, first = t_coordinates(t, blocks), 3 ** (3 * blocks), x / SHEET_SCALE
-    for y in sheets:
-        w = label_weight(y, blocks)
-        coords = (first, *(Fraction(c + w, den) for c in base))
-        yield LabeledPoint4(coords, "sheet", sheet_x=x, sheet_y=y)
+    den = x.denominator * SHEET_SCALE * 27**blocks
+    coord = cache(lambda v: Fraction(v, den))
+    for y, row in _fiber_rows(x, sheets, blocks, den):
+        yield LabeledPoint4(tuple(map(coord, row)), "sheet", sheet_x=x, sheet_y=y)
 
 
 def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
@@ -364,34 +397,29 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
     Emission order is sheet points (x_values outer, sheets inner), fiber
     points and their {1}-slab partners per sheet, then the cube grids.
     First emission wins a merge, so partner labels survive grid overlaps.
+    Points are emitted as int rows over one common denominator, merged on
+    those, and the cloud is made on its lattice (Cloud.on_lattice).
     """
     if not cfg.sheets:
         raise ValueError("at least one sheet required")
-    points: list[LabeledPoint4] = []
-    seen: set[tuple] = set()
-
-    def emit(p: LabeledPoint4) -> None:
-        # Keyed on int pairs: hashing a Fraction with a 3**k denominator
-        # takes a modular inverse, and Fraction does not cache its hash.
-        key = tuple((c.numerator, c.denominator) for c in p.coords)
-        if key not in seen:
-            seen.add(key)
-            points.append(p)
-
-    for x in cfg.x_values:
-        for sp in fiber_points(x, cfg.sheets, cfg.blocks):
-            emit(sp)
+    fibers = [(x, False) for x in cfg.x_values]
     if cfg.include_partners:
-        for sp in fiber_points(fiber_value(cfg.scale), cfg.sheets, cfg.blocks):
-            emit(sp)
-            emit(LabeledPoint4((Fraction(1),) + sp.coords[1:], "cube1"))
+        fibers.append((fiber_value(cfg.scale), True))
+    dens = [x.denominator * SHEET_SCALE for x, _ in fibers]
+    den = math.lcm(3 ** (3 * cfg.blocks), cfg.cube_grid or 1, *dens)
+    store: dict[tuple, tuple] = {}  # int row -> (kind, sheet_x, sheet_y)
+    for x, partners in fibers:
+        for y, row in _fiber_rows(x, cfg.sheets, cfg.blocks, den):
+            store.setdefault(row, ("sheet", x, y))
+            if partners:
+                store.setdefault((den, *row[1:]), ("cube1", None, None))
     if cfg.cube_grid > 0:
-        ticks = [Fraction(k, cfg.cube_grid) for k in range(cfg.cube_grid + 1)]
-        for first, kind in ((Fraction(1), "cube1"), (Fraction(0), "cube0")):
+        ticks = range(0, den + 1, den // cfg.cube_grid)
+        for first, kind in ((den, "cube1"), (0, "cube0")):
             if kind == "cube1" or cfg.include_cube0:
                 for c in product(ticks, repeat=3):
-                    emit(LabeledPoint4((first, *c), kind))
-    return Cloud(tuple(points), cfg)
+                    store.setdefault((first, *c), (kind, None, None))
+    return Cloud.on_lattice(den, store, store.values(), cfg)
 
 
 def circle_above_parabola(r: Fraction, x: Fraction) -> bool:
@@ -486,15 +514,15 @@ def second_neighbor_witness(
     on the lattice iff a*L, so iff a**2 L**2, is an int (lattice_bound is
     exact); its row is then the partner's less isqrt(bound) = a*L in the
     first entry, and hits on it are excluded.  The gaps of a violation are
-    exact Fractions, computed on the hits alone.
+    exact Fractions, computed from the lattice rows of the hits alone.
     """
-    partners = list(partners)
-    bad = [(i, cloud.points[i].kind) for i in partners if cloud.points[i].kind != "cube1"]
+    partners, masks = list(partners), cloud.kind_masks
+    bad = [(i, cloud.labels[i][0]) for i in partners if not masks.cube1 >> i & 1]
     if bad:
         raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
     L, lattice = cloud.lattice
     bound, exact = lattice_bound(Fraction(a), L)
-    index = tuple(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
+    index = tuple(i for i in range(len(lattice)) if masks.sheet >> i & 1)
     if not index:
         return [[] for _ in partners]
     w, low, cols, ps, ones = pack_rows(lattice, index, bound)
@@ -512,9 +540,9 @@ def second_neighbor_witness(
         for idx in compress(index, guards.translate(_GUARD)):
             if lattice[idx] == foot:
                 continue
-            p, q = cloud.points[partner].coords, cloud.points[idx].coords
-            eps = abs(q[0] - p[0])
-            l_sq = sum((q[i] - p[i]) ** 2 for i in (1, 2, 3))
+            q = lattice[idx]
+            eps = Fraction(abs(q[0] - row[0]), L)
+            l_sq = Fraction(sum((q[i] - row[i]) ** 2 for i in (1, 2, 3)), L * L)
             hits.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
         out.append(hits)
     return out

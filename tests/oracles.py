@@ -22,8 +22,10 @@ word-batched digit draw, a per-digit reserved scan that referees the
 base-27 block walk, the lemma suite's first positional test (min first
 coordinate difference <= k//2 + 1) that referees fact2's 2m <= k + 2,
 dense F2 elimination and a from-scratch Betti count
-on tiny clouds that referee the sparse homology route, and the
-hand-listed record builders that referee the field-driven JSON records.
+on tiny clouds that referee the sparse homology route, the
+hand-listed record builders that referee the field-driven JSON records,
+and the Fraction sampling route, points keyed on their Fraction
+coordinates, that referees build_cloud's int rows.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 from exactrips.embedding import MalformedImageError
 from exactrips.harness import DisconnectionError
 from exactrips.homology import boundary1, rank_f2
 from exactrips.rips import RigidEdge, ScaleEdges, bits
-from exactrips.space import Cloud, LabeledPoint4, lattice_bound
+from exactrips.space import SHEET_SCALE, Cloud, LabeledPoint4, lattice_bound
 
 
 class UnionFind:
@@ -619,3 +621,35 @@ def lemma_suite_dict(rep) -> dict:
         "equivalence_ok": rep.equivalence_ok,
         "passed": passed,
     }
+
+
+def fraction_build_cloud(cfg) -> Cloud:
+    """build_cloud(cfg) by Fraction coordinates: each sheet point's image
+    coordinates are the values of its digit-tuple interleavings, points
+    merge on their Fraction coordinates (first emission wins), and the
+    cloud is held as its points, so its lattice is derived from them."""
+    points, seen = [], set()
+
+    def emit(p: LabeledPoint4) -> None:
+        if p.coords not in seen:
+            seen.add(p.coords)
+            points.append(p)
+
+    fibers = [(x, False) for x in cfg.x_values]
+    if cfg.include_partners:
+        fibers.append(((1 - cfg.scale) * SHEET_SCALE, True))
+    for x, partners in fibers:
+        t = tuple_to_ternary(x, 6 * cfg.blocks)
+        for y in cfg.sheets:
+            image = (tuple_ternary_value(tuple_interleave(i, t, y.digits, cfg.blocks)) for i in range(3))
+            sheet = LabeledPoint4((x / SHEET_SCALE, *image), "sheet", x, y)
+            emit(sheet)
+            if partners:
+                emit(LabeledPoint4((Fraction(1), *sheet.coords[1:]), "cube1"))
+    if cfg.cube_grid > 0:
+        ticks = [Fraction(k, cfg.cube_grid) for k in range(cfg.cube_grid + 1)]
+        for first, kind in ((Fraction(1), "cube1"), (Fraction(0), "cube0")):
+            if kind == "cube1" or cfg.include_cube0:
+                for c in product(ticks, repeat=3):
+                    emit(LabeledPoint4((first, *c), kind))
+    return Cloud(tuple(points), cfg)

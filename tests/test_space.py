@@ -1,6 +1,7 @@
 """Cloud sampling, the scale window, and the circle/parabola predicate."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,25 @@ def test_kind_masks_match_per_point_scan(cloud):
     masks = cloud.kind_masks
     assert masks._asdict() == _kind_scan(cloud)
     assert cloud.kind_masks is masks  # computed once
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2", Decimal("0.5"), None])
+def test_points_refuse_inexact_coordinates(bad):
+    # A float would enter the lattice with a 2**k denominator and decide
+    # edges; a bool or str is not a number.
+    with pytest.raises(ValueError, match="must be Fraction or int"):
+        LabeledPoint4((Fraction(0), bad, Fraction(0), Fraction(0)), "cube1")
+    with pytest.raises(ValueError, match="must be Fraction or int"):
+        LabeledPoint4((bad, 0, 0, 0), "cube0")
+    if bad is not None:  # a sheet point without x is refused as such
+        with pytest.raises(ValueError, match="must be Fraction or int"):
+            LabeledPoint4((Fraction(0),) * 4, "sheet", bad, Y0)
+
+
+def test_points_take_int_coordinates():
+    p = LabeledPoint4((1, 0, Fraction(1, 3), 0), "sheet", 0, Y0)
+    assert Cloud((p,)).lattice == (3, ((3, 0, 1, 0),))
+    assert Cloud((p,)).to_csv_text() == "sheet:x=0/1:y=0,1/1,0/1,1/3,0/1\n"
 
 
 def test_hand_built_cloud_labels_are_not_checked():
