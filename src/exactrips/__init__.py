@@ -22,10 +22,8 @@ from .embedding import (
     check_close_expanding,
     check_facts,
     decode,
-    embed,
     embed_strings,
     estimate_equivalence,
-    interleave,
 )
 from .harness import (
     ExperimentReport,
@@ -36,7 +34,6 @@ from .harness import (
     complete_to_cycle,
     default_sheets,
     find_rigid_edges,
-    minimal_config,
     run_lemma_suite,
     theorem_experiment,
 )
@@ -54,11 +51,9 @@ from .space import (
     CloudConfig,
     LabeledPoint4,
     build_cloud,
-    circle_above_parabola,
     fiber_value,
     scale_window,
     second_neighbor_witness,
-    sheet_point,
 )
 
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ __all__ = [
     "first_difference_packed",
     "delta3_at",
     "delta3",
+    "exact_type",
 ]
 
 
@@ -87,9 +88,6 @@ class _DigitString:
         if depth >= self.depth:
             return self.value * self.base ** (depth - self.depth)
         return self.value // self.base ** (self.depth - depth)
-
-    def padded(self, depth: int):
-        return self if depth <= self.depth else self.from_int(self.value_at(depth), depth)
 
     def text(self) -> str:
         return "".join(map(str, self.digits))
@@ -225,6 +223,16 @@ def _json_at(obj, nl: str, memo: dict) -> str:
     if not obj:
         return "[]"
     return "[" + inner + ("," + inner).join(_json_at(v, inner, memo) for v in obj) + nl + "]"
+
+
+def exact_type(what: str, value, *kinds):
+    """value, if its type is exactly one of `kinds`, else ValueError
+    "{what} must be {kinds}: {value!r}".  Exact, so a bool is not an int,
+    a float not a Fraction, and nothing is coerced."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be {names}: {value!r}")
+    return value
 
 
 def to_ternary(q: Fraction, depth: int) -> TernaryString:

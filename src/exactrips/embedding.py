@@ -29,20 +29,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .digits import BinaryString, TernaryString, delta3_at, first_difference, json_fields
-from .digits import first_difference_packed, ternary_value, to_ternary
-from .digits import delta3  # for perfbench --trace 1
+from .digits import BinaryString, TernaryString, delta3_at, exact_type, first_difference
+from .digits import first_difference_packed, json_fields, to_ternary
+from .digits import delta3, ternary_value  # for perfbench --trace 1
 
 __all__ = [
     "IManyPoint",
     "FactReport",
     "MalformedImageError",
     "DegeneratePairError",
-    "interleave",
     "t_coordinates",
     "label_weight",
     "embed_strings",
-    "embed",
     "decode",
     "reserved_twos",
     "check_facts",
@@ -83,7 +81,7 @@ class IManyPoint:
     y: BinaryString
 
     def __init__(self, x: Fraction | int, t: TernaryString, y: BinaryString) -> None:
-        num, den = _exact(x).as_integer_ratio()
+        num, den = exact_type("x", x, Fraction, int).as_integer_ratio()
         if t.depth < 1:
             raise ValueError("expansion must have at least one digit")
         # A value-exact x (x * 3**depth == t.value) needs no round trip.
@@ -92,10 +90,6 @@ class IManyPoint:
         _set_x(self, (num, den))
         _set_t(self, t)
         _set_y(self, y)
-
-    @classmethod
-    def from_value(cls, x: Fraction | int, y: BinaryString, depth: int) -> "IManyPoint":
-        return cls(x, to_ternary(_exact(x), depth), y)
 
     @classmethod
     def from_digits(cls, t: TernaryString, y: BinaryString) -> "IManyPoint":
@@ -128,20 +122,15 @@ class IManyPoint:
         return same_t and self.y.value_at(ydepth) == other.y.value_at(ydepth)
 
 
-def _exact(x):
-    # Exact types, as CloudConfig takes them: a float or a bool is refused.
-    if type(x) not in (Fraction, int):
-        raise ValueError(f"x must be Fraction or int: {x!r}")
-    return x
-
-
 # The slots' own setters, which a frozen dataclass's __setattr__ does not
 # guard: each new point is filled through them, once.
 _set_x, _set_t, _set_y = IManyPoint.x_ratio.__set__, IManyPoint.t.__set__, IManyPoint.y.__set__
 
 
-# t block v = t[6k..6k+5] -> (3 * t[6k+2i..6k+2i+1] as a 2-digit value, i < 3).
-_SPLIT = tuple((v // 81 * 3, v // 9 % 9 * 3, v % 9 * 3) for v in range(729))
+# t block v = t[6k..6k+5] -> 3 * t[6k+2i..6k+2i+1] as a 2-digit value, one
+# flat table per coordinate i < 3: 18 KB in all where 729 3-tuples take 52 KB.
+# Tuples, not arrays: an array read makes the loop a quarter slower.
+_SPLIT = tuple(tuple(v // 9 ** (2 - i) % 9 * 3 for v in range(729)) for i in range(3))
 
 
 def t_coordinates(t: TernaryString, blocks: int) -> tuple[int, int, int]:
@@ -149,14 +138,13 @@ def t_coordinates(t: TernaryString, blocks: int) -> tuple[int, int, int]:
     block k of coordinate i holds (t[6k+2i], t[6k+2i+1], 0)."""
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
-    tv, split = t.value_at(6 * blocks), _SPLIT
+    tv, (s0, s1, s2) = t.value_at(6 * blocks), _SPLIT
     weight, c0, c1, c2 = 1, 0, 0, 0
     for _ in range(blocks):  # lowest block first
         tv, v = divmod(tv, 729)
-        a0, a1, a2 = split[v]
-        c0 += a0 * weight
-        c1 += a1 * weight
-        c2 += a2 * weight
+        c0 += s0[v] * weight
+        c1 += s1[v] * weight
+        c2 += s2[v] * weight
         weight *= 27
     return c0, c1, c2
 
@@ -174,29 +162,12 @@ def _coordinate_values(t: TernaryString, b: BinaryString, blocks: int):
     return c0 + w, c1 + w, c2 + w
 
 
-def interleave(i: int, t: TernaryString, b: BinaryString, blocks: int) -> TernaryString:
-    """Digit string of image coordinate i, truncated to `blocks` 3-digit blocks.
-
-    Block k is (t[6k+2i], t[6k+2i+1], b[k]); missing digits are zero-padded.
-    Positions congruent to 2 mod 3 hold b digits and therefore never a 2.
-    """
-    if i not in (0, 1, 2):
-        raise IndexError(f"coordinate index must be 0, 1 or 2, got {i}")
-    return TernaryString.from_int(_coordinate_values(t, b, blocks)[i], 3 * blocks)
-
-
 def embed_strings(
     p: IManyPoint, blocks: int
 ) -> tuple[TernaryString, TernaryString, TernaryString]:
     """The three coordinate digit strings of the embedding of p."""
     values = _coordinate_values(p.t, p.y, blocks)
     return tuple(TernaryString.from_int(c, 3 * blocks) for c in values)
-
-
-def embed(p: IManyPoint, blocks: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact-rational image of p under the interleaving embedding: the
-    three coordinates of a point of the unit cube."""
-    return tuple(map(ternary_value, embed_strings(p, blocks)))
 
 
 def _reserved_digits(s: TernaryString, blocks: int) -> list[int]:

@@ -71,7 +71,6 @@ __all__ = [
     "assert_rigid_free",
     "complete_to_cycle",
     "default_sheets",
-    "minimal_config",
     "theorem_experiment",
     "run_lemma_suite",
 ]
@@ -199,23 +198,6 @@ def default_sheets(n: int) -> tuple[BinaryString, ...]:
         raise ValueError("need at least one sheet")
     width = max(1, (n - 1).bit_length())
     return tuple(BinaryString.from_int(j, width) for j in range(n))
-
-
-def minimal_config(
-    n: int, scale: Fraction, blocks: int = DEFAULT_BLOCKS
-) -> CloudConfig:
-    """The minimal cloud config: n fiber sheets with partners, nothing else.
-    The scale goes to CloudConfig as given, so a float or bool raises
-    ValueError there."""
-    return CloudConfig(
-        sheets=default_sheets(n),
-        scale=scale,
-        x_values=(),
-        blocks=blocks,
-        cube_grid=0,
-        include_cube0=False,
-        include_partners=True,
-    )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The space is the closure of the sheet set
 
-    { (x / (2*243**2), embed(x, y)) :  x in [0,1], y a sheet label }
+    { (x / (2*243**2), E(x, y)) :  x in [0,1], y a sheet label }
 
-together with the two slabs {0} x [0,1]^3 and {1} x [0,1]^3.  The first
-coordinate compresses [0,1] into [0, 1/118098], which is exactly the width
+with E the digit-interleaving embedding (embedding.py), together with
+the two slabs {0} x [0,1]^3 and {1} x [0,1]^3.  The first coordinate
+compresses [0,1] into [0, 1/118098], which is exactly the width
 of the scale window: for every scale a in [1 - 1/118098, 1] the fiber
 value x_a = (1-a) * 118098 names the sheet parameter whose points sit at
 first coordinate 1-a, distance exactly a from their partners on the
@@ -33,6 +34,7 @@ from typing import NamedTuple
 
 from .digits import (
     BinaryString,
+    exact_type,
     format_rational,
     json_fields,
     json_text,
@@ -54,10 +56,7 @@ __all__ = [
     "fiber_value",
     "lattice_bound",
     "pack_rows",
-    "fiber_points",
-    "sheet_point",
     "build_cloud",
-    "circle_above_parabola",
     "circle_above_parabola_cleared",
     "second_neighbor_witness",
 ]
@@ -108,8 +107,7 @@ class LabeledPoint4:
         # Exact types, as CloudConfig takes them: a float would put a 2**k
         # denominator on the lattice, and a bool or str is not a number.
         for c in self.coords if self.sheet_x is None else (*self.coords, self.sheet_x):
-            if type(c) not in (Fraction, int):
-                raise ValueError(f"point coordinates and sheet_x must be Fraction or int: {c!r}")
+            exact_type("point coordinates and sheet_x", c, Fraction, int)
 
     def label_text(self) -> str:
         if self.kind == "sheet":
@@ -138,14 +136,6 @@ def _parse_label(text: str) -> tuple[str, Fraction | None, BinaryString | None]:
         x_text, y_text = body.split(":y=", 1)
         return "sheet", parse_rational(x_text), BinaryString.from_text(y_text)
     raise ValueError(f"unrecognised point label {text!r}")
-
-
-def _typed(key: str, value, *kinds):
-    # Exact type, so a bool is not an int and nothing is coerced.
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"config key {key!r} must be {names}: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,7 @@ class CloudConfig:
             ("include_partners", [self.include_partners], bool),
         ):
             for value in values:
-                _typed(key, value, *kinds)
+                exact_type(f"config key {key!r}", value, *kinds)
         object.__setattr__(self, "scale", Fraction(self.scale))
         object.__setattr__(self, "x_values", tuple(map(Fraction, self.x_values)))
         lo, hi = scale_window()
@@ -229,15 +219,17 @@ class CloudConfig:
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; the keys are {', '.join(keys)}")
         # Only the JSON shapes are checked here; __post_init__ types the rest.
-        sheets = _typed("sheets", d.get("sheets"), list)
+        sheets = exact_type("config key 'sheets'", d.get("sheets"), list)
         if not all(isinstance(s, str) for s in sheets):
             raise ValueError(f"config key 'sheets' must list strings: {sheets!r}")
-        x_values = _typed("x_values", d.get("x_values", []), list)
+        x_values = exact_type("config key 'x_values'", d.get("x_values", []), list)
         if not all(type(x) in (str, int) for x in x_values):
             raise ValueError(f"config key 'x_values' must list str or int: {x_values!r}")
         return cls(
             sheets=tuple(BinaryString.from_text(s) for s in sheets),
-            scale=parse_rational(str(_typed("scale", d.get("scale", "1"), str, int))),
+            scale=parse_rational(
+                str(exact_type("config key 'scale'", d.get("scale", "1"), str, int))
+            ),
             x_values=tuple(parse_rational(str(x)) for x in x_values),
             **{k: d[k] for k in ("blocks", "cube_grid", "include_cube0", "include_partners")
                if k in d},
@@ -358,37 +350,15 @@ def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> N
 
 
 def _fiber_rows(x: Fraction, sheets, blocks: int, den: int):
-    """(y, the sampled sheet point (x/118098, embed(x, y)) times den) per
+    """(y, the sampled sheet point (x/118098, E(x, y)) times den) per
     label y of `sheets`, den a multiple of 27**blocks and of 118098 times
     x's denominator.  x is expanded once; a label adds only label_weight."""
-    if not 0 <= x <= 1:
-        raise ValueError(f"sheet parameter out of [0, 1]: {x}")
     unit = den // 3 ** (3 * blocks)
     first = x.numerator * (den // (x.denominator * SHEET_SCALE))
     c0, c1, c2 = (c * unit for c in t_coordinates(to_ternary(x, 6 * blocks), blocks))
     for y in sheets:
         w = label_weight(y, blocks) * unit
         yield y, (first, c0 + w, c1 + w, c2 + w)
-
-
-def fiber_points(x: Fraction, sheets, blocks: int):
-    """The sampled sheet points (x/118098, embed(x, y)) for each label y of
-    `sheets` in turn, at the working depth: _fiber_rows as Fractions.
-
-    Any x in [0, 1] is accepted; the expansion is the greedy truncation at
-    depth 6*blocks, so the sample is exact precisely when x terminates
-    there (see the module docstring for the closure convention).
-    """
-    x = Fraction(x)
-    den = x.denominator * SHEET_SCALE * 27**blocks
-    coord = cache(lambda v: Fraction(v, den))
-    for y, row in _fiber_rows(x, sheets, blocks, den):
-        yield LabeledPoint4(tuple(map(coord, row)), "sheet", sheet_x=x, sheet_y=y)
-
-
-def sheet_point(x: Fraction, y: BinaryString, blocks: int) -> LabeledPoint4:
-    """The sampled sheet point (x/118098, embed(x, y)); see fiber_points."""
-    return next(fiber_points(x, (y,), blocks))
 
 
 def build_cloud(cfg: CloudConfig) -> Cloud:
@@ -422,27 +392,17 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
     return Cloud.on_lattice(den, store, store.values(), cfg)
 
 
-def circle_above_parabola(r: Fraction, x: Fraction) -> bool:
-    """Exact witness that r - sqrt(r**2 - x**2) >= x**2 / (2r) on |x| <= r.
+def circle_above_parabola_cleared(rn: int, xn: int) -> bool:
+    """Exact witness that r - sqrt(r**2 - x**2) >= x**2 / (2r) at r = rn/D,
+    x = xn/D, for ints 0 <= |xn| <= rn, rn > 0, over any common
+    denominator D > 0.
 
     Evaluated in the cleared form (r - x**2/(2r))**2 >= r**2 - x**2, valid
-    because the left base is nonnegative on the domain; times 4 r**2 D**4,
-    with r = R/D and x = X/D, it is (2R**2 - X**2)**2 >= 4R**2 (R**2 - X**2)
-    in ints.  Always true; the comparison is executed rather than assumed.
+    because the left base is nonnegative on the domain; times 4 r**2 D**4
+    it is (2 rn**2 - xn**2)**2 >= 4 rn**2 (rn**2 - xn**2) in ints, which is
+    homogeneous in (rn, xn), so D drops out.  Always true; the comparison
+    is executed rather than assumed.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    d = math.lcm(r.denominator, x.denominator)
-    rn, xn = r.numerator * (d // r.denominator), x.numerator * (d // x.denominator)
-    if abs(xn) > rn:
-        raise ValueError(f"|x| = {abs(x)} exceeds radius {r}")
-    return circle_above_parabola_cleared(rn, xn)
-
-
-def circle_above_parabola_cleared(rn: int, xn: int) -> bool:
-    """circle_above_parabola(rn/D, xn/D) for ints 0 <= |xn| <= rn, rn > 0,
-    over any common denominator D > 0: the int inequality is homogeneous
-    in (R, X), so D drops out."""
     rr, xx = rn * rn, xn * xn
     return (2 * rr - xx) ** 2 >= 4 * rr * (rr - xx)
 

@@ -14,8 +14,8 @@ from exactrips.embedding import IManyPoint, decode, embed_strings
 from exactrips.harness import (
     assert_rigid_free,
     complete_to_cycle,
+    default_sheets,
     find_rigid_edges,
-    minimal_config,
     run_lemma_suite,
 )
 from exactrips.homology import (
@@ -27,7 +27,7 @@ from exactrips.rips import build_complex, build_edges, sq_dist, sweep
 from exactrips.space import (
     CloudConfig,
     build_cloud,
-    circle_above_parabola,
+    circle_above_parabola_cleared,
     second_neighbor_witness,
 )
 
@@ -42,7 +42,7 @@ SHEET_COUNTS = (2, 3, 5, 8, 13)
 
 
 def _minimal(n, a):
-    cloud = build_cloud(minimal_config(n, a))
+    cloud = build_cloud(CloudConfig(default_sheets(n), a))
     return cloud, build_complex(cloud, a)
 
 
@@ -111,7 +111,7 @@ def test_criterion_05_injectivity_round_trips():
             for s in strings:
                 assert all(s.digits[3 * k + 2] != 2 for k in range(blocks))
             t_back, y_back = decode(strings, blocks)
-            assert t_back == p.t.padded(6 * blocks)
+            assert t_back == TernaryString.from_int(p.t.value_at(6 * blocks), 6 * blocks)
             assert y_back.digits == tuple(p.y.digit(k) for k in range(blocks))
     print("ACCEPTANCE 5 decode/embed identity (10^3 x blocks 4,5,8,12): PASS")
 
@@ -121,7 +121,9 @@ def test_criterion_06_circle_above_parabola_grid():
     for r in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
         for k in range(32):
             x = -r + 2 * r * Fraction(k, 31)
-            assert circle_above_parabola(r, x)
+            # r and x over their common denominator r.denominator * x.denominator
+            rn, xn = r.numerator * x.denominator, x.numerator * r.denominator
+            assert circle_above_parabola_cleared(rn, xn)
             checks += 1
     assert checks == 128
     print("ACCEPTANCE 6 circle-above-parabola grid (4 x 32): PASS")
@@ -145,7 +147,7 @@ def test_criterion_07_homology_engine_oracles():
 
 def test_criterion_08_rips_threshold_and_nesting():
     a = Fraction(118097, 118098)
-    cfg = minimal_config(2, a)
+    cfg = CloudConfig(default_sheets(2), a)
     cloud = build_cloud(cfg)
     at = set(build_edges(cloud, a))
     below = set(build_edges(cloud, a - Fraction(1, 10**30)))

@@ -9,7 +9,6 @@ mechanism is checked as an invariant: a rigid edge lies in no triangle,
 so no vertex dominates it and it survives every collapse.
 """
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrips.harness import find_rigid_edges, minimal_config
+from exactrips.harness import default_sheets, find_rigid_edges
 from exactrips.homology import betti01, collapse_edges
 from exactrips.rips import build_complex
-from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import (
     betti_bruteforce,
@@ -134,7 +133,7 @@ def _assert_rigid_edges_survive(cloud, a):
 @pytest.mark.parametrize("a", DEFAULT_SCALES)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_rigid_edges_survive_collapse_on_minimal_clouds(n, a):
-    cx = _assert_rigid_edges_survive(build_cloud(minimal_config(n, a)), a)
+    cx = _assert_rigid_edges_survive(build_cloud(CloudConfig(default_sheets(n), a)), a)
     assert betti01(cx) == full_flag_betti01(cx) == (1, n - 1)
 
 
@@ -142,7 +141,7 @@ def test_rigid_edges_survive_collapse_on_minimal_clouds(n, a):
 def test_rigid_edges_survive_collapse_on_cube_grid_clouds(cube_grid):
     for n in (2, 4):
         a = DEFAULT_SCALES[cube_grid % len(DEFAULT_SCALES)]
-        cfg = dataclasses.replace(minimal_config(n, a), cube_grid=cube_grid, include_cube0=True)
+        cfg = CloudConfig(default_sheets(n), a, cube_grid=cube_grid, include_cube0=True)
         cx = _assert_rigid_edges_survive(build_cloud(cfg), a)
         assert betti01(cx) == full_flag_betti01(cx)
 
@@ -191,9 +190,9 @@ def _search_cases(cx) -> tuple[list[tuple[int, int]], Counter]:
 def _fixed_referee_complexes():
     for a in DEFAULT_SCALES:
         for n in (1, 2, 3, 5, 8, 33):
-            yield build_complex(build_cloud(minimal_config(n, a)), a)
+            yield build_complex(build_cloud(CloudConfig(default_sheets(n), a)), a)
         for cube_grid in (1, 2, 3, 4):
-            cfg = dataclasses.replace(minimal_config(2, a), cube_grid=cube_grid, include_cube0=True)
+            cfg = CloudConfig(default_sheets(2), a, cube_grid=cube_grid, include_cube0=True)
             yield build_complex(build_cloud(cfg), a)
 
 

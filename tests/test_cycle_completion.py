@@ -8,7 +8,6 @@ Both must return the same chain, or both raise DisconnectionError.
 """
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -20,11 +19,11 @@ from exactrips.digits import BinaryString
 from exactrips.harness import (
     DisconnectionError,
     complete_to_cycle,
+    default_sheets,
     find_rigid_edges,
-    minimal_config,
 )
 from exactrips.rips import build_complex
-from exactrips.space import DEFAULT_SCALES, Cloud, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import bfs_cycle_completion, fraction_scale_edges, neighbor_lists
 
@@ -33,7 +32,7 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 @lru_cache(maxsize=None)
 def _sample_complex(n, scale, cube_grid):
-    cfg = replace(minimal_config(n, scale), cube_grid=cube_grid, include_cube0=cube_grid > 0)
+    cfg = CloudConfig(default_sheets(n), scale, cube_grid=cube_grid, include_cube0=cube_grid > 0)
     return build_complex(build_cloud(cfg), cfg.scale)
 
 

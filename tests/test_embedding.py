@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactrips.digits import BinaryString, TernaryString, delta3, ternary_value
+from exactrips.digits import BinaryString, TernaryString, delta3, ternary_value, to_ternary
 from exactrips.embedding import (
     DegeneratePairError,
     IManyPoint,
@@ -13,10 +13,8 @@ from exactrips.embedding import (
     check_close_expanding,
     check_facts,
     decode,
-    embed,
     embed_strings,
     estimate_equivalence,
-    interleave,
 )
 
 # The three-coordinate interleave example uses the periodic digit string
@@ -29,6 +27,20 @@ def _point(t_digits, y_digits):
     return IManyPoint.from_digits(TernaryString(tuple(t_digits)), BinaryString(tuple(y_digits)))
 
 
+def _valued(x, y, depth):
+    # The point (x, y) with the chosen depth-digit expansion of x.
+    return IManyPoint(x, to_ternary(x, depth), y)
+
+
+def _interleave(i, t, b, blocks):
+    return embed_strings(IManyPoint.from_digits(t, b), blocks)[i]
+
+
+def _image(p, blocks):
+    # The exact-rational image of p: a point of the unit cube.
+    return tuple(map(ternary_value, embed_strings(p, blocks)))
+
+
 def _random_point(rng, blocks):
     tdepth = rng.randint(1, 6 * blocks)
     ydepth = rng.randint(0, blocks)
@@ -39,22 +51,20 @@ def _random_point(rng, blocks):
 
 
 def test_interleave_coordinate_0():
-    assert interleave(0, T_PERIODIC, B_101, 3).digits == (0, 1, 1, 0, 1, 0, 0, 1, 1)
+    assert _interleave(0, T_PERIODIC, B_101, 3).digits == (0, 1, 1, 0, 1, 0, 0, 1, 1)
 
 
 def test_interleave_coordinate_1():
-    assert interleave(1, T_PERIODIC, B_101, 3).digits == (2, 0, 1, 2, 0, 0, 2, 0, 1)
+    assert _interleave(1, T_PERIODIC, B_101, 3).digits == (2, 0, 1, 2, 0, 0, 2, 0, 1)
 
 
 def test_interleave_coordinate_2():
-    assert interleave(2, T_PERIODIC, B_101, 3).digits == (1, 2, 1, 1, 2, 0, 1, 2, 1)
+    assert _interleave(2, T_PERIODIC, B_101, 3).digits == (1, 2, 1, 1, 2, 0, 1, 2, 1)
 
 
 def test_interleave_rejects_bad_args():
-    with pytest.raises(IndexError):
-        interleave(3, T_PERIODIC, B_101, 2)
-    with pytest.raises(ValueError):
-        interleave(0, T_PERIODIC, B_101, 0)
+    with pytest.raises(ValueError, match="blocks must be at least 1"):
+        _interleave(0, T_PERIODIC, B_101, 0)
 
 
 def test_interleave_prefix_stability():
@@ -64,25 +74,25 @@ def test_interleave_prefix_stability():
         t = TernaryString(tuple(rng.randrange(3) for _ in range(rng.randint(1, 40))))
         b = BinaryString(tuple(rng.randrange(2) for _ in range(rng.randint(0, 8))))
         for i in range(3):
-            short = interleave(i, t, b, 4).digits
-            long = interleave(i, t, b, 7).digits
+            short = _interleave(i, t, b, 4).digits
+            long = _interleave(i, t, b, 7).digits
             assert long[: len(short)] == short
 
 
 def test_embed_third_of_unit_interval():
-    p = IManyPoint.from_value(Fraction(1, 3), BinaryString((0,)), 18)
-    assert embed(p, 3) == (Fraction(1, 3), Fraction(0), Fraction(0))
+    p = _valued(Fraction(1, 3), BinaryString((0,)), 18)
+    assert _image(p, 3) == (Fraction(1, 3), Fraction(0), Fraction(0))
 
 
 def test_embed_pure_sheet_digits():
-    p = IManyPoint.from_value(Fraction(0), BinaryString((1, 1)), 12)
+    p = _valued(Fraction(0), BinaryString((1, 1)), 12)
     v = Fraction(28, 729)
-    assert embed(p, 2) == (v, v, v)
+    assert _image(p, 2) == (v, v, v)
 
 
 def test_embed_origin():
-    p = IManyPoint.from_value(Fraction(0), BinaryString((0,)), 6)
-    assert embed(p, 1) == (Fraction(0), Fraction(0), Fraction(0))
+    p = _valued(Fraction(0), BinaryString((0,)), 6)
+    assert _image(p, 1) == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_reserved_positions_never_hold_two():
@@ -97,7 +107,7 @@ def test_decode_inverts_embed():
     p = _point([1, 0, 2, 1], [1, 0])
     blocks = 4
     t_back, y_back = decode(embed_strings(p, blocks), blocks)
-    assert t_back == p.t.padded(6 * blocks)
+    assert t_back == TernaryString.from_int(p.t.value_at(6 * blocks), 6 * blocks)
     assert y_back.digits == tuple(p.y.digit(k) for k in range(blocks))
 
 
@@ -116,7 +126,7 @@ def test_decode_random_round_trips():
     for _ in range(1000):
         p = _random_point(rng, blocks)
         t_back, y_back = decode(embed_strings(p, blocks), blocks)
-        assert t_back == p.t.padded(6 * blocks)
+        assert t_back == TernaryString.from_int(p.t.value_at(6 * blocks), 6 * blocks)
         assert y_back.digits == tuple(p.y.digit(k) for k in range(blocks))
 
 
@@ -141,8 +151,8 @@ def test_decode_rejects_wrong_depth():
 
 
 def test_check_facts_hand_example_distinct_x():
-    p = IManyPoint.from_value(Fraction(0), BinaryString((0,)), 6)
-    q = IManyPoint.from_value(Fraction(1, 3), BinaryString((0,)), 6)
+    p = _valued(Fraction(0), BinaryString((0,)), 6)
+    q = _valued(Fraction(1, 3), BinaryString((0,)), 6)
     r = check_facts(p, q, 1)
     assert r.l2_sq == Fraction(1, 9)
     assert r.x_gap == Fraction(1, 3)
@@ -240,8 +250,8 @@ def test_check_close_expanding_on_embedded_pairs():
         q = _random_point(rng, 8)
         if p.digit_data_equals(q):
             continue
-        ep = embed(p, 8)
-        eq = embed(q, 8)
+        ep = _image(p, 8)
+        eq = _image(q, 8)
         dist_sq = sum((a - b) ** 2 for a, b in zip(ep, eq))
         pairs.append((p, q, abs(p.x - q.x), dist_sq))
     ok, cex = check_close_expanding(pairs, Fraction(1, 243))
@@ -284,7 +294,7 @@ def test_imany_point_invariant():
     with pytest.raises(ValueError):
         IManyPoint(Fraction(1, 2), TernaryString((1, 0)), BinaryString((0,)))
     # x = 1 rides the all-2s truncation
-    p = IManyPoint.from_value(Fraction(1), BinaryString((1,)), 6)
+    p = _valued(Fraction(1), BinaryString((1,)), 6)
     assert p.t.digits == (2,) * 6
     # A digit point holds its x unreduced, yet equals and hashes as the
     # point built from the reduced x.
@@ -295,7 +305,7 @@ def test_imany_point_invariant():
     assert type(p.x) is Fraction
     assert p != IManyPoint.from_digits(TernaryString.from_text("1"), y)
     assert p != IManyPoint.from_digits(t, BinaryString((1, 0)))
-    assert len({p, q, IManyPoint.from_value(Fraction(1, 3), y, 2)}) == 1
+    assert len({p, q, _valued(Fraction(1, 3), y, 2)}) == 1
 
 
 def test_imany_point_refuses_float_and_bool_x():
@@ -305,8 +315,6 @@ def test_imany_point_refuses_float_and_bool_x():
     for x in (0.5, 1.0, True, False, "1/2"):
         with pytest.raises(ValueError, match="x must be Fraction or int"):
             IManyPoint(x, TernaryString.from_text("222"), y)
-        with pytest.raises(ValueError, match="x must be Fraction or int"):
-            IManyPoint.from_value(x, y, 3)
     assert IManyPoint(1, TernaryString.from_text("222"), y).x == 1
-    assert IManyPoint.from_value(0, y, 3).t == TernaryString.from_text("000")
+    assert _valued(0, y, 3).t == TernaryString.from_text("000")
 

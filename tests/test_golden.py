@@ -78,7 +78,7 @@ PINS = {
     "lemma/3-30-43": "9ca22f4e3df27869e7448afe997d447c4c8aadd4baca77bf0199e50bb5a907f2",
     "lemma/verify-lemmas-5-300-4": "577cd9a55cc26d8d0a8b7e879c5d8357df4841d711239fca3f19446976c21770",
     # SHA-256 of Cloud.to_csv_text(), written by the per-label route, before
-    # space.fiber_points expanded each x once for every sheet label.
+    # build_cloud expanded each x once for every sheet label.
     "build/A-eight-sheets-five-x": "f4961c2d2eef20e585910fc0da2b335a7840a8b77ba9050d840319cf0e479304",
     "build/B-uneven-labels": "b9b23e3605f17a8a0b62da0c814e2f34f2441358bf15ba3ebea0c17c28a4180c",
     # The cli digests were checked with sha256sum on CI's Python 3.11 leg

@@ -11,7 +11,6 @@ from exactrips.harness import (
     complete_to_cycle,
     default_sheets,
     find_rigid_edges,
-    minimal_config,
     run_lemma_suite,
     theorem_experiment,
 )
@@ -26,7 +25,7 @@ INTERIOR = Fraction(236195, 236196)
 
 
 def _minimal_complex(n, a, blocks=8):
-    cloud = build_cloud(minimal_config(n, a, blocks))
+    cloud = build_cloud(CloudConfig(default_sheets(n), a, blocks=blocks))
     return build_complex(cloud, a)
 
 
@@ -164,7 +163,7 @@ def test_theorem_experiment_minimal_betti_law():
     assert by_n[1].betti1 == 0
     # brute-force cross-check where the oracle applies
     for n in (2, 3, 5):
-        cloud = build_cloud(minimal_config(n, Fraction(1)))
+        cloud = build_cloud(CloudConfig(default_sheets(n), Fraction(1)))
         assert betti_bruteforce(cloud, Fraction(1)) == (1, n - 1)
 
 
@@ -263,8 +262,6 @@ def test_float_and_bool_scales_are_refused(scale):
     # A float used to run at its binary expansion, and True at scale 1.
     with pytest.raises(ValueError, match="config key 'scale' must be Fraction or int"):
         theorem_experiment([2], [scale])
-    with pytest.raises(ValueError, match="config key 'scale' must be Fraction or int"):
-        minimal_config(2, scale)
 
 
 # Taken before theorem_experiment passed scales through unchanged.
@@ -282,7 +279,7 @@ def test_int_and_fraction_scales_keep_csv_bytes(top):
     report = theorem_experiment([2, 3], [top, INTERIOR])
     assert report.to_csv_text() == SMALL_EXPERIMENT_CSV
     assert all(type(row.scale) is Fraction for row in report.rows)
-    assert minimal_config(2, top) == minimal_config(2, Fraction(1))
+    assert CloudConfig(default_sheets(2), top) == CloudConfig(default_sheets(2), Fraction(1))
 
 
 def test_parabola_failure_records_the_grid_point(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactrips import embedding, harness
-from exactrips.digits import BinaryString, TernaryString, json_text
+from exactrips.digits import BinaryString, TernaryString, json_text, to_ternary
 from exactrips.embedding import IManyPoint, check_facts, estimate_equivalence
 from exactrips.harness import run_lemma_suite
 
@@ -67,7 +67,8 @@ def _partner(rng, blocks, t, y):
         return _digits(rng, blocks)
     if kind == 1:
         depth = rng.randint(t.depth, 6 * blocks)
-        return t.padded(depth), _string(rng, BinaryString, rng.randint(1, blocks))
+        padded = TernaryString.from_int(t.value_at(depth), depth)
+        return padded, _string(rng, BinaryString, rng.randint(1, blocks))
     k = rng.randrange(t.depth)
     step = 3 ** (t.depth - 1 - k)
     digit = t.value // step % 3
@@ -100,12 +101,17 @@ def test_facts_match_the_fraction_referee(seed, blocks, count):
                      ("shallow", False)}
 
 
+def _expanded(x, y, depth):
+    # The point (x, y) with the chosen depth-digit expansion of x.
+    return IManyPoint(x, to_ternary(x, depth), y)
+
+
 def _valued(rng, blocks):
     # x a rational in [0, 1] that its expansion may only truncate.
     den = rng.choice([1, 2, 5, 7, 3 ** rng.randint(0, 6), 2 * 3 ** rng.randint(1, 6)])
     x = Fraction(rng.randint(0, den), den)
     y = _string(rng, BinaryString, rng.randint(0, blocks))
-    return IManyPoint.from_value(x, y, rng.choice([1, 2, rng.randint(1, 6 * blocks)]))
+    return _expanded(x, y, rng.choice([1, 2, rng.randint(1, 6 * blocks)]))
 
 
 @pytest.mark.parametrize("seed,blocks", [(5, 1), (6, 3), (7, 12)])
@@ -125,8 +131,8 @@ def test_truncated_values_match_the_fraction_referee(seed, blocks):
 def test_equal_expansions_of_unequal_values_fail_fact1_and_the_bound():
     # 1/3 and 1/2 share the one-digit expansion "1"; only the last y digit
     # tells the images apart, so each coordinate gap is 3**-12.
-    p = IManyPoint.from_value(Fraction(1, 3), BinaryString.from_text("0000"), 1)
-    q = IManyPoint.from_value(Fraction(1, 2), BinaryString.from_text("0001"), 1)
+    p = _expanded(Fraction(1, 3), BinaryString.from_text("0000"), 1)
+    q = _expanded(Fraction(1, 2), BinaryString.from_text("0001"), 1)
     r = check_facts(p, q, 4)
     _assert_matches(r, fraction_check_facts(p, q, 4))
     assert r.to_json_dict() == {
@@ -246,8 +252,8 @@ def test_combined_threshold(monkeypatch, below):
 
 def test_fact1_threshold():
     # x = 0 against x = 1 (the all-2s string): the gap 1 equals delta3 = 3**0.
-    p = IManyPoint.from_value(Fraction(0), BinaryString.from_text(""), 2)
-    q = IManyPoint.from_value(Fraction(1), BinaryString.from_text(""), 2)
+    p = _expanded(Fraction(0), BinaryString.from_text(""), 2)
+    q = _expanded(Fraction(1), BinaryString.from_text(""), 2)
     r = check_facts(p, q, 1)
     _assert_matches(r, fraction_check_facts(p, q, 1))
     assert r.fact1 and r.x_gap == r.t_delta == 1

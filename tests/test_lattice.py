@@ -9,7 +9,6 @@ refereed by the per-point lattice loop and the Fraction scan, on random
 clouds and on every rigid partner of sampled clouds.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from exactrips.harness import (
     assert_rigid_free,
     default_sheets,
     find_rigid_edges,
-    minimal_config,
 )
 from exactrips.homology import betti01
 from exactrips.rips import build_complex, build_edges, sq_dist
@@ -162,9 +160,8 @@ def test_scale_edge_classification_matches_fraction_scans(case):
 def test_scale_edge_census_matches_edge_walk_on_reordered_csv_clouds(cube_grid, a):
     # Shuffled rows put some {1}-slab partners before their sheet points, so
     # rigid edges come in both orientations (partner index below and above).
-    cfg = dataclasses.replace(
-        minimal_config(5, a), cube_grid=cube_grid, include_cube0=cube_grid > 0,
-        x_values=(Fraction(1, 3),),
+    cfg = CloudConfig(
+        default_sheets(5), a, (Fraction(1, 3),), cube_grid=cube_grid, include_cube0=cube_grid > 0
     )
     rows = build_cloud(cfg).to_csv_text().splitlines()
     random.Random(1).shuffle(rows)
@@ -376,7 +373,7 @@ def test_witness_slots_cannot_borrow_from_far_points(a, pack_widths):
 def test_witness_rejects_negative_scales(a):
     # Read as |a|, a negative scale would move the excluded rigid foot to
     # partner - (a, 0, 0, 0) and report the real one as a violation.
-    cloud = build_cloud(minimal_config(2, Fraction(1)))
+    cloud = build_cloud(CloudConfig(default_sheets(2), Fraction(1)))
     for partner, p in enumerate(cloud.points):
         if p.kind == "cube1":
             with pytest.raises(ValueError, match="scale must be nonnegative"):
@@ -399,7 +396,7 @@ def _sweep_style_config() -> CloudConfig:
 
 SAMPLED_CONFIGS = (
     [
-        pytest.param(minimal_config(n, a), id=f"minimal-{n}-a{k}")
+        pytest.param(CloudConfig(default_sheets(n), a), id=f"minimal-{n}-a{k}")
         for n in (1, 2, 3, 5, 8, 33)
         for k, a in enumerate(DEFAULT_SCALES)
     ]

@@ -3,7 +3,7 @@
 Every operation on packed strings is compared with the tuple version in
 oracles.py: construction and the public accessors, the greedy expansion,
 values, first differences and delta3 (with zero padding of unequal
-depths), interleave (with t deeper than 6*blocks and empty sheet labels),
+depths), embed_strings (with t deeper than 6*blocks and empty sheet labels),
 decode (results, and the message and precedence of every
 MalformedImageError, with defects in either half of a two-block step and
 at odd blocks), digit-data equality and the check_facts fields the lemma
@@ -34,7 +34,6 @@ from exactrips.embedding import (
     check_facts,
     decode,
     embed_strings,
-    interleave,
 )
 
 from oracles import (
@@ -79,8 +78,6 @@ def test_packing_round_trips_the_public_surface(t, b):
         )
         assert s.text() == "".join(map(str, digits))
         assert cls.from_text(s.text()) == s == cls.from_int(s.value, s.depth)
-        assert s.padded(len(digits) + 3).digits == digits + (0, 0, 0)
-        assert s.padded(len(digits) - 1) is s
         for depth in range(len(digits) + 3):
             assert s.value_at(depth) == cls((digits + (0,) * depth)[:depth]).value
 
@@ -213,12 +210,10 @@ def test_delta3_is_an_ultrametric(s, t, u):
 @example(tuple(range(3)) * 20, (), 2)  # t deeper than 6*blocks, empty label
 @example((), (), 1)
 def test_interleave_and_embed_strings_match_the_oracle(t, b, blocks):
-    ts, bs = TernaryString(t), BinaryString(b)
+    # A point holds at least one t digit; zero-padded, () reads as (0,).
+    p = IManyPoint.from_digits(TernaryString(t or (0,)), BinaryString(b))
     expected = [tuple_interleave(i, t, b, blocks) for i in range(3)]
-    assert [interleave(i, ts, bs, blocks).digits for i in range(3)] == expected
-    if t:
-        p = IManyPoint.from_digits(ts, bs)
-        assert [s.digits for s in embed_strings(p, blocks)] == expected
+    assert [s.digits for s in embed_strings(p, blocks)] == expected
 
 
 @SETTINGS
@@ -226,8 +221,8 @@ def test_interleave_and_embed_strings_match_the_oracle(t, b, blocks):
 def test_decode_round_trips_embed(blocks, data):
     p = data.draw(points(blocks))
     t_back, y_back = decode(embed_strings(p, blocks), blocks)
-    assert t_back == p.t.padded(6 * blocks)
-    assert y_back == p.y.padded(blocks)
+    assert t_back == TernaryString.from_int(p.t.value_at(6 * blocks), 6 * blocks)
+    assert y_back == BinaryString.from_int(p.y.value_at(blocks), blocks)
     assert IManyPoint.from_digits(t_back, y_back).digit_data_equals(p)
 
 

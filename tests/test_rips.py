@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactrips import rips
-from exactrips.harness import default_sheets, minimal_config
+from exactrips.harness import default_sheets
 from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
@@ -57,7 +57,7 @@ def test_sq_dist_is_the_sum_of_squared_differences(rows):
         Cloud(UNIT_SQUARE.points[:1], None),
         UNIT_SQUARE,
         random_cloud(random.Random(3), 10),
-        build_cloud(minimal_config(8, Fraction(236195, 236196))),
+        build_cloud(CloudConfig(default_sheets(8), Fraction(236195, 236196))),
     ],
     ids=["empty", "one", "square", "random", "minimal8"],
 )
@@ -209,7 +209,10 @@ def test_threshold_perturbation_removes_exactly_threshold_edges():
     "cloud, a",
     [
         *[(random_cloud(random.Random(seed), 12), Fraction(seed % 4 + 3)) for seed in range(8)],
-        (build_cloud(minimal_config(16, Fraction(236195, 236196))), Fraction(236195, 236196)),
+        (
+            build_cloud(CloudConfig(default_sheets(16), Fraction(236195, 236196))),
+            Fraction(236195, 236196),
+        ),
         (
             build_cloud(
                 CloudConfig(

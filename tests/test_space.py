@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from exactrips.digits import BinaryString
-from exactrips.harness import minimal_config
+from exactrips.harness import default_sheets
 from exactrips.space import (
     DEFAULT_SCALES,
     SHEET_SCALE,
@@ -15,11 +15,10 @@ from exactrips.space import (
     CloudConfig,
     LabeledPoint4,
     build_cloud,
-    circle_above_parabola,
+    circle_above_parabola_cleared,
     fiber_value,
     scale_window,
     second_neighbor_witness,
-    sheet_point,
 )
 
 Y0 = BinaryString((0,))
@@ -34,33 +33,39 @@ def test_scale_window_exact():
     assert SHEET_SCALE == 2 * 243**2 == 118098
 
 
+def _sheet_points(x_values, y, blocks):
+    # The sheet points of label y at each x, from a cloud of those alone.
+    cfg = CloudConfig((y,), x_values=tuple(x_values), blocks=blocks, include_partners=False)
+    return build_cloud(cfg).points
+
+
 def test_sheet_point_origin():
-    p = sheet_point(Fraction(0), Y0, 2)
+    (p,) = _sheet_points([Fraction(0)], Y0, 2)
     assert p.coords == (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     assert p.kind == "sheet"
 
 
 def test_sheet_point_one_third():
-    p = sheet_point(Fraction(1, 3), Y0, 8)
+    (p,) = _sheet_points([Fraction(1, 3)], Y0, 8)
     assert p.coords == (Fraction(1, 354294), Fraction(1, 3), Fraction(0), Fraction(0))
 
 
 def test_sheet_point_pure_sheet_digits():
-    p = sheet_point(Fraction(0), BinaryString((1, 1)), 2)
+    (p,) = _sheet_points([Fraction(0)], BinaryString((1, 1)), 2)
     v = Fraction(28, 729)
     assert p.coords == (Fraction(0), v, v, v)
 
 
 def test_sheet_point_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        sheet_point(Fraction(3, 2), Y0, 2)
+    for x in (Fraction(3, 2), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="x value out of"):
+            CloudConfig(sheets=(Y0,), x_values=(x,))
 
 
 def test_sheet_first_coordinate_range():
     rng = random.Random(13)
-    for _ in range(100):
-        x = Fraction(rng.randint(0, 3**6), 3**6)
-        p = sheet_point(x, Y1, 4)
+    xs = {Fraction(rng.randint(0, 3**6), 3**6) for _ in range(100)}
+    for p in _sheet_points(sorted(xs), Y1, 4):
         assert 0 <= p.coords[0] <= Fraction(1, 118098)
 
 
@@ -207,7 +212,11 @@ def _kind_scan(cloud) -> dict[str, int]:
 @pytest.mark.parametrize(
     "cloud",
     [
-        *(build_cloud(minimal_config(n, a, 4)) for n in (1, 3, 8) for a in DEFAULT_SCALES),
+        *(
+            build_cloud(CloudConfig(default_sheets(n), a, blocks=4))
+            for n in (1, 3, 8)
+            for a in DEFAULT_SCALES
+        ),
         *(
             build_cloud(CloudConfig(
                 (Y0, Y1), DEFAULT_SCALES[1], (Fraction(1, 3),), 4, g, True, partners
@@ -265,23 +274,19 @@ def test_rigid_pair_squared_distance_is_scale_squared():
 
 
 def test_circle_above_parabola_examples():
-    assert circle_above_parabola(Fraction(1), Fraction(1))
-    assert circle_above_parabola(Fraction(1), Fraction(0))
-    assert circle_above_parabola(Fraction(1, 2), Fraction(1, 4))
+    # (r, x) over a common denominator: (1, 1), (1, 0) and (1/2, 1/4).
+    assert circle_above_parabola_cleared(1, 1)
+    assert circle_above_parabola_cleared(1, 0)
+    assert circle_above_parabola_cleared(2, 1)
 
 
 def test_circle_above_parabola_grid():
+    # Each (r, x) over the common denominator r.denominator * x.denominator.
     for r in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
         for k in range(32):
             x = -r + 2 * r * Fraction(k, 31)
-            assert circle_above_parabola(r, x)
-
-
-def test_circle_above_parabola_domain_errors():
-    with pytest.raises(ValueError):
-        circle_above_parabola(Fraction(0), Fraction(0))
-    with pytest.raises(ValueError):
-        circle_above_parabola(Fraction(1), Fraction(2))
+            rn, xn = r.numerator * x.denominator, x.numerator * r.denominator
+            assert circle_above_parabola_cleared(rn, xn)
 
 
 def test_second_neighbor_witness_empty_on_minimal_cloud():

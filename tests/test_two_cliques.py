@@ -14,10 +14,10 @@ from math import comb
 import pytest
 
 from exactrips import harness
-from exactrips.harness import find_rigid_edges, minimal_config, theorem_experiment
+from exactrips.harness import default_sheets, find_rigid_edges, theorem_experiment
 from exactrips.homology import betti01, two_cliques
 from exactrips.rips import RipsComplex2, build_complex
-from exactrips.space import DEFAULT_SCALES, build_cloud
+from exactrips.space import DEFAULT_SCALES, CloudConfig, build_cloud
 
 from oracles import betti_bruteforce
 
@@ -25,7 +25,7 @@ INTERIOR = DEFAULT_SCALES[1]
 
 
 def _minimal(n, a=INTERIOR):
-    cloud = build_cloud(minimal_config(n, a))
+    cloud = build_cloud(CloudConfig(default_sheets(n), a))
     cx = build_complex(cloud, a)
     return cloud, cx, find_rigid_edges(cx)
 
