@@ -45,7 +45,7 @@ from .homology import (
     rank_f2,
     rigid_rank_lower_bound,
 )
-from .rips import RipsComplex2, build_complex, build_edges, sq_dist, sweep
+from .rips import RipsComplex2, build_complex, build_edges, second_neighbor_witness, sq_dist, sweep
 from .space import (
     Cloud,
     CloudConfig,
@@ -53,7 +53,6 @@ from .space import (
     build_cloud,
     fiber_value,
     scale_window,
-    second_neighbor_witness,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, compress, product
+from itertools import chain, product
 from typing import NamedTuple
 
 from .digits import (
@@ -51,14 +51,11 @@ __all__ = [
     "CloudConfig",
     "Cloud",
     "KindMasks",
-    "NeighborViolation",
     "scale_window",
     "fiber_value",
     "lattice_bound",
-    "pack_rows",
     "build_cloud",
     "circle_above_parabola_cleared",
-    "second_neighbor_witness",
 ]
 
 # First-coordinate compression factor 2 * 243**2.
@@ -405,104 +402,3 @@ def circle_above_parabola_cleared(rn: int, xn: int) -> bool:
     """
     rr, xx = rn * rn, xn * xn
     return (2 * rr - xx) ** 2 >= 4 * rr * (rr - xx)
-
-
-@dataclass(frozen=True)
-class NeighborViolation:
-    """A sheet point other than the rigid partner within the scale of a
-    {1}-slab point, with the gap split the contradiction argument uses."""
-
-    index: int
-    eps: Fraction  # first-coordinate gap
-    l_sq: Fraction  # squared gap of the 3-D projection
-    dist_sq: Fraction
-
-
-# The top byte of a slot, mapped to its guard bit.
-_GUARD = bytes(128) + bytes((1,)) * 128
-
-
-def pack_rows(lattice, index, bound: int) -> tuple[int, tuple, tuple, int, int]:
-    """The lattice rows `index`, packed into big ints for a slot scan:
-    (w, low, cols, PS, ONES).
-
-    Each column is shifted by its minimum low[k] over the *whole* lattice,
-    so every shifted row u has 0 <= u[k] <= span[k], and diagonal =
-    sum_k span[k]**2 bounds the squared distance D of any two rows.  w is
-    the least multiple of 8 whose guard bit G = 2**(w-1) exceeds both bound
-    and the diagonal.  cols[k] holds the j-th row's u[k] in bits
-    [w*j, w*(j+1)), PS holds |u|**2 and ONES holds 1 in every slot.
-
-    For any lattice row t, with t' = t - low,
-
-        X = (bound + G - |t'|**2)*ONES - PS + 2 * sum_k t'[k]*cols[k]
-
-    has bound + G - D_j in slot j.  As 0 <= D_j <= diagonal < G and
-    bound < G, each slot lies in (bound, 2G): none borrows from the next,
-    and slot j has its guard bit set iff D_j <= bound.
-    """
-    columns = list(zip(*lattice))
-    low = tuple(map(min, columns))
-    diagonal = sum((max(c) - m) ** 2 for c, m in zip(columns, low))
-    w = 8 * ((max(bound, diagonal).bit_length() + 8) // 8)
-    size = w // 8
-    rows = [[v - m for v, m in zip(lattice[i], low)] for i in index]
-
-    def join(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-    cols = tuple(join(c) for c in zip(*rows))
-    return w, low, cols, join(sum(u * u for u in r) for r in rows), join([1] * len(rows))
-
-
-def second_neighbor_witness(
-    cloud: Cloud, partners, a: Fraction
-) -> list[list[NeighborViolation]]:
-    """For each {1}-slab partner vertex, in input order, the sheet points
-    within a of it other than its own rigid foot.
-
-    The construction predicts only empty lists: a second neighbor would
-    force eps > l**2 / 2 between the first-coordinate gap eps and the slab
-    projection gap l, contradicting the close-expanding lower bound.  Any
-    violation is returned with both gaps so the failed chain is inspectable.
-
-    Distances are compared on the cloud's integer lattice: sheet point j
-    is within a iff D_j = |p_j - t|**2 <= bound, with t the partner's
-    lattice row.  The sheet rows are packed once per call (pack_rows), and
-    one big-int expression per partner sets the guard bit of exactly the
-    slots with D_j <= bound.  The rigid foot (partner - (a, 0, 0, 0)) is
-    on the lattice iff a*L, so iff a**2 L**2, is an int (lattice_bound is
-    exact); its row is then the partner's less isqrt(bound) = a*L in the
-    first entry, and hits on it are excluded.  The gaps of a violation are
-    exact Fractions, computed from the lattice rows of the hits alone.
-    """
-    partners, masks = list(partners), cloud.kind_masks
-    bad = [(i, cloud.labels[i][0]) for i in partners if not masks.cube1 >> i & 1]
-    if bad:
-        raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
-    L, lattice = cloud.lattice
-    bound, exact = lattice_bound(Fraction(a), L)
-    index = tuple(i for i in range(len(lattice)) if masks.sheet >> i & 1)
-    if not index:
-        return [[] for _ in partners]
-    w, low, cols, ps, ones = pack_rows(lattice, index, bound)
-    size, top = w // 8, bound + (1 << (w - 1))
-    shift = math.isqrt(bound) if exact else None
-    out = []
-    for partner in partners:
-        row = lattice[partner]
-        t = [v - m for v, m in zip(row, low)]
-        x = (top - sum(u * u for u in t)) * ones - ps
-        x += 2 * sum(u * col for u, col in zip(t, cols))
-        guards = x.to_bytes(size * len(index), "little")[size - 1::size]
-        foot = (row[0] - shift,) + row[1:] if exact else None
-        hits = []
-        for idx in compress(index, guards.translate(_GUARD)):
-            if lattice[idx] == foot:
-                continue
-            q = lattice[idx]
-            eps = Fraction(abs(q[0] - row[0]), L)
-            l_sq = Fraction(sum((q[i] - row[i]) ** 2 for i in (1, 2, 3)), L * L)
-            hits.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
-        out.append(hits)
-    return out

@@ -4,9 +4,10 @@ Clouds mix denominators (powers of 2 and 3, and the 3**23 of embedded
 sheet coordinates at the default depth), plant pairs at squared distance
 exactly a**2 (perpendicular sheet-to-slab, diagonal, and slab-to-slab)
 and use scales inside the window, so the inclusive threshold is hit
-exactly rather than approximately.  The packed second-neighbor scan is
-refereed by the per-point lattice loop and the Fraction scan, on random
-clouds and on every rigid partner of sampled clouds.
+exactly rather than approximately.  The second-neighbor witness, read
+off the complex's neighbor masks, is refereed by the per-point lattice
+loop and the Fraction scan, on random clouds and on every rigid partner
+of sampled clouds.
 """
 
 import random
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrips import space
 from exactrips.digits import BinaryString
 from exactrips.harness import (
     assert_rigid_free,
@@ -25,7 +25,7 @@ from exactrips.harness import (
     find_rigid_edges,
 )
 from exactrips.homology import betti01
-from exactrips.rips import build_complex, build_edges, sq_dist
+from exactrips.rips import RipsComplex2, build_complex, build_edges, second_neighbor_witness
 from exactrips.space import (
     DEFAULT_BLOCKS,
     DEFAULT_SCALES,
@@ -34,9 +34,7 @@ from exactrips.space import (
     LabeledPoint4,
     build_cloud,
     lattice_bound,
-    pack_rows,
     scale_window,
-    second_neighbor_witness,
 )
 
 from oracles import (
@@ -191,7 +189,7 @@ def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
         _point([b[0] + a * Fraction(2, 5), b[1] + a * Fraction(4, 5), b[2], b[3]], "sheet"),
     ]
     cloud = Cloud(cloud.points + tuple(planted) + (partner,), None)
-    hits = second_neighbor_witness(cloud, [len(cloud) - 1], a)[0]
+    hits = second_neighbor_witness(build_complex(cloud, a), [len(cloud) - 1])[0]
     assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == fraction_witness(
         partner, cloud, a
     )
@@ -249,29 +247,11 @@ def witness_cases(draw):
 
 
 def _witness_tuples(cloud, partner, a):
-    hits = second_neighbor_witness(cloud, [partner], a)[0]
+    hits = second_neighbor_witness(build_complex(cloud, a), [partner])[0]
     return [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits]
 
 
-@pytest.fixture
-def pack_widths(monkeypatch):
-    """The slot width of every pack the witness builds, in call order."""
-    widths = []
-
-    def recorded(lattice, index, bound):
-        pack = pack_rows(lattice, index, bound)
-        widths.append(pack[0])
-        return pack
-
-    monkeypatch.setattr(space, "pack_rows", recorded)
-    return widths
-
-
-def _width(diagonal):
-    return 8 * ((diagonal.bit_length() + 8) // 8)
-
-
-def test_packed_witness_matches_referees(pack_widths):
+def test_witness_matches_referees():
     seen = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -279,25 +259,21 @@ def test_packed_witness_matches_referees(pack_widths):
     def check(case):
         cloud, partner, a = case
         point = cloud.points[partner]
-        pack_widths.clear()
-        # The coordinates lie in [-2, 2], so every D is below the bound at
-        # a + 2**32, whose slots are wider than the bound at a: one cloud,
-        # two widths.
+        # The coordinates lie in [-2, 2], so every sheet point is within
+        # a + 2**32 of the partner: the complex at that scale is complete.
         for scale in (a, a + 2**32):
             hits = _witness_tuples(cloud, partner, scale)
             assert hits == lattice_witness(point, cloud, scale)
             assert hits == fraction_witness(point, cloud, scale)
         hits = _witness_tuples(cloud, partner, a)
         sheets = [p for p in cloud.points if p.kind == "sheet"]
-        # Each call packs the sheet rows afresh (none without sheet points),
-        # and the two scales take two widths.
-        assert len(pack_widths) == (3 if sheets else 0)
-        assert len(set(pack_widths)) == (2 if sheets else 0)
+        foot = (point.coords[0] - a, *point.coords[1:])
         coords = [c for p in sheets for c in p.coords]
         seen.update(
             name
             for name, occurs in (
                 ("zero", a == 0),
+                ("foot", any(p.coords == foot for p in sheets)),
                 ("exact", any(h[3] == a * a for h in hits)),
                 ("wide", sheets and len(hits) == len(sheets) and all(h[3] < a * a for h in hits)),
                 ("negative", any(c < 0 for c in coords)),
@@ -309,47 +285,15 @@ def test_packed_witness_matches_referees(pack_widths):
         )
 
     check()
-    assert seen == {"zero", "exact", "wide", "negative", "3**24", "one point", "no sheets"}
-
-
-def test_sheet_pack_slots_hold_the_shifted_rows_at_every_width():
-    cloud = Cloud(
-        (
-            _point([Fraction(-1, 3**24), 2, 0, Fraction(1, 7)], "sheet"),
-            _point([-50, 50, 50, 50], "cube0"),
-            _point([Fraction(3, 2), -2, 1, 0], "sheet"),
-        ),
-        None,
-    )
-    _, lattice = cloud.lattice
-    # The shift and the diagonal are the whole cloud's, the cube0 point's too.
-    columns = list(zip(*lattice))
-    diagonal = sum((max(c) - min(c)) ** 2 for c in columns)
-    for bound, width in ((0, _width(diagonal)), (2**254, 256)):
-        w, low, cols, ps, ones = pack_rows(lattice, (0, 2), bound)
-        assert w == width
-        assert low == tuple(map(min, columns)) and low[0] == lattice[1][0]
-        rows = [[u - m for u, m in zip(lattice[i], low)] for i in (0, 2)]
-        assert min(min(r) for r in rows) >= 0
-        assert max(sum(u * u for u in r) for r in rows) <= diagonal
-
-        def slots(x):
-            return [x >> (w * j) & ((1 << w) - 1) for j in range(len(rows))]
-
-        assert [slots(col) for col in cols] == [list(c) for c in zip(*rows)]
-        assert slots(ps) == [sum(u * u for u in r) for r in rows]
-        assert slots(ones) == [1, 1]
-    # The cube0 corner sets the width: the sheet rows alone take fewer bits.
-    sheet_columns = list(zip(lattice[0], lattice[2]))
-    assert _width(sum((max(c) - min(c)) ** 2 for c in sheet_columns)) < _width(diagonal)
+    assert seen == {"zero", "foot", "exact", "wide", "negative", "3**24", "one point", "no sheets"}
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3**24), Fraction(1), Fraction(4)])
-def test_witness_slots_cannot_borrow_from_far_points(a, pack_widths):
+def test_witness_slots_cannot_borrow_from_far_points(a):
     # The partner sits just outside a corner of the sheet points' box, on
     # a lattice of step 3**-24, so the cloud's box runs from the partner
-    # to the far sheet corner: their D, about 2**80, is the diagonal and
-    # decides the slot width, not the bound.
+    # to the far sheet corner: their D, about 2**80, is the largest in the
+    # cloud, and just beyond a = 4 it stays out.
     cloud = Cloud(
         (
             _point([0, 0, 0, 0], "sheet"),
@@ -362,22 +306,24 @@ def test_witness_slots_cannot_borrow_from_far_points(a, pack_widths):
     partner = cloud.points[3]
     hits = _witness_tuples(cloud, 3, a)
     assert hits == lattice_witness(partner, cloud, a) == fraction_witness(partner, cloud, a)
-    L, lattice = cloud.lattice
-    bound, _ = lattice_bound(a, L)
-    width = _width(sq_dist(lattice[3], lattice[1]))
-    assert pack_widths == [width] == [pack_rows(lattice, (0, 1, 2), 0)[0]]
-    assert pack_rows(lattice, (0, 1, 2), bound)[0] == width > 80
+    expected = {Fraction(0): [], Fraction(1, 3**24): [0], Fraction(1): [0], Fraction(4): [0, 2]}
+    assert [h[0] for h in hits] == expected[a]
 
 
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2)])
 def test_witness_rejects_negative_scales(a):
     # Read as |a|, a negative scale would move the excluded rigid foot to
     # partner - (a, 0, 0, 0) and report the real one as a violation.
+    # build_complex refuses the scale, and so does the witness on a
+    # complex made by hand at it.
     cloud = build_cloud(CloudConfig(default_sheets(2), Fraction(1)))
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        build_complex(cloud, a)
+    cx = RipsComplex2(cloud, a, ())
     for partner, p in enumerate(cloud.points):
         if p.kind == "cube1":
             with pytest.raises(ValueError, match="scale must be nonnegative"):
-                second_neighbor_witness(cloud, [partner], a)
+                second_neighbor_witness(cx, [partner])
 
 
 def _sweep_style_config() -> CloudConfig:
@@ -426,23 +372,12 @@ def test_rigid_free_witness_equals_the_referee_on_sampled_clouds(cfg):
     ]
     assert list(assert_rigid_free(cx, rigid).witness_violations) == expected
     # Slightly beyond the scale the sheet points next to each partner come
-    # in: the packed scan still reports exactly the referee's hits.
+    # in: the witness still reports exactly the referee's hits.
     wider = a + Fraction(1, 2**20)
-    for r in rigid:
-        hits = _witness_tuples(cloud, r.partner_vertex, wider)
-        assert hits == lattice_witness(cloud.points[r.partner_vertex], cloud, wider)
-
-
-def test_sweep_style_cloud_takes_wide_slots(pack_widths):
-    cloud = build_cloud(_sweep_style_config())
-    den_bits = max(c.denominator.bit_length() for p in cloud.points for c in p.coords)
-    assert den_bits == 93
-    for i, p in enumerate(cloud.points):
-        if p.kind == "cube1":
-            second_neighbor_witness(cloud, [i], cloud.config.scale)
-    # Every partner of the cloud scans at the one width its box sets.
-    assert len(pack_widths) > 1 and len(set(pack_widths)) == 1
-    assert min(pack_widths) > 128
+    partners = [r.partner_vertex for r in rigid]
+    for r, hits in zip(rigid, second_neighbor_witness(build_complex(cloud, wider), partners)):
+        expected = lattice_witness(cloud.points[r.partner_vertex], cloud, wider)
+        assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == expected
 
 
 @pytest.mark.parametrize("cfg", SAMPLED_CONFIGS)
@@ -456,14 +391,15 @@ def test_one_witness_call_equals_the_referees_per_partner(cfg):
     off = cfg.scale + Fraction(1, 2**20)
     assert (off * L).denominator != 1
     for a in (*DEFAULT_SCALES, off):
-        hits = second_neighbor_witness(cloud, partners, a)
+        cx = build_complex(cloud, a)
+        hits = second_neighbor_witness(cx, partners)
         assert len(hits) == len(partners)
         for partner, found in zip(partners, hits):
             point = cloud.points[partner]
             expected = lattice_witness(point, cloud, a)
             assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in found] == expected
             assert expected == fraction_witness(point, cloud, a)
-    assert second_neighbor_witness(cloud, partners[::-1], off) == hits[::-1]
+    assert second_neighbor_witness(cx, partners[::-1]) == hits[::-1]
     assert any(hits)
 
 
@@ -483,16 +419,16 @@ def _two_partner_cloud() -> Cloud:
 
 
 def test_witness_hit_lists_follow_the_partner_order():
-    cloud = _two_partner_cloud()
-    forward = second_neighbor_witness(cloud, [1, 4], Fraction(1))
+    cx = build_complex(_two_partner_cloud(), Fraction(1))
+    forward = second_neighbor_witness(cx, [1, 4])
     assert [[v.index for v in hits] for hits in forward] == [[2], []]
-    backward = second_neighbor_witness(cloud, iter([4, 1, 4]), Fraction(1))
+    backward = second_neighbor_witness(cx, iter([4, 1, 4]))
     assert backward == [forward[1], forward[0], forward[1]]
-    assert second_neighbor_witness(cloud, [], Fraction(1)) == []
+    assert second_neighbor_witness(cx, []) == []
 
 
 @pytest.mark.parametrize("partners", [[0], [1, 0], [1, 4, 3], [4, 1, 2]])
 def test_witness_rejects_a_non_cube1_vertex_anywhere(partners):
     bad = next(i for i in partners if i not in (1, 4))
     with pytest.raises(ValueError, match=f"vertex {bad} is sheet"):
-        second_neighbor_witness(_two_partner_cloud(), partners, Fraction(1))
+        second_neighbor_witness(build_complex(_two_partner_cloud(), Fraction(1)), partners)

@@ -14,7 +14,7 @@ from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dis
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
 
-from oracles import fraction_edges, random_cloud
+from oracles import fraction_edges, neighbor_lists, random_cloud
 
 
 def _pt(*coords):
@@ -121,6 +121,16 @@ def test_canonical_ordering():
     for v, mask in enumerate(cx.neighbor_masks):
         nbrs = {j for i, j in cx.edges if i == v} | {i for i, j in cx.edges if j == v}
         assert {u for u in range(cx.n_vertices) if mask >> u & 1} == nbrs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 20), st.sets(st.tuples(st.integers(0, 19), st.integers(0, 19))))
+def test_neighbor_masks_match_the_neighbor_lists(V, pairs):
+    # Any sorted edge list, as betti01's collapsed complexes take them, on
+    # V vertices from none to 20, isolated ones among them.
+    edges = tuple(sorted((i, j) for i, j in pairs if i < j < V))
+    cx = rips.RipsComplex2(Cloud([_pt(v, 0, 0, 0) for v in range(V)], None), Fraction(1), edges)
+    assert [list(rips.bits(m)) for m in cx.neighbor_masks] == neighbor_lists(V, edges)
 
 
 def test_clique_property_matches_brute_force():

@@ -8,6 +8,7 @@ import pytest
 
 from exactrips.digits import BinaryString
 from exactrips.harness import default_sheets
+from exactrips.rips import build_complex, second_neighbor_witness
 from exactrips.space import (
     DEFAULT_SCALES,
     SHEET_SCALE,
@@ -18,7 +19,6 @@ from exactrips.space import (
     circle_above_parabola_cleared,
     fiber_value,
     scale_window,
-    second_neighbor_witness,
 )
 
 Y0 = BinaryString((0,))
@@ -292,16 +292,17 @@ def test_circle_above_parabola_grid():
 def test_second_neighbor_witness_empty_on_minimal_cloud():
     a = Fraction(1)
     cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
+    cx = build_complex(cloud, a)
     for i, p in enumerate(cloud):
         if p.kind == "cube1":
-            assert second_neighbor_witness(cloud, [i], a)[0] == []
+            assert second_neighbor_witness(cx, [i])[0] == []
 
 
 def test_second_neighbor_witness_requires_cube1():
     cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=Fraction(1)))
     sheet = next(i for i, p in enumerate(cloud) if p.kind == "sheet")
     with pytest.raises(ValueError):
-        second_neighbor_witness(cloud, [sheet], Fraction(1))
+        second_neighbor_witness(build_complex(cloud, Fraction(1)), [sheet])
 
 
 def test_second_neighbor_witness_reports_adversarial_point():
@@ -319,7 +320,7 @@ def test_second_neighbor_witness_reports_adversarial_point():
         y,
     )
     cloud = Cloud((sheet, partner, intruder), None)
-    hits = second_neighbor_witness(cloud, [1], Fraction(1))[0]
+    hits = second_neighbor_witness(build_complex(cloud, Fraction(1)), [1])[0]
     assert len(hits) == 1
     assert hits[0].index == 2
     assert hits[0].eps == Fraction(1, 2)
