@@ -124,10 +124,10 @@ def collapse_edges(c) -> list[tuple[int, int]]:
 
 def betti01(c) -> tuple[int, int]:
     """(beta0, beta1) of the 2-skeleton, ranked after edge collapse."""
-    edges = collapse_edges(c)
-    r1 = rank_f2(1 << i | 1 << j for i, j in edges)
-    r2 = rank_f2(_triangle_masks(RipsComplex2(c.cloud, c.scale, tuple(edges))))
-    return c.n_vertices - r1, len(edges) - r1 - r2
+    cc = RipsComplex2(c.cloud, c.scale, tuple(collapse_edges(c)))
+    r1 = rank_f2(boundary1(cc))
+    r2 = rank_f2(_triangle_masks(cc))
+    return c.n_vertices - r1, len(cc.edges) - r1 - r2
 
 
 def two_cliques(c, rigid):
@@ -141,7 +141,8 @@ def two_cliques(c, rigid):
     Returns ((beta0, beta1, triangles), None) = ((1, n-1, 2*C(n,3)), None)
     when it holds, else (None, (v, w)): v is the first vertex on no rigid
     edge (w None), or else the first whose neighborhood is wrong, and w
-    the first vertex it lacks or should not have.
+    the first vertex it lacks or should not have.  With no rigid edge the
+    shape cannot hold; on a complex with no vertex that is (None, (None, None)).
     """
     other, S, P = {}, 0, 0
     for r in rigid:
@@ -153,8 +154,8 @@ def two_cliques(c, rigid):
         raise ValueError("rigid edges must have distinct endpoints")
     nb = c.neighbor_masks
     uncovered = (1 << len(nb)) - 1 & ~(S | P)
-    if uncovered:
-        return None, (next(bits(uncovered)), None)
+    if uncovered or not n:
+        return None, (next(bits(uncovered), None), None)
     for v, mask in enumerate(nb):
         wrong = mask ^ ((S if S >> v & 1 else P) & ~(1 << v) | 1 << other[v])
         if wrong:

@@ -18,8 +18,8 @@ point lies exactly on a sheet; x = 1 (all-2s) and non-terminating x
 (e.g. the fiber 1/2 of the default interior scale) are carried by their
 truncations and stand in for the closure points they converge to.  All
 downstream checks operate on the sampled coordinates exactly, so nothing
-depends on the truncated tail.  A built cloud is its integer lattice rows
-and point labels; Fractions are made only when its points are read.
+depends on the truncated tail.  A cloud, built or read from CSV, is its
+lattice rows and labels; Fractions are made only when its points are read.
 """
 
 from __future__ import annotations
@@ -252,49 +252,28 @@ class KindMasks(NamedTuple):
     cube1: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Cloud:
     """Immutable indexed point cloud: `lattice` is (L, every point's
     coordinates times L), L the lcm of the reduced denominators, where
     distance tests are exact int arithmetic, and `labels` each point's
-    (kind, sheet_x, sheet_y).  Cloud(points) derives both from the points;
-    on_lattice takes them as built, and makes the Fraction `points` on first
-    read.  Coordinate tuples are pairwise distinct when produced by
-    build_cloud (hand-built clouds may violate that)."""
+    (kind, sheet_x, sheet_y); it compares and hashes on these two only.
+    on_lattice makes it, and the Fraction `points` are made on first read.
+    Coordinate tuples are pairwise distinct when produced by build_cloud
+    (hand-built clouds may violate that)."""
 
     lattice: tuple[int, tuple[tuple[int, ...], ...]]
     labels: tuple[tuple, ...]
-    config: CloudConfig | None
-
-    def __init__(self, points, config: CloudConfig | None = None) -> None:
-        points = tuple(points)
-        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
-        dens = {d for _, d in ratios}
-        L = math.lcm(*dens)
-        times = {d: L // d for d in dens}
-        flat = iter([n * times[d] for n, d in ratios])
-        lattice = L, tuple(zip(flat, flat, flat, flat))
-        labels = tuple([(p.kind, p.sheet_x, p.sheet_y) for p in points])
-        self.__dict__.update(lattice=lattice, labels=labels, config=config, points=points)
 
     @classmethod
-    def on_lattice(cls, den: int, rows, labels, config: CloudConfig | None = None) -> "Cloud":
+    def on_lattice(cls, den: int, rows, labels) -> "Cloud":
         """Points rows[i] / den (int rows) labelled labels[i]; L is den /
         gcd(den, every entry), the lcm of the reduced denominators."""
         g = math.gcd(den, *chain.from_iterable(rows))
-        lattice = den // g, tuple([tuple([v // g for v in r]) for r in rows])
-        cloud = cls.__new__(cls)
-        cloud.__dict__.update(lattice=lattice, labels=tuple(labels), config=config)
-        return cloud
+        return cls((den // g, tuple([tuple([v // g for v in r]) for r in rows])), tuple(labels))
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i: int) -> LabeledPoint4:
-        return self.points[i]
 
     @cached_property
     def points(self) -> tuple[LabeledPoint4, ...]:
@@ -316,7 +295,7 @@ class Cloud:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Cloud":
-        points = []
+        rows, labels = [], []
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -325,10 +304,12 @@ class Cloud:
             if len(cells) != 5:
                 raise ValueError(f"cloud row needs label + 4 coordinates: {line!r}")
             kind, x, y = _parse_label(cells[0])
-            coords = tuple(parse_rational(c) for c in cells[1:])
-            _check_label(kind, x, coords[0], line)
-            points.append(LabeledPoint4(coords, kind, x, y))
-        return cls(tuple(points), None)
+            rows.append([parse_rational(c) for c in cells[1:]])
+            _check_label(kind, x, rows[-1][0], line)
+            labels.append((kind, x, y))
+        L = math.lcm(*{c.denominator for r in rows for c in r})
+        rows = [[c.numerator * (L // c.denominator) for c in r] for r in rows]
+        return cls.on_lattice(L, rows, labels)
 
 
 def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> None:
@@ -386,7 +367,7 @@ def build_cloud(cfg: CloudConfig) -> Cloud:
             if kind == "cube1" or cfg.include_cube0:
                 for c in product(ticks, repeat=3):
                     store.setdefault((first, *c), (kind, None, None))
-    return Cloud.on_lattice(den, store, store.values(), cfg)
+    return Cloud.on_lattice(den, store, store.values())
 
 
 def circle_above_parabola_cleared(rn: int, xn: int) -> bool:

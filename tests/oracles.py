@@ -24,8 +24,9 @@ coordinate difference <= k//2 + 1) that referees fact2's 2m <= k + 2,
 dense F2 elimination and a from-scratch Betti count
 on tiny clouds that referee the sparse homology route, the
 hand-listed record builders that referee the field-driven JSON records,
-and the Fraction sampling route, points keyed on their Fraction
-coordinates, that referees build_cloud's int rows.
+the Fraction sampling route, points keyed on their Fraction
+coordinates, that referees build_cloud's int rows, and cloud_of, which
+puts hand-built Fraction points on their lattice.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def component_count(n_vertices: int, edges) -> int:
     return uf.component_count()
 
 
+def cloud_of(points) -> Cloud:
+    """The Cloud of hand-built LabeledPoint4s: its lattice is the points'
+    coordinates times L, the lcm of their reduced denominators."""
+    points = tuple(points)
+    ratios = [c.as_integer_ratio() for p in points for c in p.coords]
+    dens = {d for _, d in ratios}
+    L = math.lcm(*dens)
+    times = {d: L // d for d in dens}
+    flat = iter([n * times[d] for n, d in ratios])
+    labels = tuple([(p.kind, p.sheet_x, p.sheet_y) for p in points])
+    return Cloud((L, tuple(zip(flat, flat, flat, flat))), labels)
+
+
 def random_rational(rng: random.Random, max_num: int = 8, max_den: int = 6) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
@@ -86,7 +100,7 @@ def random_cloud(rng: random.Random, max_points: int = 10) -> Cloud:
         )
         for _ in range(n)
     )
-    return Cloud(points, None)
+    return cloud_of(points)
 
 
 BRUTE_FORCE_MAX_POINTS = 12
@@ -627,7 +641,7 @@ def fraction_build_cloud(cfg) -> Cloud:
     """build_cloud(cfg) by Fraction coordinates: each sheet point's image
     coordinates are the values of its digit-tuple interleavings, points
     merge on their Fraction coordinates (first emission wins), and the
-    cloud is held as its points, so its lattice is derived from them."""
+    cloud's lattice is derived from them (cloud_of)."""
     points, seen = [], set()
 
     def emit(p: LabeledPoint4) -> None:
@@ -652,4 +666,4 @@ def fraction_build_cloud(cfg) -> Cloud:
             if kind == "cube1" or cfg.include_cube0:
                 for c in product(ticks, repeat=3):
                     emit(LabeledPoint4((first, *c), kind))
-    return Cloud(tuple(points), cfg)
+    return cloud_of(points)

@@ -126,6 +126,65 @@ def test_non_ascii_label_digits_exit_code(tmp_path, capsys):
     assert "binary digits must be 0 or 1, got '\u0661'" in err
 
 
+def _scale_args(command):
+    return ["--scales", "1"] if command == "sweep" else ["--scale", "1"]
+
+
+@pytest.mark.parametrize("command", ["betti", "rigid", "sweep"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("cube0,0,0,0", "cloud row needs label + 4 coordinates: 'cube0,0,0,0'"),
+        ("cube2,0,0,0,0", "unrecognised point label 'cube2'"),
+    ],
+    ids=["four-cells", "unknown-label"],
+)
+def test_malformed_cloud_row_exit_code(tmp_path, capsys, command, row, message):
+    cloud_path = tmp_path / "cloud.csv"
+    cloud_path.write_text(f"cube1,1,0,0,0\n{row}\n")
+    out = tmp_path / "out.json"
+    argv = [command, "--cloud", str(cloud_path), *_scale_args(command), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["betti", "rigid", "sweep"])
+def test_blank_lines_in_a_cloud_are_skipped(tmp_path, command):
+    plain = tmp_path / "plain.csv"
+    main(["build", "--config", str(_write_config(tmp_path)), "--out", str(plain)])
+    first, *rest = plain.read_text().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(["", first, "", "   ", *rest, "", ""]))
+    reports = []
+    for cloud_path in (plain, gappy):
+        out = tmp_path / f"{cloud_path.stem}.json"
+        argv = [command, "--cloud", str(cloud_path), *_scale_args(command), "--out", str(out)]
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "--sheets", "0"], "need at least one sheet"),
+        (["experiment", "--sheets", "2", "--cube-grid", "-1"], "cube_grid must be nonnegative"),
+        (["verify-lemmas", "--blocks", "0"], "blocks must be at least 1"),
+    ],
+    ids=["no-sheets", "negative-grid", "no-blocks"],
+)
+def test_out_of_range_argument_exit_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_int_quirk_rationals_exit_code(tmp_path, capsys):
     # int() reads "1_0" as 10; the CLI takes ASCII digits only.
     cfg = _write_config(tmp_path)

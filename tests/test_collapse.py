@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from exactrips.harness import default_sheets, find_rigid_edges
 from exactrips.homology import betti01, collapse_edges
 from exactrips.rips import build_complex
-from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import (
     betti_bruteforce,
+    cloud_of,
     collapse_referee,
     dominated_edges,
     fraction_triangle_sides,
@@ -35,7 +36,7 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=N
 
 
 def _cloud(coords):
-    return Cloud(tuple(LabeledPoint4(tuple(map(Fraction, c)), "cube1") for c in coords), None)
+    return cloud_of(tuple(LabeledPoint4(tuple(map(Fraction, c)), "cube1") for c in coords))
 
 
 @st.composite

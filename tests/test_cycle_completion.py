@@ -4,7 +4,8 @@
 masks with the rigid neighbors cleared, and locates path edges by
 bisection; `oracles.bfs_cycle_completion` walks ascending adjacency lists
 and an edge dict, skipping the rigid edge indices of a Fraction scan.
-Both must return the same chain, or both raise DisconnectionError.
+Both must return the same chain, or both raise DisconnectionError.  A
+path that comes back one edge short must raise OpenChainError.
 """
 
 from collections import Counter
@@ -12,20 +13,24 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactrips import harness
+from exactrips.cli import main
 from exactrips.digits import BinaryString
 from exactrips.harness import (
     DisconnectionError,
+    OpenChainError,
     complete_to_cycle,
     default_sheets,
     find_rigid_edges,
 )
 from exactrips.rips import build_complex
-from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, CloudConfig, LabeledPoint4, build_cloud
 
-from oracles import bfs_cycle_completion, fraction_scale_edges, neighbor_lists
+from oracles import bfs_cycle_completion, cloud_of, fraction_scale_edges, neighbor_lists
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -51,7 +56,7 @@ def _layers(keep, m, a):
         for ((layer, kind), (u, v)), kept in zip(slots, keep)
         if kept
     )
-    return build_complex(Cloud(pts, None), a)
+    return build_complex(cloud_of(pts), a)
 
 
 @st.composite
@@ -147,3 +152,36 @@ def test_direct_edges_give_the_referee_chains():
                 assert got == bfs_cycle_completion(cx, rigid[i], rigid[j], banned)
                 lengths[cube_grid, len(got)] += 1
     assert lengths == {(0, 4): 3 * (2 + 20 + 64), (2, 4): 3 * 56}
+
+
+def _one_path_short(monkeypatch):
+    # The first shortest path cycle completion asks for comes back one edge
+    # short, so the chain it closes has two odd vertices.
+    bfs, calls = harness._bfs_path, []
+
+    def short(*args):
+        calls.append(bfs(*args))
+        return calls[-1][:-1] if len(calls) == 1 else calls[-1]
+
+    monkeypatch.setattr(harness, "_bfs_path", short)
+    return calls
+
+
+def test_a_path_one_edge_short_raises_open_chain(monkeypatch):
+    cx = _sample_complex(2, DEFAULT_SCALES[1], 0)
+    e1, e2 = find_rigid_edges(cx)
+    calls = _one_path_short(monkeypatch)
+    with pytest.raises(OpenChainError, match=r"^cycle completion produced an open chain \(bug\)$"):
+        complete_to_cycle(e1, e2, cx)
+    assert len(calls) == 2 and len(calls[0]) == 1
+    assert complete_to_cycle(e1, e2, cx).edge_indices  # the next call closes
+
+
+def test_open_chain_exits_2_from_experiment(monkeypatch, tmp_path, capsys):
+    _one_path_short(monkeypatch)
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "--sheets", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OpenChainError: cycle completion produced an open chain (bug)\n"

@@ -150,6 +150,14 @@ def test_decode_rejects_wrong_depth():
         decode((s, s, s), 2)
 
 
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_decode_refuses_blocks_below_one(blocks):
+    s = TernaryString(())
+    with pytest.raises(ValueError, match="blocks must be at least 1") as refused:
+        decode((s, s, s), blocks)
+    assert refused.type is ValueError  # refused before any image is read
+
+
 def test_check_facts_hand_example_distinct_x():
     p = _valued(Fraction(0), BinaryString((0,)), 6)
     q = _valued(Fraction(1, 3), BinaryString((0,)), 6)

@@ -16,9 +16,9 @@ from exactrips.harness import (
 )
 from exactrips.homology import betti01, cycle_is_closed
 from exactrips.rips import build_complex
-from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import CloudConfig, LabeledPoint4, build_cloud
 
-from oracles import betti_bruteforce
+from oracles import betti_bruteforce, cloud_of
 
 WINDOW_LO = Fraction(118097, 118098)
 INTERIOR = Fraction(236195, 236196)
@@ -76,7 +76,7 @@ def test_diagonal_scale_edge_reported_not_rigid():
     diag = LabeledPoint4(
         (Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0)), "cube1"
     )
-    cloud = Cloud((sheet_a, diag), None)
+    cloud = cloud_of((sheet_a, diag))
     cx = build_complex(cloud, Fraction(1))
     assert find_rigid_edges(cx) == []
     assert cx.scale_edges.diagonal == (0,)
@@ -101,7 +101,7 @@ def test_assert_rigid_free_detects_violation():
         Fraction(1, 2),
         y,
     )
-    cloud = Cloud((sheet, partner, intruder), None)
+    cloud = cloud_of((sheet, partner, intruder))
     cx = build_complex(cloud, Fraction(1))
     rigid = find_rigid_edges(cx)
     assert len(rigid) == 1
@@ -147,7 +147,7 @@ def test_complete_to_cycle_disconnection():
         LabeledPoint4((Fraction(0), far, far, far), "sheet", Fraction(0), y1),
         LabeledPoint4((Fraction(1), far, far, far), "cube1"),
     )
-    cloud = Cloud(pts, None)
+    cloud = cloud_of(pts)
     cx = build_complex(cloud, Fraction(1))
     rigid = find_rigid_edges(cx)
     assert len(rigid) == 2

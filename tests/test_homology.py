@@ -19,10 +19,11 @@ from exactrips.homology import (
     rigid_rank_lower_bound,
 )
 from exactrips.rips import bits, build_complex
-from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import (
     betti_bruteforce,
+    cloud_of,
     component_count,
     dense_rank_f2,
     random_cloud,
@@ -34,27 +35,27 @@ def _pt(*coords):
     return LabeledPoint4(tuple(Fraction(c) for c in coords), "cube1")
 
 
-UNIT_SQUARE = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1, 0, 0)), None)
+UNIT_SQUARE = cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1, 0, 0)))
 
 
 def test_boundary1_single_edge():
-    cx = build_complex(Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0)), None), Fraction(1))
+    cx = build_complex(cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0))), Fraction(1))
     assert boundary1(cx) == (0b11,)
 
 
 def test_boundary1_empty_edge_set():
-    cx = build_complex(Cloud((_pt(0, 0, 0, 0), _pt(9, 0, 0, 0)), None), Fraction(1))
+    cx = build_complex(cloud_of((_pt(0, 0, 0, 0), _pt(9, 0, 0, 0))), Fraction(1))
     assert boundary1(cx) == ()
 
 
 def test_boundary1_triangle_column_weights():
-    tri = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), None)
+    tri = cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)))
     cx = build_complex(tri, Fraction(2))
     assert all(col.bit_count() == 2 for col in boundary1(cx))
 
 
 def test_boundary2_filled_triangle():
-    tri = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), None)
+    tri = cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)))
     cx = build_complex(tri, Fraction(2))
     assert boundary2(cx) == (0b111,)
 
@@ -169,12 +170,12 @@ def test_betti_unit_square():
 
 
 def test_betti_two_distant_points():
-    cloud = Cloud((_pt(0, 0, 0, 0), _pt(9, 0, 0, 0)), None)
+    cloud = cloud_of((_pt(0, 0, 0, 0), _pt(9, 0, 0, 0)))
     assert betti01(build_complex(cloud, Fraction(1))) == (2, 0)
 
 
 def test_betti_single_point():
-    cloud = Cloud((_pt(0, 0, 0, 0),), None)
+    cloud = cloud_of((_pt(0, 0, 0, 0),))
     assert betti_bruteforce(cloud, Fraction(1)) == (1, 0)
     assert betti01(build_complex(cloud, Fraction(1))) == (1, 0)
 
@@ -184,7 +185,7 @@ def test_bruteforce_unit_square():
 
 
 def test_bruteforce_size_cap():
-    big = Cloud(tuple(_pt(i, 0, 0, 0) for i in range(13)), None)
+    big = cloud_of(tuple(_pt(i, 0, 0, 0) for i in range(13)))
     with pytest.raises(ValueError):
         betti_bruteforce(big, Fraction(1))
 
@@ -220,7 +221,7 @@ def test_rigid_rank_lower_bound_pairing_pattern():
     for k in range(n):
         off = Fraction(k, 100)
         pts.append(_pt(1, off, 0, 0))
-    cloud = Cloud(tuple(pts), None)
+    cloud = cloud_of(tuple(pts))
     cx = build_complex(cloud, a)
     eidx = {e: k for k, e in enumerate(cx.edges)}
     rigid = [eidx[(k, n + k)] for k in range(n)]
@@ -262,3 +263,11 @@ def test_rigid_rank_lower_bound_preconditions():
         rigid_rank_lower_bound(cx1, [0], [Cycle((0, 1, 2))])  # open chain
     with pytest.raises(ValueError):
         rigid_rank_lower_bound(cx1, [0, 0], [])
+
+
+@pytest.mark.parametrize("past", [0, 1, 7])
+def test_rigid_rank_lower_bound_refuses_indices_past_the_edges(past):
+    cx = build_complex(UNIT_SQUARE, Fraction(1))
+    e = len(cx.edges) + past
+    with pytest.raises(ValueError, match=f"rigid edge index out of range: {e}$"):
+        rigid_rank_lower_bound(cx, [0, e], [])

@@ -39,6 +39,7 @@ from exactrips.space import (
 
 from oracles import (
     betti_bruteforce,
+    cloud_of,
     edge_walk_scale_edges,
     fraction_edges,
     fraction_scale_edges,
@@ -95,7 +96,7 @@ def clouds(draw, max_points):
     while len(points) < max_points and draw(st.booleans()):
         points.append(_point([draw(coordinates()) for _ in range(4)], draw(kinds)))
     order = draw(st.permutations(range(len(points))))
-    return Cloud(tuple(points[k] for k in order), None), a
+    return cloud_of(tuple(points[k] for k in order)), a
 
 
 def test_lattice_bound_is_floor_and_exactness():
@@ -112,12 +113,11 @@ def test_lattice_bound_rejects_negative_scales(a):
 
 
 def test_lattice_scales_every_coordinate_to_an_int():
-    cloud = Cloud(
+    cloud = cloud_of(
         (
             _point([Fraction(1, 2), Fraction(1, 3), 0, 1], "cube1"),
             _point([Fraction(-5, 4), 0, Fraction(2, 9), 0], "cube0"),
         ),
-        None,
     )
     L, lattice = cloud.lattice
     assert L == 36
@@ -188,7 +188,7 @@ def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
         _point([b[0] + a / 2, b[1], b[2], b[3]], "sheet"),
         _point([b[0] + a * Fraction(2, 5), b[1] + a * Fraction(4, 5), b[2], b[3]], "sheet"),
     ]
-    cloud = Cloud(cloud.points + tuple(planted) + (partner,), None)
+    cloud = cloud_of(cloud.points + tuple(planted) + (partner,))
     hits = second_neighbor_witness(build_complex(cloud, a), [len(cloud) - 1])[0]
     assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == fraction_witness(
         partner, cloud, a
@@ -242,7 +242,7 @@ def witness_cases(draw):
         diagonal = [c[0] - a * Fraction(3, 5), c[1] + a * Fraction(4, 5), c[2], c[3]]
         points.append(_point(diagonal, "sheet"))
     order = draw(st.permutations(range(len(points))))
-    cloud = Cloud(tuple(points[k] for k in order), None)
+    cloud = cloud_of(tuple(points[k] for k in order))
     return cloud, cloud.points.index(partner), a
 
 
@@ -289,19 +289,18 @@ def test_witness_matches_referees():
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3**24), Fraction(1), Fraction(4)])
-def test_witness_slots_cannot_borrow_from_far_points(a):
+def test_witness_hits_equal_the_referees_when_the_far_corner_is_farthest(a):
     # The partner sits just outside a corner of the sheet points' box, on
     # a lattice of step 3**-24, so the cloud's box runs from the partner
     # to the far sheet corner: their D, about 2**80, is the largest in the
     # cloud, and just beyond a = 4 it stays out.
-    cloud = Cloud(
+    cloud = cloud_of(
         (
             _point([0, 0, 0, 0], "sheet"),
             _point([2, 2, 2, 2], "sheet"),
             _point([1, 0, 0, 0], "sheet"),
             _point([Fraction(-1, 3**24), 0, 0, 0], "cube1"),
         ),
-        None,
     )
     partner = cloud.points[3]
     hits = _witness_tuples(cloud, 3, a)
@@ -406,7 +405,7 @@ def test_one_witness_call_equals_the_referees_per_partner(cfg):
 def _two_partner_cloud() -> Cloud:
     # Partner 1 has a second sheet point within 1 (vertex 2); partner 4,
     # at the other corner, has only its rigid foot (vertex 3).
-    return Cloud(
+    return cloud_of(
         (
             _point([0, 0, 0, 0], "sheet"),
             _point([1, 0, 0, 0], "cube1"),
@@ -414,7 +413,6 @@ def _two_partner_cloud() -> Cloud:
             _point([0, 1, 1, 1], "sheet"),
             _point([1, 1, 1, 1], "cube1"),
         ),
-        None,
     )
 
 

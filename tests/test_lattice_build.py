@@ -7,8 +7,9 @@ config with Fraction coordinates from digit tuples and derives its
 lattice from the points, and the two must agree on the points, the
 lattice, the kind masks and the CSV bytes.  Each fiber x is expanded
 once, and a sheet label adds only its label_weight to the shared t part.
-The hot path of an experiment row must make no points at all.  The
-config checks (exact types, int values) are here too.
+The hot path of an experiment row must make no points at all, and
+neither must a cloud read from CSV and ranked; that cloud is the built
+one.  The config checks (exact types, int values) are here too.
 """
 
 from fractions import Fraction
@@ -18,9 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactrips import space
+from exactrips.cli import main
 from exactrips.digits import BinaryString, TernaryString
 from exactrips.embedding import label_weight, t_coordinates
-from exactrips.harness import theorem_experiment
+from exactrips.harness import (
+    assert_rigid_free,
+    default_sheets,
+    find_rigid_edges,
+    theorem_experiment,
+)
+from exactrips.homology import betti01
+from exactrips.rips import build_complex
 from exactrips.space import (
     DEFAULT_SCALES,
     SHEET_SCALE,
@@ -30,7 +39,13 @@ from exactrips.space import (
     build_cloud,
     scale_window,
 )
-from oracles import fraction_build_cloud, tuple_interleave, tuple_ternary_value, tuple_to_ternary
+from oracles import (
+    cloud_of,
+    fraction_build_cloud,
+    tuple_interleave,
+    tuple_ternary_value,
+    tuple_to_ternary,
+)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -97,13 +112,13 @@ def test_int_build_matches_the_fraction_route(cfg):
     assert cloud.points == ref.points
     assert cloud.to_csv_text().encode() == ref.to_csv_text().encode()
     # The lattice the cloud was made on is the one its points give.
-    assert Cloud(cloud.points, cfg).lattice == cloud.lattice
+    assert cloud_of(cloud.points).lattice == cloud.lattice
     assert cloud == ref
 
 
 def test_partner_on_a_grid_point_merges():
     cloud = build_cloud(MERGING)
-    labels = [p.label_text() for p in cloud]
+    labels = [p.label_text() for p in cloud.points]
     rows = [",".join(line.split(",")[1:]) for line in cloud.to_csv_text().splitlines()]
     assert len(set(rows)) == len(rows)
     assert labels[rows.index("1/1,0/1,0/1,0/1")] == "cube1"
@@ -114,7 +129,17 @@ def test_partner_on_a_grid_point_merges():
     assert len(cloud) == 2 + 2 + 54 - 2
 
 
-def test_experiment_rows_make_no_points(monkeypatch):
+@SETTINGS
+@given(configs())
+@example(MERGING)
+def test_csv_round_trip_gives_the_built_cloud(cfg):
+    cloud = build_cloud(cfg)
+    back = Cloud.from_csv_text(cloud.to_csv_text())
+    assert back == cloud and hash(back) == hash(cloud)
+
+
+def _made_points(monkeypatch):
+    """The kinds of the LabeledPoint4s made from here on."""
     made = []
     post_init = LabeledPoint4.__post_init__
 
@@ -123,6 +148,11 @@ def test_experiment_rows_make_no_points(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LabeledPoint4, "__post_init__", counted)
+    return made
+
+
+def test_experiment_rows_make_no_points(monkeypatch):
+    made = _made_points(monkeypatch)
     minimal = theorem_experiment([5], [DEFAULT_SCALES[1]])
     grid = theorem_experiment([3], [LO], cube_grid=2, include_cube0=True)
     assert minimal.all_pass and grid.all_pass
@@ -130,6 +160,32 @@ def test_experiment_rows_make_no_points(monkeypatch):
     # The count is live: reading the points of a built cloud makes them.
     assert len(build_cloud(CloudConfig(sheets=(BinaryString((0,)),))).points) == 2
     assert made == ["sheet", "cube1"]
+
+
+def test_a_csv_cloud_is_ranked_without_points(monkeypatch, tmp_path):
+    # What betti, rigid and sweep do with a cloud file, in the API and
+    # through the CLI.
+    cfg = CloudConfig(default_sheets(3), LO, x_values=(Fraction(1, 3),), cube_grid=2)
+
+    def ranked(cloud):
+        cx = build_complex(cloud, LO)
+        rigid = find_rigid_edges(cx)
+        return betti01(cx), cx.scale_edges, assert_rigid_free(cx, rigid).ok
+
+    built = build_cloud(cfg)
+    expected = ranked(built)
+    assert len(expected[1].rigid) == 3 and expected[2]
+    text = built.to_csv_text()
+    cloud_path = tmp_path / "cloud.csv"
+    cloud_path.write_text(text)
+    made = _made_points(monkeypatch)
+    cloud = Cloud.from_csv_text(text)
+    assert ranked(cloud) == expected
+    assert "points" not in cloud.__dict__
+    for command, scale in (("betti", "--scale"), ("rigid", "--scale"), ("sweep", "--scales")):
+        argv = [command, "--cloud", str(cloud_path), scale, "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+    assert made == []
 
 
 @st.composite
@@ -162,7 +218,7 @@ def test_sheet_points_match_the_digit_tuples(case):
     assert cloud == fraction_build_cloud(cfg)
     # One point per label, in label order, at (x / 118098, its interleaving).
     t = tuple_to_ternary(x, 6 * blocks)
-    for p, y in zip(cloud, labels, strict=True):
+    for p, y in zip(cloud.points, labels, strict=True):
         image = (tuple_ternary_value(tuple_interleave(i, t, y.digits, blocks)) for i in range(3))
         assert p == LabeledPoint4((x / SHEET_SCALE, *image), "sheet", x, y)
 

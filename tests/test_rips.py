@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from exactrips import rips
 from exactrips.harness import default_sheets
 from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
-from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import CloudConfig, LabeledPoint4, build_cloud
 from exactrips.digits import BinaryString
 
-from oracles import fraction_edges, neighbor_lists, random_cloud
+from oracles import cloud_of, fraction_edges, neighbor_lists, random_cloud
 
 
 def _pt(*coords):
     return LabeledPoint4(tuple(Fraction(c) for c in coords), "cube1")
 
 
-UNIT_SQUARE = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1, 0, 0)), None)
+UNIT_SQUARE = cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0), _pt(1, 1, 0, 0)))
 
 
 def test_sq_dist_examples():
@@ -53,8 +53,8 @@ def test_sq_dist_is_the_sum_of_squared_differences(rows):
 @pytest.mark.parametrize(
     "cloud",
     [
-        Cloud((), None),
-        Cloud(UNIT_SQUARE.points[:1], None),
+        cloud_of(()),
+        cloud_of(UNIT_SQUARE.points[:1]),
         UNIT_SQUARE,
         random_cloud(random.Random(3), 10),
         build_cloud(CloudConfig(default_sheets(8), Fraction(236195, 236196))),
@@ -77,7 +77,7 @@ def test_build_edges_calls_the_module_sq_dist_once_per_pair(monkeypatch, cloud):
 
 
 def test_edge_at_exactly_the_scale_is_included():
-    two = Cloud((_pt(0, 0, 0, 0), _pt(Fraction(3, 5), 0, 0, 0)), None)
+    two = cloud_of((_pt(0, 0, 0, 0), _pt(Fraction(3, 5), 0, 0, 0)))
     assert build_edges(two, Fraction(3, 5)) == [(0, 1)]
     assert build_edges(two, Fraction(3, 5) - Fraction(1, 10**12)) == []
 
@@ -91,7 +91,7 @@ def test_unit_square_edges_exclude_diagonals():
 
 
 def test_triangle_cloud():
-    tri = Cloud((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)), None)
+    tri = cloud_of((_pt(0, 0, 0, 0), _pt(1, 0, 0, 0), _pt(0, 1, 0, 0)))
     cx = build_complex(tri, Fraction(2))
     assert len(cx.edges) == 3
     assert cx.triangles == ((0, 1, 2),)
@@ -129,7 +129,7 @@ def test_neighbor_masks_match_the_neighbor_lists(V, pairs):
     # Any sorted edge list, as betti01's collapsed complexes take them, on
     # V vertices from none to 20, isolated ones among them.
     edges = tuple(sorted((i, j) for i, j in pairs if i < j < V))
-    cx = rips.RipsComplex2(Cloud([_pt(v, 0, 0, 0) for v in range(V)], None), Fraction(1), edges)
+    cx = rips.RipsComplex2(cloud_of([_pt(v, 0, 0, 0) for v in range(V)]), Fraction(1), edges)
     assert [list(rips.bits(m)) for m in cx.neighbor_masks] == neighbor_lists(V, edges)
 
 

@@ -21,6 +21,8 @@ from exactrips.space import (
     scale_window,
 )
 
+from oracles import cloud_of
+
 Y0 = BinaryString((0,))
 Y1 = BinaryString((1,))
 
@@ -83,7 +85,7 @@ def test_build_cloud_minimal_count():
     )
     cloud = build_cloud(cfg)
     assert len(cloud) == 6
-    kinds = [p.kind for p in cloud]
+    kinds = [p.kind for p in cloud.points]
     assert kinds.count("sheet") == 3 and kinds.count("cube1") == 3
 
 
@@ -112,7 +114,7 @@ def test_build_cloud_all_twos_fiber():
     cfg = CloudConfig(sheets=(Y0, Y1), scale=a, blocks=2)
     cloud = build_cloud(cfg)
     assert len(cloud) == 4
-    fiber = [p for p in cloud if p.kind == "sheet"]
+    fiber = [p for p in cloud.points if p.kind == "sheet"]
     assert all(p.coords[0] == 1 - a for p in fiber)
     assert all(p.sheet_x == 1 for p in fiber)
     # all-2s truncation: every embedded coordinate shares the 2,2,b pattern
@@ -123,7 +125,7 @@ def test_build_cloud_all_twos_fiber():
 def test_build_cloud_nonterminating_fiber_accepted():
     a = Fraction(236195, 236196)
     cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=a, blocks=2))
-    sheetp = next(p for p in cloud if p.kind == "sheet")
+    sheetp = next(p for p in cloud.points if p.kind == "sheet")
     assert sheetp.coords[0] == 1 - a
     assert sheetp.sheet_x == Fraction(1, 2)
 
@@ -197,14 +199,14 @@ def test_cloud_csv_rejects_label_coordinate_mismatch(row):
 
 def test_cloud_csv_accepts_consistent_labels():
     text = "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
-    kinds = [p.kind for p in Cloud.from_csv_text(text)]
+    kinds = [p.kind for p in Cloud.from_csv_text(text).points]
     assert kinds == ["cube0", "cube1", "sheet"]
 
 
 def _kind_scan(cloud) -> dict[str, int]:
     # One pass per kind over the points, by kind name.
     return {
-        kind: sum(1 << i for i, p in enumerate(cloud) if p.kind == kind)
+        kind: sum(1 << i for i, p in enumerate(cloud.points) if p.kind == kind)
         for kind in ("sheet", "cube0", "cube1")
     }
 
@@ -228,7 +230,7 @@ def _kind_scan(cloud) -> dict[str, int]:
             "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
             "cube1,1,1/3,0,0\ncube0,0,0,0,0\n"
         ),
-        Cloud((), None),
+        cloud_of(()),
     ],
 )
 def test_kind_masks_match_per_point_scan(cloud):
@@ -252,20 +254,20 @@ def test_points_refuse_inexact_coordinates(bad):
 
 def test_points_take_int_coordinates():
     p = LabeledPoint4((1, 0, Fraction(1, 3), 0), "sheet", 0, Y0)
-    assert Cloud((p,)).lattice == (3, ((3, 0, 1, 0),))
-    assert Cloud((p,)).to_csv_text() == "sheet:x=0/1:y=0,1/1,0/1,1/3,0/1\n"
+    assert cloud_of((p,)).lattice == (3, ((3, 0, 1, 0),))
+    assert cloud_of((p,)).to_csv_text() == "sheet:x=0/1:y=0,1/1,0/1,1/3,0/1\n"
 
 
 def test_hand_built_cloud_labels_are_not_checked():
     p = LabeledPoint4((Fraction(0),) * 4, "cube1")
-    assert Cloud((p,), None).points == (p,)
+    assert cloud_of((p,)).points == (p,)
 
 
 def test_rigid_pair_squared_distance_is_scale_squared():
     for a in (Fraction(1), Fraction(236195, 236196), Fraction(118097, 118098)):
         cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
-        sheets = [p for p in cloud if p.kind == "sheet"]
-        partners = [p for p in cloud if p.kind == "cube1"]
+        sheets = [p for p in cloud.points if p.kind == "sheet"]
+        partners = [p for p in cloud.points if p.kind == "cube1"]
         for s in sheets:
             partner = next(p for p in partners if p.coords[1:] == s.coords[1:])
             gap = partner.coords[0] - s.coords[0]
@@ -293,14 +295,14 @@ def test_second_neighbor_witness_empty_on_minimal_cloud():
     a = Fraction(1)
     cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
     cx = build_complex(cloud, a)
-    for i, p in enumerate(cloud):
+    for i, p in enumerate(cloud.points):
         if p.kind == "cube1":
             assert second_neighbor_witness(cx, [i])[0] == []
 
 
 def test_second_neighbor_witness_requires_cube1():
     cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=Fraction(1)))
-    sheet = next(i for i, p in enumerate(cloud) if p.kind == "sheet")
+    sheet = next(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
     with pytest.raises(ValueError):
         second_neighbor_witness(build_complex(cloud, Fraction(1)), [sheet])
 
@@ -319,7 +321,7 @@ def test_second_neighbor_witness_reports_adversarial_point():
         Fraction(1, 2),
         y,
     )
-    cloud = Cloud((sheet, partner, intruder), None)
+    cloud = cloud_of((sheet, partner, intruder))
     hits = second_neighbor_witness(build_complex(cloud, Fraction(1)), [1])[0]
     assert len(hits) == 1
     assert hits[0].index == 2

@@ -19,7 +19,7 @@ from exactrips.homology import betti01, two_cliques
 from exactrips.rips import RipsComplex2, build_complex
 from exactrips.space import DEFAULT_SCALES, CloudConfig, build_cloud
 
-from oracles import betti_bruteforce
+from oracles import betti_bruteforce, cloud_of
 
 INTERIOR = DEFAULT_SCALES[1]
 
@@ -97,6 +97,16 @@ def test_vertex_on_no_rigid_edge_is_named(n, skip):
     r = rigid[skip]
     rest = rigid[:skip] + rigid[skip + 1 :]
     assert two_cliques(cx, rest) == (None, (min(r.sheet_vertex, r.partner_vertex), None))
+
+
+def test_empty_complex_is_not_certified():
+    # With no rigid edge the two-clique shape cannot hold: on a complex with
+    # no vertex the certificate would read beta1 = -1.  The caller goes to
+    # collapse and rank, which agree with the oracle.
+    cloud = cloud_of(())
+    cx = build_complex(cloud, INTERIOR)
+    assert two_cliques(cx, []) == (None, (None, None))
+    assert betti01(cx) == betti_bruteforce(cloud, INTERIOR) == (0, 0)
 
 
 def test_rigid_edges_sharing_an_end_are_rejected():
