@@ -29,6 +29,7 @@ __all__ = [
     "BinaryString",
     "parse_int",
     "parse_rational",
+    "rational_parts",
     "format_rational",
     "MaskRows",
     "json_text",
@@ -126,16 +127,21 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" text, or a bare integer "k": ASCII
-    [+-]?[0-9]+(/[0-9]+)? after stripping outer whitespace."""
+def rational_parts(text: str) -> tuple[int, int]:
+    """Unreduced ints (num, den > 0) of "num/den" text, or "k" as (k, 1):
+    ASCII [+-]?[0-9]+(/[0-9]+)? after stripping outer whitespace."""
     m = _RATIONAL.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
     num, den = int(m[1]), int(m[2] or 1)
     if den == 0:
         raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of rational_parts(text)."""
+    return Fraction(*rational_parts(text))
 
 
 def format_rational(q: Fraction) -> str:

@@ -25,9 +25,11 @@ so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from .digits import (
     BinaryString,
@@ -83,9 +85,9 @@ class OpenChainError(RuntimeError):
 
 
 def find_rigid_edges(c: RipsComplex2) -> list[RigidEdge]:
-    """All rigid edges of the complex, a list of c.scale_edges.rigid.  Kept a
-    function because perfbench --trace 1 counts its calls as rigid_scans
-    (one per row and per completed cycle, 528 on the growth workload)."""
+    """All rigid edges of the complex, a list of c.scale_edges.rigid, read
+    once per row and per completed cycle (to refuse foreign edges): kept a
+    function because perfbench --trace 1 counts the calls as rigid_scans."""
     return list(c.scale_edges.rigid)
 
 
@@ -135,10 +137,10 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     )
 
 
-def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
-    # Edge indices of a shortest path over the neighbor masks `allowed`;
-    # neighbors explored in ascending order so ties break lexicographically
-    # on vertex indices.
+def _bfs_path(c: RipsComplex2, start: int, goal: int) -> list[int]:
+    # Edge indices of a shortest path over c.rigid_free_masks, neighbors
+    # explored in ascending order so ties break lexicographically on vertices.
+    allowed = c.rigid_free_masks
     if start == goal:
         return []
     if allowed[start] >> goal & 1:  # the one shortest path is the edge itself
@@ -166,21 +168,23 @@ def _bfs_path(c: RipsComplex2, start: int, goal: int, allowed) -> list[int]:
 def complete_to_cycle(e1: RigidEdge, e2: RigidEdge, c: RipsComplex2) -> Cycle:
     """Close two rigid edges into a 1-cycle through short non-rigid edges.
 
-    Connects partner to partner and sheet to sheet by shortest non-rigid
-    paths (breadth-first, lexicographic tie-breaking); in the minimal
-    configuration both paths are single edges and the result is a
+    Connects partner to partner and sheet to sheet by shortest paths over
+    c.rigid_free_masks (breadth-first, lexicographic tie-breaking); in the
+    minimal configuration both paths are single edges and the result is a
     4-cycle.  The returned chain always satisfies the closedness contract.
+    ValueError unless e1 and e2 are two distinct rigid edges of c.
     """
     if e1.edge_index == e2.edge_index:
         raise ValueError("two distinct rigid edges required")
-    allowed = list(c.neighbor_masks)
-    for r in find_rigid_edges(c):
-        allowed[r.sheet_vertex] &= ~(1 << r.partner_vertex)
-        allowed[r.partner_vertex] &= ~(1 << r.sheet_vertex)
+    rigid = find_rigid_edges(c)
+    for e in (e1, e2):
+        k = bisect_left(rigid, e.edge_index, key=attrgetter("edge_index"))
+        if rigid[k : k + 1] != [e]:
+            raise ValueError(f"edge {e.edge_index} is not a rigid edge of this complex")
     # A shortest path repeats no edge, so each is added as a set.
     chain = {e1.edge_index, e2.edge_index}
-    chain ^= set(_bfs_path(c, e1.partner_vertex, e2.partner_vertex, allowed))
-    chain ^= set(_bfs_path(c, e2.sheet_vertex, e1.sheet_vertex, allowed))
+    chain ^= set(_bfs_path(c, e1.partner_vertex, e2.partner_vertex))
+    chain ^= set(_bfs_path(c, e2.sheet_vertex, e1.sheet_vertex))
     cycle = Cycle(tuple(sorted(chain)))
     if not cycle_is_closed(c, cycle):
         raise OpenChainError("cycle completion produced an open chain (bug)")

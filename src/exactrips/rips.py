@@ -18,12 +18,12 @@ build rather than `sq_dist` calls), each row's hits picked in C.
 
 A complex is its sorted edge list, and owns that order (edge_index).
 All else is derived once, on demand: int bitmask neighborhoods, each
-edge's apex mask (its triangles and d2 columns), scale-length edge
-classes, and the triangles, listed only when read.  Sweeps check nesting
-on the masks, and reports write rows from them (digits.MaskRows), each
-run of rows repeated in a report once.  The `sweep` command ranks each
-distinct complex of a sweep once, and the second-neighbor witness reads
-each {1}-slab partner's sheet neighbors from its mask.
+edge's apex mask (its triangles and d2 columns), scale-length edge classes,
+the masks less the rigid edges, and the triangles, listed only when read.
+Sweeps check nesting on the masks, and reports write rows from them
+(digits.MaskRows), each run of rows repeated in a report once.  The
+`sweep` command ranks each distinct complex of a sweep once, and the
+second-neighbor witness reads partners' sheet neighbors from their masks.
 """
 
 from __future__ import annotations
@@ -183,9 +183,10 @@ class RipsComplex2:
         kinds = self.cloud.kind_masks
         nb, found = self.neighbor_masks, []
         for s in bits(kinds.sheet):
-            u = lattice[s]
+            u0, u1, u2, u3 = lattice[s]
             for c in bits(nb[s] & kinds.cube1):
-                if sum((x - y) ** 2 for x, y in zip(u, lattice[c])) == bound:
+                v0, v1, v2, v3 = lattice[c]
+                if (u0 - v0) ** 2 + (u1 - v1) ** 2 + (u2 - v2) ** 2 + (u3 - v3) ** 2 == bound:
                     found.append((self.edge_index(s, c), s, c))
         found.sort()
         rigid, diagonal = [], []
@@ -196,6 +197,15 @@ class RipsComplex2:
                 _, x, y = self.cloud.labels[s]
                 rigid.append(RigidEdge(e_i, s, c, y, x))
         return ScaleEdges(tuple(rigid), tuple(diagonal))
+
+    @cached_property
+    def rigid_free_masks(self) -> tuple[int, ...]:
+        """neighbor_masks with every rigid edge of scale_edges cleared."""
+        masks = list(self.neighbor_masks)
+        for r in self.scale_edges.rigid:
+            masks[r.sheet_vertex] &= ~(1 << r.partner_vertex)
+            masks[r.partner_vertex] &= ~(1 << r.sheet_vertex)
+        return tuple(masks)
 
     def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:
         """(edge index, triangle) for each side in `edges` of each triangle, by

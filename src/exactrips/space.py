@@ -39,6 +39,7 @@ from .digits import (
     json_fields,
     json_text,
     parse_rational,
+    rational_parts,
     to_ternary,
 )
 from .embedding import label_weight, t_coordinates
@@ -304,12 +305,12 @@ class Cloud:
             if len(cells) != 5:
                 raise ValueError(f"cloud row needs label + 4 coordinates: {line!r}")
             kind, x, y = _parse_label(cells[0])
-            rows.append([parse_rational(c) for c in cells[1:]])
-            _check_label(kind, x, rows[-1][0], line)
+            rows.append([rational_parts(c) for c in cells[1:]])
+            _check_label(kind, x, Fraction(*rows[-1][0]), line)
             labels.append((kind, x, y))
-        L = math.lcm(*{c.denominator for r in rows for c in r})
-        rows = [[c.numerator * (L // c.denominator) for c in r] for r in rows]
-        return cls.on_lattice(L, rows, labels)
+        # Unreduced cells are safe: on_lattice's gcd reduces L.
+        L = math.lcm(*{d for r in rows for _, d in r})
+        return cls.on_lattice(L, [[n * (L // d) for n, d in r] for r in rows], labels)
 
 
 def _check_label(kind: str, x: Fraction | None, first: Fraction, line: str) -> None:

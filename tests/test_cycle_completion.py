@@ -1,7 +1,8 @@
 """Cycle completion on neighbor masks against the adjacency-list referee.
 
 `complete_to_cycle` runs its breadth-first searches over int neighbor
-masks with the rigid neighbors cleared, and locates path edges by
+masks with the rigid neighbors cleared (once per complex, in
+`RipsComplex2.rigid_free_masks`), and locates path edges by
 bisection; `oracles.bfs_cycle_completion` walks ascending adjacency lists
 and an edge dict, skipping the rigid edge indices of a Fraction scan.
 Both must return the same chain, or both raise DisconnectionError.  A
@@ -132,6 +133,26 @@ def test_complete_to_cycle_matches_adjacency_list_referee():
         assert seen[kind, "closed"] > 0, seen
     assert seen["layers", "disconnected"] > 0, seen
     assert seen["layers", "long path with ties"] > 0, seen
+
+
+def test_rigid_free_masks_are_the_neighbor_lists_less_the_rigid_pairs():
+    seen = Counter()
+
+    @SETTINGS
+    @given(cases())
+    def check(case):
+        kind, cx, _, _ = case
+        rigid = {frozenset(r[1:3]) for r in fraction_scale_edges(cx)[0]}
+        expected = tuple(
+            sum(1 << w for w in ws if {v, w} not in rigid)
+            for v, ws in enumerate(neighbor_lists(cx.n_vertices, cx.edges))
+        )
+        assert cx.rigid_free_masks == expected
+        assert cx.rigid_free_masks is cx.rigid_free_masks  # cleared once
+        seen[kind] += bool(rigid)
+
+    check()
+    assert all(seen[kind] for kind in ("minimal", "grid", "layers")), seen
 
 
 def test_direct_edges_give_the_referee_chains():

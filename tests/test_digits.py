@@ -1,6 +1,7 @@
 """Digit strings, greedy expansions and the ternary ultrametric."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from exactrips.digits import (
     format_rational,
     parse_int,
     parse_rational,
+    rational_parts,
     ternary_value,
     to_ternary,
 )
@@ -105,6 +107,23 @@ def test_rational_text_forms():
     for text in bad + ("", "/2", "1/", "1/-2", "1.5", "0x10", "\u00bd", "2e3", "--1"):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [("2/4", (2, 4)), (" -0/5\n", (0, 5)), ("+6", (6, 1)), ("007/010", (7, 10)),
+     ("1/0", None), ("1/2/3", None), ("1_0", None), ("", None)],
+)
+def test_rational_parts_are_parse_rational_unreduced(text, parts):
+    # One rule: the pair parse_rational reads as a Fraction, or its error.
+    if parts is None:
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err.value))}$"):
+            rational_parts(text)
+    else:
+        assert rational_parts(text) == parts
+        assert parse_rational(text) == Fraction(*parts)
 
 
 def test_int_text_forms():

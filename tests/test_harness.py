@@ -1,9 +1,11 @@
 """Rigid-edge census, cycle completion, experiments and the lemma suite."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from exactrips import harness
 from exactrips.digits import BinaryString
 from exactrips.harness import (
     DisconnectionError,
@@ -122,8 +124,41 @@ def test_complete_to_cycle_minimal_is_a_square():
 def test_complete_to_cycle_identity_rejected():
     cx = _minimal_complex(2, Fraction(1))
     e1, _ = find_rigid_edges(cx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^two distinct rigid edges required$"):
         complete_to_cycle(e1, e1, cx)
+
+
+def test_complete_to_cycle_refuses_edges_of_another_complex():
+    cx = _minimal_complex(3, INTERIOR)
+    e1, e2, e3 = find_rigid_edges(cx)
+    foreign = find_rigid_edges(_minimal_complex(4, Fraction(1)))
+    # e2's edge index with e3's partner, and another complex's rigid edges,
+    # at indices below, between, on and past those of cx.
+    moved = replace(e2, partner_vertex=e3.partner_vertex)
+    assert {e.edge_index for e in foreign} & {e.edge_index for e in (e1, e2, e3)}
+    for other in (moved, *foreign):
+        for pair in ((e3, other), (other, e3)):
+            with pytest.raises(ValueError, match="is not a rigid edge of this complex$"):
+                complete_to_cycle(*pair, cx)
+    assert complete_to_cycle(e1, e2, cx).edge_indices
+
+
+def test_theorem_experiment_reads_the_census_once_per_row_and_cycle(monkeypatch):
+    # The benchmark's traced harness.rigid_scans counts these calls: one per
+    # row, then one per complete_to_cycle call (n - 1 on a row of n rigid edges).
+    calls = []
+
+    def counted(cx):
+        calls.append(cx)
+        return find_rigid_edges(cx)
+
+    monkeypatch.setattr(harness, "find_rigid_edges", counted)
+    theorem_experiment([1, 2, 5, 9], [WINDOW_LO, INTERIOR])
+    assert len(calls) == sum(2 * (1 + (n - 1)) for n in (1, 2, 5, 9))
+    calls.clear()
+    report = theorem_experiment([3, 4], [INTERIOR, Fraction(1)], cube_grid=2, include_cube0=True)
+    assert [r.rigid_count for r in report.rows] == [3, 3, 4, 4]
+    assert len(calls) == sum(1 + (r.rigid_count - 1) for r in report.rows)
 
 
 def test_complete_to_cycle_closed_on_bigger_configs():

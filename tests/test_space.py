@@ -203,6 +203,14 @@ def test_cloud_csv_accepts_consistent_labels():
     assert kinds == ["cube0", "cube1", "sheet"]
 
 
+def test_cloud_csv_unreduced_cells_give_the_reduced_cloud():
+    reduced = "cube0,0,1/2,0,0\ncube1,1,0,0,1\nsheet:x=1/2:y=01,1/236196,1/3,0,0\n"
+    unreduced = "cube0,0/5,2/4,0,0/5\ncube1,3/3,0/5,0,2/2\nsheet:x=1/2:y=01,2/472392,2/6,0/5,0\n"
+    cloud = Cloud.from_csv_text(unreduced)
+    assert cloud == Cloud.from_csv_text(reduced)
+    assert cloud.lattice[0] == 236196  # the lcm of the reduced denominators 2, 3, 236196
+
+
 def _kind_scan(cloud) -> dict[str, int]:
     # One pass per kind over the points, by kind name.
     return {
