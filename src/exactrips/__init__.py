@@ -45,7 +45,7 @@ from .homology import (
     rank_f2,
     rigid_rank_lower_bound,
 )
-from .rips import RipsComplex2, build_complex, build_edges, second_neighbor_witness, sq_dist, sweep
+from .rips import RipsComplex2, build_complex, build_edges, sq_dist, sweep
 from .space import (
     Cloud,
     CloudConfig,

@@ -8,7 +8,7 @@ on the finite sample:
   * exactly n edges of length exactly a join a sheet point to its
     perpendicular partner (the rigid edges),
   * no rigid edge lies in any triangle (cross-checked by the partner's
-    sheet neighbors),
+    sheet neighbors other than its census foot),
   * any two rigid edges complete to a 1-cycle through short non-rigid
     edges, and the F2 rank of the cycles' rigid coordinates is n-1,
   * beta1 equals n-1: the complex is checked, not assumed, to be two
@@ -52,7 +52,7 @@ from .embedding import (
     reserved_twos,
 )
 from .homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound, two_cliques
-from .rips import RigidEdge, RipsComplex2, bits, build_complex, second_neighbor_witness
+from .rips import RigidEdge, RipsComplex2, bits, build_complex
 from .space import DEFAULT_BLOCKS, CloudConfig, build_cloud, circle_above_parabola_cleared
 
 __all__ = [
@@ -121,15 +121,22 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
 
     The primary check looks the rigid edges up among the triangle sides
     (the rows of the triangle boundary at rigid indices must be empty;
-    see RipsComplex2.sides_in_triangles); the cross-check reads every
-    partner's sheet neighbors off the complex's neighbor masks in one call
-    (second_neighbor_witness), where the argument allows none but the
-    rigid foot.  Violations are report content, not exceptions.
+    see RipsComplex2.sides_in_triangles).  The cross-check, the
+    second-neighbor witness, lists per rigid edge, in input order, its
+    partner's sheet neighbors other than its census foot, ascending, off
+    the masks.  The argument expects none: a second neighbor would force
+    eps > l**2 / 2 between the first-coordinate gap eps and the slab
+    projection gap l, contradicting the close-expanding lower bound.
+    Violations are report content, not exceptions.
     """
     rigid = list(rigid)
     tri_violations = c.sides_in_triangles({r.edge_index for r in rigid})
-    hits = second_neighbor_witness(c, [r.partner_vertex for r in rigid])
-    witness_violations = [(r.edge_index, v.index) for r, vs in zip(rigid, hits) for v in vs]
+    nb, sheet = c.neighbor_masks, c.cloud.kind_masks.sheet
+    witness_violations = [
+        (r.edge_index, v)
+        for r in rigid
+        for v in bits(nb[r.partner_vertex] & sheet & ~(1 << r.sheet_vertex))
+    ]
     return RigidFreeReport(
         checked=len(rigid),
         triangle_violations=tuple(tri_violations),

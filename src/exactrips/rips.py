@@ -23,7 +23,8 @@ the masks less the rigid edges, and the triangles, listed only when read.
 Sweeps check nesting on the masks, and reports write rows from them
 (digits.MaskRows), each run of rows repeated in a report once.  The
 `sweep` command ranks each distinct complex of a sweep once, and the
-second-neighbor witness reads partners' sheet neighbors from their masks.
+rigid-freeness check (harness.assert_rigid_free) reads each census
+partner's sheet neighbors from its mask.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from math import isqrt
 from typing import NamedTuple
 
 from .digits import BinaryString, MaskRows, format_rational, json_text
@@ -44,12 +44,10 @@ __all__ = [
     "RigidEdge",
     "ScaleEdges",
     "MonotonicityError",
-    "NeighborViolation",
     "sq_dist",
     "build_edges",
     "build_complex",
     "sweep",
-    "second_neighbor_witness",
     "bits",
 ]
 
@@ -106,17 +104,6 @@ class ScaleEdges(NamedTuple):
 
     rigid: tuple[RigidEdge, ...]
     diagonal: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NeighborViolation:
-    """A sheet point other than the rigid partner within the scale of a
-    {1}-slab point, with the gap split the contradiction argument uses."""
-
-    index: int
-    eps: Fraction  # first-coordinate gap
-    l_sq: Fraction  # squared gap of the 3-D projection
-    dist_sq: Fraction
 
 
 @dataclass(frozen=True)
@@ -260,43 +247,4 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
             if any(p & ~q for p, q in zip(pn, nb)):
                 raise MonotonicityError(f"edges at {prev.scale} not nested in {a}")
         out.append(cx)
-    return out
-
-
-def second_neighbor_witness(c: RipsComplex2, partners) -> list[list[NeighborViolation]]:
-    """For each {1}-slab partner vertex, in input order, the sheet points
-    within the scale of it other than its own rigid foot.
-
-    The construction predicts only empty lists: a second neighbor would
-    force eps > l**2 / 2 between the first-coordinate gap eps and the slab
-    projection gap l, contradicting the close-expanding lower bound.  Any
-    violation is returned with both gaps so the failed chain is inspectable.
-
-    The edge scan has settled every distance: the candidates are the
-    partner's sheet neighbors, nb[partner] & the sheet mask.  The rigid
-    foot (partner - (a, 0, 0, 0)) is on the lattice iff a*L, so iff
-    a**2 L**2, is an int (lattice_bound is exact); its row is then the
-    partner's less isqrt(bound) = a*L in the first entry, and neighbors
-    with that row are excluded.  The gaps of a violation are exact
-    Fractions, computed from the lattice rows of the hits alone.
-    """
-    partners, kinds = list(partners), c.cloud.kind_masks
-    bad = [(i, c.cloud.labels[i][0]) for i in partners if not kinds.cube1 >> i & 1]
-    if bad:
-        raise ValueError("witness scan expects {1}-slab partners; vertex %d is %s" % bad[0])
-    L, lattice = c.cloud.lattice
-    bound, exact = lattice_bound(c.scale, L)
-    nb, shift, out = c.neighbor_masks, isqrt(bound), []
-    for partner in partners:
-        row = lattice[partner]
-        foot = (row[0] - shift,) + row[1:] if exact else None
-        hits = []
-        for idx in bits(nb[partner] & kinds.sheet):
-            q = lattice[idx]
-            if q == foot:
-                continue
-            eps = Fraction(abs(q[0] - row[0]), L)
-            l_sq = Fraction(sum((q[i] - row[i]) ** 2 for i in (1, 2, 3)), L * L)
-            hits.append(NeighborViolation(idx, eps, l_sq, eps * eps + l_sq))
-        out.append(hits)
     return out

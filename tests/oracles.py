@@ -4,8 +4,9 @@ These deliberately share no code with the package: union-find for
 component counting, a tiny random-cloud generator for cross-checking
 the homology engine, plain Fraction scans that referee the
 integer-lattice distance tests, a walk over every edge that referees
-the scale-length edge census read off the neighbor masks, a per-point
-int-lattice loop that referees the packed second-neighbor scan,
+the scale-length edge census read off the neighbor masks, a Fraction
+scan of each census partner's sheet points that referees the
+second-neighbor witness read off the masks,
 digit-by-digit versions of the digit-string operations, on plain tuples
 of digits, that referee the packed (int value, depth) strings, the
 lemma facts and the equivalence ratios in Fraction arithmetic, on those
@@ -221,43 +222,17 @@ def edge_walk_scale_edges(cx) -> ScaleEdges:
     return ScaleEdges(tuple(rigid), tuple(diagonal))
 
 
-def fraction_witness(partner, cloud, a: Fraction) -> list[tuple]:
-    """(index, eps, l_sq, dist_sq) of every sheet point within a of the
-    partner, other than its rigid sheet point, by Fraction arithmetic."""
-    rigid_coords = (partner.coords[0] - a,) + tuple(partner.coords[1:])
+def fraction_witness(cloud, rigid, a: Fraction) -> list[tuple[int, int]]:
+    """(edge index, vertex) per rigid edge in order, then per sheet point
+    within a of its partner other than its own sheet vertex, ascending,
+    by a Fraction scan of the cloud's points."""
     out = []
-    for idx, p in enumerate(cloud.points):
-        if p.kind != "sheet" or tuple(p.coords) == rigid_coords:
-            continue
-        eps = abs(p.coords[0] - partner.coords[0])
-        l_sq = sum((p.coords[k] - partner.coords[k]) ** 2 for k in (1, 2, 3))
-        if eps * eps + l_sq <= a * a:
-            out.append((idx, eps, l_sq, eps * eps + l_sq))
-    return out
-
-
-def lattice_witness(partner, cloud, a: Fraction) -> list[tuple]:
-    """(index, eps, l_sq, dist_sq) as fraction_witness, by one int test
-    per sheet point: the partner scaled onto the cloud's lattice, refined
-    by the least s that makes it integral, against floor(a**2 L**2 s**2)."""
-    if a < 0:
-        raise ValueError("scale must be nonnegative")
-    L, lattice = cloud.lattice
-    scaled = [Fraction(c) * L for c in partner.coords]
-    s = math.lcm(*(c.denominator for c in scaled))
-    target = [c.numerator * (s // c.denominator) for c in scaled]
-    bound = (a.numerator * L * s) ** 2 // a.denominator**2
-    rigid_coords = (partner.coords[0] - a,) + tuple(partner.coords[1:])
-    out = []
-    for idx, p in enumerate(cloud.points):
-        if p.kind != "sheet":
-            continue
-        d = sum((s * u - v) ** 2 for u, v in zip(lattice[idx], target))
-        if d > bound or tuple(p.coords) == rigid_coords:
-            continue
-        eps = abs(p.coords[0] - partner.coords[0])
-        l_sq = sum((p.coords[k] - partner.coords[k]) ** 2 for k in (1, 2, 3))
-        out.append((idx, eps, l_sq, eps * eps + l_sq))
+    for r in rigid:
+        partner = cloud.points[r.partner_vertex].coords
+        for idx, p in enumerate(cloud.points):
+            if p.kind == "sheet" and idx != r.sheet_vertex:
+                if sum((u - v) ** 2 for u, v in zip(p.coords, partner)) <= a * a:
+                    out.append((r.edge_index, idx))
     return out
 
 

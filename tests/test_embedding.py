@@ -250,6 +250,12 @@ def test_check_close_expanding_vacuous_and_counterexample():
     assert not ok and cex == bad
 
 
+@pytest.mark.parametrize("dist_a, dist_b_sq", [(-1, 0), (0, -1), (Fraction(-1, 3), 1)])
+def test_check_close_expanding_refuses_negative_distances(dist_a, dist_b_sq):
+    with pytest.raises(ValueError, match="distances must be nonnegative"):
+        check_close_expanding([("p", "q", dist_a, dist_b_sq)], Fraction(1, 243))
+
+
 def test_check_close_expanding_on_embedded_pairs():
     rng = random.Random(67)
     pairs = []
@@ -277,8 +283,10 @@ def test_estimate_equivalence_two_samples():
 def test_estimate_equivalence_zero_d1_witness():
     with pytest.raises(ZeroDivisionError):
         estimate_equivalence([(Fraction(0), Fraction(1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one sample required"):
         estimate_equivalence([])
+    with pytest.raises(ValueError, match="sample with d1 = 0 violates the precondition"):
+        estimate_equivalence([(0, 0)])
 
 
 def test_image_metric_equivalence_constants():
@@ -326,3 +334,17 @@ def test_imany_point_refuses_float_and_bool_x():
     assert IManyPoint(1, TernaryString.from_text("222"), y).x == 1
     assert _valued(0, y, 3).t == TernaryString.from_text("000")
 
+
+
+def test_imany_point_refuses_an_empty_expansion():
+    y = BinaryString((1,))
+    with pytest.raises(ValueError, match="expansion must have at least one digit"):
+        IManyPoint(0, TernaryString(()), y)
+    with pytest.raises(ValueError, match="expansion must have at least one digit"):
+        IManyPoint.from_digits(TernaryString(()), y)
+
+
+def test_imany_point_is_unequal_to_other_types():
+    p = IManyPoint.from_digits(TernaryString.from_text("10"), BinaryString((1,)))
+    assert p.__eq__((p.x, p.t, p.y)) is NotImplemented
+    assert p != (p.x, p.t, p.y) and p != "p"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exactrips import harness
-from exactrips.digits import BinaryString
+from exactrips.digits import BinaryString, TernaryString
 from exactrips.harness import (
     DisconnectionError,
     assert_rigid_free,
@@ -16,9 +16,9 @@ from exactrips.harness import (
     run_lemma_suite,
     theorem_experiment,
 )
-from exactrips.homology import betti01, cycle_is_closed
+from exactrips.homology import Cycle, betti01, cycle_is_closed
 from exactrips.rips import build_complex
-from exactrips.space import CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import betti_bruteforce, cloud_of
 
@@ -159,6 +159,39 @@ def test_theorem_experiment_reads_the_census_once_per_row_and_cycle(monkeypatch)
     report = theorem_experiment([3, 4], [INTERIOR, Fraction(1)], cube_grid=2, include_cube0=True)
     assert [r.rigid_count for r in report.rows] == [3, 3, 4, 4]
     assert len(calls) == sum(1 + (r.rigid_count - 1) for r in report.rows)
+
+
+def _cloud_with_a_repeated_row(kind):
+    # default_sheets(2) at scale 1 read from CSV, with the first `kind`
+    # row repeated at the end as vertex 4.
+    rows = build_cloud(CloudConfig(default_sheets(2), Fraction(1))).to_csv_text().splitlines()
+    first = next(r for r in rows if r.startswith(kind))
+    return Cloud.from_csv_text("\n".join([*rows, first]) + "\n")
+
+
+def test_a_repeated_partner_row_closes_a_cycle_through_a_shared_sheet_vertex():
+    cx = build_complex(_cloud_with_a_repeated_row("cube1"), Fraction(1))
+    rigid = find_rigid_edges(cx)
+    assert [(r.sheet_vertex, r.partner_vertex) for r in rigid] == [(0, 1), (0, 4), (2, 3)]
+    # The sheet-to-sheet path starts at its goal, vertex 0, and is empty:
+    # the cycle is the two rigid edges and the partners' edge (1, 4).
+    assert complete_to_cycle(rigid[0], rigid[1], cx) == Cycle((0, 2, 4))
+    assert cx.edges[4] == (1, 4)
+
+
+def test_a_repeated_sheet_row_is_a_witness_violation_of_the_other_copy():
+    # Each copy is within the scale of the partner of the other copy's
+    # rigid edge; the triangle (0, 1, 4) fails freeness as well.
+    cx = build_complex(_cloud_with_a_repeated_row("sheet"), Fraction(1))
+    rigid = find_rigid_edges(cx)
+    assert [(r.edge_index, r.sheet_vertex, r.partner_vertex) for r in rigid[:2]] == [
+        (0, 0, 1),
+        (4, 4, 1),
+    ]
+    report = assert_rigid_free(cx, rigid)
+    assert report.witness_violations == ((0, 4), (4, 0))
+    assert report.triangle_violations == ((0, (0, 1, 4)), (4, (0, 1, 4)))
+    assert not report.ok
 
 
 def test_complete_to_cycle_closed_on_bigger_configs():
@@ -336,3 +369,43 @@ def test_parabola_failure_records_the_grid_point(monkeypatch):
         {"r": r, "x": x}
         for r, x in (("1/4", "-21/124"), ("1/2", "-21/62"), ("1/1", "-21/31"), ("2/1", "-42/31"))
     )
+
+
+def test_roundtrip_mismatch_records_the_decoded_digits(monkeypatch):
+    # A decode that returns t one step off: every round trip fails, and
+    # each record carries the digits decode returned.
+    real = harness.decode
+
+    def off_by_one(strings, blocks):
+        t, y = real(strings, blocks)
+        return TernaryString.from_int((t.value + 1) % 3**t.depth, t.depth), y
+
+    monkeypatch.setattr(harness, "decode", off_by_one)
+    rep = run_lemma_suite(seed=1, samples=3, blocks=1)
+    assert rep.passed is False
+    assert len(rep.roundtrip_failures) == rep.roundtrips == 3
+    for record in rep.roundtrip_failures:
+        assert list(record) == ["t", "y", "t_back", "y_back"]
+        t_back = TernaryString.from_text(record["t_back"])
+        assert t_back.depth == 6
+        assert t_back.value != TernaryString.from_text(record["t"]).value_at(6)
+        assert len(record["y_back"]) == 1
+    assert not rep.reserved_failures
+
+
+def test_ultrametric_failure_records_the_triple(monkeypatch):
+    # An asymmetric delta3 (delta3(s, t) != delta3(t, s) for s != t) fails
+    # every triple whose first two strings differ, recorded as s, t, u.
+    real = harness.delta3
+
+    def lopsided(s, t):
+        return real(s, t) * 2 if s.value < t.value else real(s, t)
+
+    monkeypatch.setattr(harness, "delta3", lopsided)
+    rep = run_lemma_suite(seed=1, samples=20, blocks=1)
+    assert rep.passed is False
+    assert rep.ultrametric_failures
+    for record in rep.ultrametric_failures:
+        assert list(record) == ["s", "t", "u"]
+        s, t = (TernaryString.from_text(record[k]) for k in "st")
+        assert len(record["u"]) == s.depth == t.depth and s != t

@@ -4,13 +4,14 @@ Clouds mix denominators (powers of 2 and 3, and the 3**23 of embedded
 sheet coordinates at the default depth), plant pairs at squared distance
 exactly a**2 (perpendicular sheet-to-slab, diagonal, and slab-to-slab)
 and use scales inside the window, so the inclusive threshold is hit
-exactly rather than approximately.  The second-neighbor witness, read
-off the complex's neighbor masks, is refereed by the per-point lattice
-loop and the Fraction scan, on random clouds and on every rigid partner
-of sampled clouds.
+exactly rather than approximately.  The second-neighbor witness of
+assert_rigid_free, read off the complex's masks for each census edge, is
+refereed by a Fraction scan, on random clouds and on every rigid edge of
+sampled clouds.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from exactrips.harness import (
     find_rigid_edges,
 )
 from exactrips.homology import betti01
-from exactrips.rips import RipsComplex2, build_complex, build_edges, second_neighbor_witness
+from exactrips.rips import RipsComplex2, build_complex, build_edges
 from exactrips.space import (
     DEFAULT_BLOCKS,
     DEFAULT_SCALES,
@@ -45,7 +46,6 @@ from oracles import (
     fraction_scale_edges,
     fraction_triangle_sides,
     fraction_witness,
-    lattice_witness,
 )
 
 DENOMINATORS = (1, 2, 3, 4, 9, 6, 2**10, 3**5, 3**23, 2 * 3**23)
@@ -170,14 +170,18 @@ def test_scale_edge_census_matches_edge_walk_on_reordered_csv_clouds(cube_grid, 
     assert 0 < sum(r.partner_vertex < r.sheet_vertex for r in walk.rigid) < len(walk.rigid) == 5
 
 
+def _witness(cx, rigid):
+    return list(assert_rigid_free(cx, rigid).witness_violations)
+
+
 @SETTINGS
 @given(clouds(max_points=12), st.sampled_from((1, 5, 7, 3**24)), st.data())
 def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
     # The partner is at the perpendicular of a cloud point b, shifted by
     # shift = k/(4*den) in a slab coordinate, and appended to the cloud;
     # for den 7 or 3**24 it refines the cloud's lattice.  Planted sheet
-    # points: b itself (the rigid foot when shift = 0), one strictly within
-    # a, and one at distance exactly a when shift = 0.
+    # points: b itself (the partner's census foot when shift = 0), one
+    # strictly within a, and one at distance exactly a when shift = 0.
     cloud, a = case
     base = data.draw(st.sampled_from(cloud.points)) if cloud.points else _point([0] * 4, "sheet")
     shift = Fraction(data.draw(st.integers(-1, 1)), 4 * den)
@@ -189,11 +193,14 @@ def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
         _point([b[0] + a * Fraction(2, 5), b[1] + a * Fraction(4, 5), b[2], b[3]], "sheet"),
     ]
     cloud = cloud_of(cloud.points + tuple(planted) + (partner,))
-    hits = second_neighbor_witness(build_complex(cloud, a), [len(cloud) - 1])[0]
-    assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == fraction_witness(
-        partner, cloud, a
-    )
-    assert hits  # the point at a / 2 is always within a
+    cx = build_complex(cloud, a)
+    rigid = find_rigid_edges(cx)
+    hits = _witness(cx, rigid)
+    assert hits == fraction_witness(cloud, rigid, a)
+    mine = [r.edge_index for r in rigid if r.partner_vertex == len(cloud) - 1]
+    assert mine or shift
+    # The point at a / 2 is always within a of the partner.
+    assert all((e, len(cloud) - 3) in hits for e in mine)
 
 
 @SETTINGS
@@ -219,10 +226,11 @@ def wide_rationals(draw):
 
 @st.composite
 def witness_cases(draw):
-    """(cloud, partner, a): up to six random points, a partner vertex
-    drawn from them or appended as a new point, a scale of 0, a random
-    one or one above every distance, and optionally the rigid foot and a
-    sheet point at distance exactly a planted."""
+    """(cloud, a): up to six random points, a partner drawn from them or
+    appended as a new point, its foot at distance a planted (which makes
+    the census edge), a scale of 0, a random one or one above every
+    distance, and optionally a sheet point at distance exactly a planted
+    on a diagonal."""
     kinds = st.sampled_from(("sheet", "cube0", "cube1"))
     points = [
         _point([draw(wide_rationals()) for _ in range(4)], draw(kinds))
@@ -236,19 +244,12 @@ def witness_cases(draw):
         points.append(partner)
     a = draw(st.sampled_from((Fraction(0), Fraction(9))) | wide_rationals().map(abs))
     c = partner.coords
-    if draw(st.booleans()):
-        points.append(_point([c[0] - a, c[1], c[2], c[3]], "sheet"))
+    points.append(_point([c[0] - a, c[1], c[2], c[3]], "sheet"))
     if draw(st.booleans()):
         diagonal = [c[0] - a * Fraction(3, 5), c[1] + a * Fraction(4, 5), c[2], c[3]]
         points.append(_point(diagonal, "sheet"))
     order = draw(st.permutations(range(len(points))))
-    cloud = cloud_of(tuple(points[k] for k in order))
-    return cloud, cloud.points.index(partner), a
-
-
-def _witness_tuples(cloud, partner, a):
-    hits = second_neighbor_witness(build_complex(cloud, a), [partner])[0]
-    return [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits]
+    return cloud_of(tuple(points[k] for k in order)), a
 
 
 def test_witness_matches_referees():
@@ -257,72 +258,71 @@ def test_witness_matches_referees():
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(witness_cases())
     def check(case):
-        cloud, partner, a = case
-        point = cloud.points[partner]
-        # The coordinates lie in [-2, 2], so every sheet point is within
-        # a + 2**32 of the partner: the complex at that scale is complete.
-        for scale in (a, a + 2**32):
-            hits = _witness_tuples(cloud, partner, scale)
-            assert hits == lattice_witness(point, cloud, scale)
-            assert hits == fraction_witness(point, cloud, scale)
-        hits = _witness_tuples(cloud, partner, a)
-        sheets = [p for p in cloud.points if p.kind == "sheet"]
-        foot = (point.coords[0] - a, *point.coords[1:])
+        cloud, a = case
+        cx = build_complex(cloud, a)
+        rigid = find_rigid_edges(cx)
+        hits = _witness(cx, rigid)
+        assert hits == fraction_witness(cloud, rigid, a)
+        pts = cloud.points
+        partner = {r.edge_index: pts[r.partner_vertex].coords for r in rigid}
+        sq = [sum((u - v) ** 2 for u, v in zip(pts[i].coords, partner[e])) for e, i in hits]
+        sheets = [p for p in pts if p.kind == "sheet"]
         coords = [c for p in sheets for c in p.coords]
         seen.update(
             name
             for name, occurs in (
                 ("zero", a == 0),
-                ("foot", any(p.coords == foot for p in sheets)),
-                ("exact", any(h[3] == a * a for h in hits)),
-                ("wide", sheets and len(hits) == len(sheets) and all(h[3] < a * a for h in hits)),
+                ("clean", a > 0 and not hits),
+                ("exact", a * a in sq),
+                ("wide", len(sheets) > 2 and len(hits) == len(rigid) * (len(sheets) - 1)),
                 ("negative", any(c < 0 for c in coords)),
                 ("3**24", any(c.denominator == 3**24 for c in coords)),
-                ("one point", len(cloud) == 1),
-                ("no sheets", cloud.points and not sheets),
+                ("two edges", len(rigid) > 1),
             )
             if occurs
         )
 
     check()
-    assert seen == {"zero", "foot", "exact", "wide", "negative", "3**24", "one point", "no sheets"}
+    assert seen == {"zero", "clean", "exact", "wide", "negative", "3**24", "two edges"}
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3**24), Fraction(1), Fraction(4)])
 def test_witness_hits_equal_the_referees_when_the_far_corner_is_farthest(a):
     # The partner sits just outside a corner of the sheet points' box, on
-    # a lattice of step 3**-24, so the cloud's box runs from the partner
-    # to the far sheet corner: their D, about 2**80, is the largest in the
-    # cloud, and just beyond a = 4 it stays out.
-    cloud = cloud_of(
-        (
-            _point([0, 0, 0, 0], "sheet"),
-            _point([2, 2, 2, 2], "sheet"),
-            _point([1, 0, 0, 0], "sheet"),
-            _point([Fraction(-1, 3**24), 0, 0, 0], "cube1"),
-        ),
-    )
-    partner = cloud.points[3]
-    hits = _witness_tuples(cloud, 3, a)
-    assert hits == lattice_witness(partner, cloud, a) == fraction_witness(partner, cloud, a)
-    expected = {Fraction(0): [], Fraction(1, 3**24): [0], Fraction(1): [0], Fraction(4): [0, 2]}
-    assert [h[0] for h in hits] == expected[a]
+    # a lattice of step 3**-24, with its census foot at distance a on the
+    # box's side (the origin itself at a = 3**-24, so the foot the census
+    # settles can lie either side of the partner).  The partner and the far
+    # sheet corner make the largest D in the cloud, about 2**80, and just
+    # beyond a = 4 it stays out.
+    eps = Fraction(1, 3**24)
+    points = [
+        _point([0, 0, 0, 0], "sheet"),
+        _point([2, 2, 2, 2], "sheet"),
+        _point([1, 0, 0, 0], "sheet"),
+        _point([-eps, 0, 0, 0], "cube1"),
+    ]
+    if a != eps:
+        points.append(_point([a - eps, 0, 0, 0], "sheet"))
+    cloud = cloud_of(tuple(points))
+    cx = build_complex(cloud, a)
+    rigid = find_rigid_edges(cx)
+    assert [(r.sheet_vertex, r.partner_vertex) for r in rigid] == [(0 if a == eps else 4, 3)]
+    hits = _witness(cx, rigid)
+    assert hits == fraction_witness(cloud, rigid, a)
+    expected = {Fraction(0): [], eps: [], Fraction(1): [0], Fraction(4): [0, 2]}
+    assert [v for _, v in hits] == expected[a]
 
 
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2)])
 def test_witness_rejects_negative_scales(a):
-    # Read as |a|, a negative scale would move the excluded rigid foot to
-    # partner - (a, 0, 0, 0) and report the real one as a violation.
-    # build_complex refuses the scale, and so does the witness on a
-    # complex made by hand at it.
+    # A negative scale would move the feet the census settles, and so the
+    # sheet vertex the witness excludes.  build_complex refuses the scale,
+    # and so does the census on a complex made by hand at it.
     cloud = build_cloud(CloudConfig(default_sheets(2), Fraction(1)))
     with pytest.raises(ValueError, match="scale must be nonnegative"):
         build_complex(cloud, a)
-    cx = RipsComplex2(cloud, a, ())
-    for partner, p in enumerate(cloud.points):
-        if p.kind == "cube1":
-            with pytest.raises(ValueError, match="scale must be nonnegative"):
-                second_neighbor_witness(cx, [partner])
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        find_rigid_edges(RipsComplex2(cloud, a, ()))
 
 
 def _sweep_style_config() -> CloudConfig:
@@ -357,6 +357,11 @@ SAMPLED_CONFIGS = (
 )
 
 
+def _census_in(cx, rigid):
+    # Census edges of a narrower complex of the cloud, indexed in cx.
+    return [replace(r, edge_index=cx.edge_index(r.sheet_vertex, r.partner_vertex)) for r in rigid]
+
+
 @pytest.mark.parametrize("cfg", SAMPLED_CONFIGS)
 def test_rigid_free_witness_equals_the_referee_on_sampled_clouds(cfg):
     cloud = build_cloud(cfg)
@@ -364,47 +369,43 @@ def test_rigid_free_witness_equals_the_referee_on_sampled_clouds(cfg):
     cx = build_complex(cloud, a)
     rigid = find_rigid_edges(cx)
     assert rigid
-    expected = [
-        (r.edge_index, hit[0])
-        for r in rigid
-        for hit in lattice_witness(cloud.points[r.partner_vertex], cloud, a)
-    ]
-    assert list(assert_rigid_free(cx, rigid).witness_violations) == expected
-    # Slightly beyond the scale the sheet points next to each partner come
-    # in: the witness still reports exactly the referee's hits.
-    wider = a + Fraction(1, 2**20)
-    partners = [r.partner_vertex for r in rigid]
-    for r, hits in zip(rigid, second_neighbor_witness(build_complex(cloud, wider), partners)):
-        expected = lattice_witness(cloud.points[r.partner_vertex], cloud, wider)
-        assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in hits] == expected
+    assert _witness(cx, rigid) == fraction_witness(cloud, rigid, a)
+    # Beyond the scale the census edges stay edges, and by a + 2**-8 the
+    # sheet points next to each partner come in: the witness of the same
+    # edges reports exactly the referee's hits.
+    for wider in (a + Fraction(1, 2**20), a + Fraction(1, 2**8)):
+        cx = build_complex(cloud, wider)
+        wide = _census_in(cx, rigid)
+        hits = _witness(cx, wide)
+        assert hits == fraction_witness(cloud, wide, wider)
+    assert bool(hits) == (len(rigid) > 1)
 
 
 @pytest.mark.parametrize("cfg", SAMPLED_CONFIGS)
 def test_one_witness_call_equals_the_referees_per_partner(cfg):
+    # The census edges at the cloud's scale, read in the complexes at it,
+    # at each wider default scale and at the scale + 2**-8, where other
+    # sheet points come in: one call lists what one call per edge lists,
+    # in the edges' order, as the referee does.
     cloud = build_cloud(cfg)
-    L, _ = cloud.lattice
-    partners = [i for i, p in enumerate(cloud.points) if p.kind == "cube1"]
-    # Slightly beyond the cloud's scale a*L is not an int: partner - (a, 0,
-    # 0, 0) is off the lattice, so the rigid foot, now strictly within a,
-    # is reported like any other sheet point.
-    off = cfg.scale + Fraction(1, 2**20)
-    assert (off * L).denominator != 1
-    for a in (*DEFAULT_SCALES, off):
+    census = find_rigid_edges(build_complex(cloud, cfg.scale))
+    wider = {s for s in DEFAULT_SCALES if s > cfg.scale}
+    found = []
+    for a in sorted({cfg.scale, cfg.scale + Fraction(1, 2**8), *wider}):
         cx = build_complex(cloud, a)
-        hits = second_neighbor_witness(cx, partners)
-        assert len(hits) == len(partners)
-        for partner, found in zip(partners, hits):
-            point = cloud.points[partner]
-            expected = lattice_witness(point, cloud, a)
-            assert [(v.index, v.eps, v.l_sq, v.dist_sq) for v in found] == expected
-            assert expected == fraction_witness(point, cloud, a)
-    assert second_neighbor_witness(cx, partners[::-1]) == hits[::-1]
-    assert any(hits)
+        rigid = _census_in(cx, census)
+        each = [_witness(cx, [r]) for r in rigid]
+        hits = _witness(cx, rigid)
+        assert hits == sum(each, []) == fraction_witness(cloud, rigid, a)
+        assert _witness(cx, rigid[::-1]) == sum(each[::-1], [])
+        found.append(hits)
+    assert any(found) == (len(census) > 1)
 
 
 def _two_partner_cloud() -> Cloud:
-    # Partner 1 has a second sheet point within 1 (vertex 2); partner 4,
-    # at the other corner, has only its rigid foot (vertex 3).
+    # Partner 1 has its rigid foot (vertex 0) and a second sheet point
+    # within 1 (vertex 2); partner 4, at the other corner, has its foot
+    # (vertex 3) and vertex 5.
     return cloud_of(
         (
             _point([0, 0, 0, 0], "sheet"),
@@ -412,21 +413,16 @@ def _two_partner_cloud() -> Cloud:
             _point([Fraction(1, 2), 0, 0, 0], "sheet"),
             _point([0, 1, 1, 1], "sheet"),
             _point([1, 1, 1, 1], "cube1"),
+            _point([Fraction(1, 2), 1, 1, 1], "sheet"),
         ),
     )
 
 
 def test_witness_hit_lists_follow_the_partner_order():
     cx = build_complex(_two_partner_cloud(), Fraction(1))
-    forward = second_neighbor_witness(cx, [1, 4])
-    assert [[v.index for v in hits] for hits in forward] == [[2], []]
-    backward = second_neighbor_witness(cx, iter([4, 1, 4]))
-    assert backward == [forward[1], forward[0], forward[1]]
-    assert second_neighbor_witness(cx, []) == []
-
-
-@pytest.mark.parametrize("partners", [[0], [1, 0], [1, 4, 3], [4, 1, 2]])
-def test_witness_rejects_a_non_cube1_vertex_anywhere(partners):
-    bad = next(i for i in partners if i not in (1, 4))
-    with pytest.raises(ValueError, match=f"vertex {bad} is sheet"):
-        second_neighbor_witness(build_complex(_two_partner_cloud(), Fraction(1)), partners)
+    r1, r4 = find_rigid_edges(cx)
+    assert [(r.sheet_vertex, r.partner_vertex) for r in (r1, r4)] == [(0, 1), (3, 4)]
+    forward = _witness(cx, [r1, r4])
+    assert forward == [(r1.edge_index, 2), (r4.edge_index, 5)]
+    assert _witness(cx, iter([r4, r1, r4])) == [forward[1], forward[0], forward[1]]
+    assert _witness(cx, []) == []

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from exactrips.digits import BinaryString
-from exactrips.harness import default_sheets
-from exactrips.rips import build_complex, second_neighbor_witness
+from exactrips.harness import assert_rigid_free, default_sheets, find_rigid_edges
+from exactrips.rips import build_complex
 from exactrips.space import (
     DEFAULT_SCALES,
     SHEET_SCALE,
@@ -260,6 +260,22 @@ def test_points_refuse_inexact_coordinates(bad):
             LabeledPoint4((Fraction(0),) * 4, "sheet", bad, Y0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((0, 0, 0, 0), "cube2"), "unknown point kind 'cube2'"),
+        (((0, 0, 0), "cube1"), "points live in R\\^4"),
+        (((0, 0, 0, 0, 0), "cube0"), "points live in R\\^4"),
+        (((0, 0, 0, 0), "sheet"), "sheet points must carry their x and y labels"),
+        (((0, 0, 0, 0), "sheet", 0), "sheet points must carry their x and y labels"),
+        (((0, 0, 0, 0), "sheet", None, Y0), "sheet points must carry their x and y labels"),
+    ],
+)
+def test_points_refuse_unknown_kinds_other_dimensions_and_unlabelled_sheets(args, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledPoint4(*args)
+
+
 def test_points_take_int_coordinates():
     p = LabeledPoint4((1, 0, Fraction(1, 3), 0), "sheet", 0, Y0)
     assert cloud_of((p,)).lattice == (3, ((3, 0, 1, 0),))
@@ -301,23 +317,15 @@ def test_circle_above_parabola_grid():
 
 def test_second_neighbor_witness_empty_on_minimal_cloud():
     a = Fraction(1)
-    cloud = build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a))
-    cx = build_complex(cloud, a)
-    for i, p in enumerate(cloud.points):
-        if p.kind == "cube1":
-            assert second_neighbor_witness(cx, [i])[0] == []
-
-
-def test_second_neighbor_witness_requires_cube1():
-    cloud = build_cloud(CloudConfig(sheets=(Y0,), scale=Fraction(1)))
-    sheet = next(i for i, p in enumerate(cloud.points) if p.kind == "sheet")
-    with pytest.raises(ValueError):
-        second_neighbor_witness(build_complex(cloud, Fraction(1)), [sheet])
+    cx = build_complex(build_cloud(CloudConfig(sheets=(Y0, Y1), scale=a)), a)
+    rigid = find_rigid_edges(cx)
+    assert len(rigid) == 2
+    assert assert_rigid_free(cx, rigid).witness_violations == ()
 
 
 def test_second_neighbor_witness_reports_adversarial_point():
     # A hand-built non-sample cloud with a sheet point halfway up the rigid
-    # segment: within the scale of the partner, and not excluded.
+    # segment: within the scale of the partner, and not its census foot.
     y = Y0
     sheet = LabeledPoint4(
         (Fraction(0), Fraction(0), Fraction(0), Fraction(0)), "sheet", Fraction(0), y
@@ -329,9 +337,7 @@ def test_second_neighbor_witness_reports_adversarial_point():
         Fraction(1, 2),
         y,
     )
-    cloud = cloud_of((sheet, partner, intruder))
-    hits = second_neighbor_witness(build_complex(cloud, Fraction(1)), [1])[0]
-    assert len(hits) == 1
-    assert hits[0].index == 2
-    assert hits[0].eps == Fraction(1, 2)
-    assert hits[0].l_sq == 0
+    cx = build_complex(cloud_of((sheet, partner, intruder)), Fraction(1))
+    (r,) = find_rigid_edges(cx)
+    assert (r.sheet_vertex, r.partner_vertex) == (0, 1)
+    assert assert_rigid_free(cx, [r]).witness_violations == ((r.edge_index, 2),)
