@@ -38,10 +38,19 @@ __all__ = [
     "ternary_value",
     "first_difference",
     "first_difference_packed",
+    "power",
     "delta3_at",
     "delta3",
     "exact_type",
 ]
+
+
+_POWERS = {base: tuple(base**k for k in range(256)) for base in (2, 3)}
+
+
+def power(base: int, k: int) -> int:
+    """base**k for base 2 or 3 and k >= 0, from a table for k < 256."""
+    return _POWERS[base][k] if k < 256 else base**k
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -62,7 +71,7 @@ class _DigitString:
     @classmethod
     def from_int(cls, value: int, depth: int):
         """The string of `depth` digits whose packed value is `value`."""
-        if depth < 0 or not 0 <= value < cls.base**depth:
+        if depth < 0 or not 0 <= value < power(cls.base, depth):
             raise ValueError(f"no {depth}-digit base-{cls.base} string has value {value}")
         s = object.__new__(cls)
         _set_value(s, value)
@@ -87,8 +96,8 @@ class _DigitString:
     def value_at(self, depth: int) -> int:
         """Packed value of the first `depth` digits, zero-padded if needed."""
         if depth >= self.depth:
-            return self.value * self.base ** (depth - self.depth)
-        return self.value // self.base ** (self.depth - depth)
+            return self.value * power(self.base, depth - self.depth)
+        return self.value // power(self.base, self.depth - depth)
 
     def text(self) -> str:
         return "".join(map(str, self.digits))
@@ -262,9 +271,6 @@ def ternary_value(s: TernaryString) -> Fraction:
     return Fraction(s.value, 3**s.depth)
 
 
-_POW3 = tuple(3**k for k in range(256))
-
-
 def first_difference(s: TernaryString, t: TernaryString) -> int | None:
     """First index at which the zero-padded strings disagree, None if nowhere."""
     depth = max(s.depth, t.depth)
@@ -276,16 +282,26 @@ def first_difference_packed(a: int, b: int, depth: int) -> int | None:
     values a and b disagree, None if nowhere."""
     if a == b:
         return None
-    p3 = _POW3 if depth < len(_POW3) else tuple(3**k for k in range(depth + 1))
     # The digits at 3**m and up agree iff a // 3**m == b // 3**m, never when
-    # 3**m <= |a - b|, and once they agree at m they agree above it.  So the
-    # least such m is found probing up from the least m with |a - b| < 3**m;
-    # it is that m unless a carry runs past it, and at most depth.  Index
-    # depth - m is the first difference.
-    m = bisect_right(p3, abs(a - b))
-    while a // p3[m] != b // p3[m]:
-        m += 1
-    return depth - m
+    # 3**m <= |a - b|, and once they agree at m they agree above it, at
+    # depth at the latest.  So the least such m is searched from the least
+    # m with |a - b| < 3**m (256 if the table holds none): probes at m,
+    # m + 1, m + 3, m + 7, ... up to the first agreement (the first probe,
+    # unless a carry runs past m), then bisection below it.  Index depth - m
+    # is the first difference.  The probes read the table inline, not
+    # through power: a third of random pairs take a second probe.
+    p3 = _POWERS[3]
+    lo = hi = bisect_right(p3, abs(a - b))
+    step = 1
+    while a // (p := p3[hi] if hi < 256 else 3**hi) != b // p:
+        lo, hi, step = hi + 1, hi + step if hi + step < depth else depth, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if a // (p := power(3, mid)) == b // p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return depth - hi
 
 
 @lru_cache(maxsize=256)

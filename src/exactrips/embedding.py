@@ -30,7 +30,7 @@ from math import lcm
 from typing import Sequence
 
 from .digits import BinaryString, TernaryString, delta3_at, exact_type, first_difference
-from .digits import first_difference_packed, json_fields, to_ternary
+from .digits import first_difference_packed, json_fields, power, to_ternary
 from .digits import delta3, ternary_value  # for perfbench --trace 1
 
 __all__ = [
@@ -97,7 +97,7 @@ class IManyPoint:
         if t.depth < 1:
             raise ValueError("expansion must have at least one digit")
         p = object.__new__(cls)
-        _set_x(p, (t.value, 3**t.depth))
+        _set_x(p, (t.value, power(3, t.depth)))
         _set_t(p, t)
         _set_y(p, y)
         return p
@@ -322,13 +322,13 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
     depth = 3 * blocks  # every coordinate string has 3*blocks digits
     coord_first_diffs = tuple(first_difference_packed(a, b, depth) for a, b in zip(cp, cq))
     m = min((d for d in coord_first_diffs if d is not None), default=None)
-    den = 3**depth
+    den = power(3, depth)
     gaps = tuple(abs(a - b) for a, b in zip(cp, cq))
     linf, l2 = max(gaps), sum(g * g for g in gaps)
     return FactReport(
-        x_num == 0 if k is None else x_num * 3**k <= x_den,  # fact1
+        x_num == 0 if k is None else x_num * power(3, k) <= x_den,  # fact1
         k is None or m is not None and 2 * m <= k + 2,  # fact2
-        m is None or linf * 3 ** (4 + m) >= den,  # fact3
+        m is None or linf * power(3, 4 + m) >= den,  # fact3
         linf * linf <= l2,  # fact4
         l2 * 3**10 * x_den >= x_num * den * den,  # combined
         k, coord_first_diffs, x_num, x_den, gaps, blocks,

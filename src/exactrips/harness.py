@@ -38,6 +38,7 @@ from .digits import (
     format_rational,
     json_fields,
     json_text,
+    power,
     ternary_value,  # not called here; kept for perfbench --trace 1 to wrap
 )
 from .embedding import (
@@ -379,12 +380,12 @@ class _WordStream:
     at a time, so those past the last one read are drawn and never read:
     harmless for a generator no one else holds.  A refill is
     `getrandbits(32 * m)`, m whole words with the first drawn least
-    significant, as little-endian bytes: word i is _buf[4i : 4i + 4].
-    Per base, _views holds one _TOP2 character per word: the digit
-    randrange(base) takes from the word, or "x" where it rejects it.
+    significant, as little-endian bytes: word i is _buf[4i : 4i + 4], its
+    top byte _tops[i].  Per base, _views holds one _TOP2 character per word:
+    the digit randrange(base) takes from the word, or "x" where it rejects.
     """
 
-    __slots__ = ("_rng", "_buf", "_views", "_pos")
+    __slots__ = ("_rng", "_buf", "_tops", "_views", "_pos")
     REFILL = 4096
 
     def __init__(self, seed: int) -> None:
@@ -397,7 +398,7 @@ class _WordStream:
         fresh = max(m, self.REFILL)
         words = self._rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
         self._buf = self._buf[4 * self._pos :] + words
-        tops = self._buf[3::4]
+        tops = self._tops = self._buf[3::4]
         self._views = {base: tops.translate(table) for base, table in _TOP2.items()}
         self._pos = 0
 
@@ -407,6 +408,14 @@ class _WordStream:
         one word for k <= 32; wider, it fills whole words least significant
         first and keeps the top k % 32 bits of the last."""
         k = n.bit_length()
+        if k <= 8:  # the top k bits of one word's top byte
+            while True:
+                if self._pos == len(self._tops):
+                    self._refill(1)
+                r = self._tops[self._pos] >> (8 - k)
+                self._pos += 1
+                if r < n:
+                    return r
         words = (k + 31) // 32
         low, drop = 32 * (words - 1), 32 * words - k
         while True:
@@ -553,8 +562,11 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
 
     ultrametric_failures = []
     for _ in range(samples):
+        # Three draws of `depth` digits read the words of one of 3 * depth.
         depth = 1 + rng.below(6 * blocks)
-        s, t, u = (rng.digits(TernaryString, depth) for _ in range(3))
+        top = power(3, depth)
+        head, u = divmod(rng.digits(TernaryString, 3 * depth).value, top)
+        s, t, u = (TernaryString.from_int(v, depth) for v in (*divmod(head, top), u))
         st = delta3(s, t)
         if delta3(s, u) > max(st, delta3(t, u)) or st != delta3(t, s) or delta3(s, s) != 0:
             ultrametric_failures.append(

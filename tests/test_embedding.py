@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from exactrips.digits import BinaryString, TernaryString, delta3, ternary_value, to_ternary
 from exactrips.embedding import (
@@ -201,6 +203,50 @@ def test_check_facts_rejects_uncovered_digit_data():
     q = _point([0], [0])
     with pytest.raises(ValueError):
         check_facts(p, q, 2)
+
+
+@st.composite
+def _shifted_pairs(draw):
+    # Digits of a pair at blocks 1-4, and 1-3 shared blocks to prepend to
+    # both: 6 t digits and 1 label digit each.
+    blocks = draw(st.integers(1, 4))
+    t = st.lists(st.integers(0, 2), min_size=1, max_size=6 * blocks)
+    y = st.lists(st.integers(0, 1), max_size=blocks)
+    block = st.tuples(st.lists(st.integers(0, 2), min_size=6, max_size=6), st.integers(0, 1))
+    pair = draw(t), draw(y), draw(t), draw(y)
+    return blocks, pair, draw(st.lists(block, min_size=1, max_size=3))
+
+
+FACTS = ("fact1", "fact2", "fact3", "fact4", "combined")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shifted_pairs())
+@example((1, ([0], [], [1], []), [([0] * 6, 0)]))
+@example((1, ([1, 0, 0], [0], [0, 2, 2], [1]), [([2] * 6, 1)] * 3))  # a borrow chain
+@example((2, ([2, 1], [0, 1], [2, 1, 0], [0, 0]), [([1, 0, 2, 0, 1, 2], 1)]))  # t equal padded
+@example((4, ([0] * 24, [], [0] * 23 + [1], []), [([0] * 6, 0)] * 2))
+def test_check_facts_invariant_under_a_shared_leading_block(case):
+    # A shared prefix cancels from every gap: prepending j blocks scales
+    # |x_p - x_q| by 3**(-6j) and the coordinate gaps by 3**(-3j), so no
+    # fact changes, and every first difference moves by 6j (t) or 3j
+    # (coordinates).  check_facts is its own referee.
+    blocks, (pt, py, qt, qy), prefix = case
+    assume(not _point(pt, py).digit_data_equals(_point(qt, qy)))
+    j = len(prefix)
+    shared_t = [d for digits, _ in prefix for d in digits]
+    shared_y = [label for _, label in prefix]
+    r = check_facts(_point(pt, py), _point(qt, qy), blocks)
+    s = check_facts(
+        _point(shared_t + pt, shared_y + py), _point(shared_t + qt, shared_y + qy), blocks + j
+    )
+    assert [getattr(s, f) for f in FACTS] == [getattr(r, f) for f in FACTS]
+
+    def moved(k, by):
+        return None if k is None else k + by
+
+    assert s.t_first_diff == moved(r.t_first_diff, 6 * j)
+    assert s.coord_first_diffs == tuple(moved(k, 3 * j) for k in r.coord_first_diffs)
 
 
 def test_check_facts_random_pairs_all_exact():

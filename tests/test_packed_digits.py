@@ -25,6 +25,7 @@ from exactrips.digits import (
     delta3,
     first_difference,
     first_difference_packed,
+    power,
     ternary_value,
     to_ternary,
 )
@@ -156,6 +157,21 @@ def test_first_difference_on_deep_strings(depth):
             assert first_difference(TernaryString(s[:-1]), TernaryString(t)) == k
 
 
+@pytest.mark.parametrize("k", [255, 256, 257])
+@pytest.mark.parametrize("cls", [TernaryString, BinaryString])
+def test_powers_at_the_table_edge(cls, k):
+    # Exponent k, the last tabled power and the first two past the table,
+    # in each use, against base ** k (first_difference_packed's probes at
+    # these exponents are examples of its per-digit test below).
+    base = cls.base
+    assert power(base, k) == base**k
+    assert cls.from_int(base**k - 1, k).digits == (base - 1,) * k
+    with pytest.raises(ValueError):
+        cls.from_int(base**k, k)
+    assert cls.from_int(1, 1).value_at(k + 1) == base**k
+    assert cls.from_int(base ** (k + 1) - 1, k + 1).value_at(1) == base - 1
+
+
 def _base3(v: int, depth: int) -> tuple:
     digits = []
     for _ in range(depth):
@@ -187,6 +203,9 @@ def packed_pairs(draw):
 @example((2, 1, 1))
 @example((0, 1, 256))  # depths past the precomputed powers of 3
 @example((3**255, 3**255 - 1, 256))
+@example((0, 3**255, 256))  # the probes at exponents 255, 256 and 257
+@example((3**256, 3**256 - 1, 257))
+@example((2 * 3**257, 3**257 + 5, 258))
 @example((3**200 - 1, 3**200, 300))
 @example((3**299, 2 * 3**299, 300))
 @example((7, 7, 400))

@@ -5,7 +5,9 @@ in bulk.  Every draw must return what the same call returns on the
 generator itself: `below(n)` what `randrange(n)` returns, `lo + below(hi
 - lo + 1)` what `randint(lo, hi)` returns, and `digits(cls, d)` the d
 digits of d calls of `randrange(cls.base)`.  Both are run on equal
-generators through mixed sequences of draws and compared value by value.
+generators through mixed sequences of draws and compared value by value,
+and one draw of 3d digits is compared with three draws of d, as the
+suite's ultrametric triples read it.
 The stream draws words ahead of the last one it reads, so the two
 generators' states differ and are not compared; an equal next value after
 every draw shows that each draw read the words the call would, no more
@@ -63,6 +65,9 @@ def _same_draw(stream, rng, kind, n):
 @example(4, [("ternary", 4301)])  # past int()'s default 4300-digit limit, and REFILL
 @example(5, [("below", n) for n in BOUNDS] * 3)
 @example(6, [("below", 2**32), ("binary", 3), ("below", 2**64 + 1), ("ternary", 5)])
+# The draw ends at word 4094; below(13) rejects word 4095, the buffer's
+# last (top byte 211), and reads its next word after the refill.
+@example(2, [("ternary", 3077), ("below", 13)])
 def test_draw_matches_randrange_stream(seed, step_list):
     stream, rng = _WordStream(seed), random.Random(seed)
     for kind, n in step_list + [("below", 2**32)]:  # the next word agrees too
@@ -70,10 +75,31 @@ def test_draw_matches_randrange_stream(seed, step_list):
 
 
 def test_randrange_bounds_over_many_draws():
-    # Each bound's rejections, over enough draws to cross several refills.
+    # Each bound's rejections, over enough draws (at least one word each)
+    # to cross at least one refill.
     for n in BOUNDS:
         stream, rng = _WordStream(n), random.Random(n)
-        assert [stream.below(n) for _ in range(3000)] == [rng.randrange(n) for _ in range(3000)]
+        buf = stream._buf
+        assert [stream.below(n) for _ in range(5000)] == [rng.randrange(n) for _ in range(5000)]
+        assert stream._buf is not buf
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**64),
+    st.sampled_from(sorted(CLASSES)),
+    st.one_of(st.integers(0, 80), st.integers(200, 700)),
+)
+@example(0, "ternary", 0)
+@example(4, "ternary", 1500)  # 4500 digits: past REFILL
+@example(5, "binary", 256)
+def test_one_draw_of_three_thirds_is_three_draws(seed, kind, d):
+    cls = CLASSES[kind]
+    whole, thirds = _WordStream(seed), _WordStream(seed)
+    s = whole.digits(cls, 3 * d)
+    head, third = divmod(s.value, cls.base**d)
+    assert [*divmod(head, cls.base**d), third] == [thirds.digits(cls, d).value for _ in range(3)]
+    assert whole.below(2**32) == thirds.below(2**32)
 
 
 def test_depth_zero_draws_nothing():
