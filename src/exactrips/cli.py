@@ -5,8 +5,8 @@ rigid, experiment, sweep.  Rationals are written "num/den" everywhere
 (bare integers accepted on input).  JSON reports all come from the one
 writer digits.json_text: indent 2, sorted keys, non-ASCII escaped, the
 bytes json.dumps(obj, indent=2, sort_keys=True) writes.  Records (lemma
-and fact reports, cloud configs, rigid edges) are written from their
-fields by digits.json_fields.  Exit codes:
+and fact reports, rigid edges) are written from their fields by
+digits.json_fields.  Exit codes:
 
   0  all checks pass
   1  a mathematical check failed (counterexample in the report; a lemma

@@ -1,13 +1,14 @@
 """Digit-interleaving embedding of sheet-labeled interval points into [0,1]^3.
 
-A point carries an x value in [0,1], its chosen base-3 expansion t, and a
-binary sheet label y.  The three image coordinates interleave the digits
+A point is its digit data: a base-3 expansion t, whose value is the
+point's x in [0,1], and a binary sheet label y.  The three image
+coordinates interleave the digits
 
     coordinate i:  (t[2i], t[2i+1], y[0],  t[6+2i], t[6+2i+1], y[1],  ...)
 
 so every t digit and every y digit lands somewhere in the image: the map
 is injective and invertible by reading the digits back (on packed strings,
-one pass over 6-digit t blocks split by a 729-entry table).  Because y digits
+two base-27 blocks per step through 729-entry tables).  Because y digits
 occupy every position congruent to 2 mod 3 and are at most 1, image
 coordinates never carry the digit 2 there; that reserved-digit gap is what
 keeps coordinate values apart (an asymmetric-Cantor picture) and gives the
@@ -29,9 +30,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .digits import BinaryString, TernaryString, delta3_at, exact_type, first_difference
-from .digits import first_difference_packed, json_fields, power, to_ternary
-from .digits import delta3, ternary_value  # for perfbench --trace 1
+from .digits import BinaryString, TernaryString, delta3_at, first_difference
+from .digits import first_difference_packed, json_fields, power
+from .digits import delta3, ternary_value, to_ternary  # for perfbench --trace 1
 
 __all__ = [
     "IManyPoint",
@@ -60,59 +61,19 @@ class DegeneratePairError(ValueError):
     """Two points with identical digit data where distinct ones are required."""
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True)
 class IManyPoint:
-    """A point (x, y) of the many-sheeted interval with its chosen expansion.
+    """A point (x, y) of the many-sheeted interval, held as its digits: x is
+    the value of the base-3 expansion t (at least one digit) and y labels
+    the sheet.  Equality and hash are those of (t, y), so "1" and "10" are
+    distinct expansions of x = 1/3."""
 
-    Invariant: t is the greedy depth-limited expansion of x, so
-    ternary_value(t) == x exactly whenever x terminates within t.depth
-    (x = 1 is carried by the all-2s string, and a non-terminating x by its
-    truncation; both are documented sampling conventions).
-
-    x is held as the int pair x_ratio = (num, den), and the Fraction x is
-    made only when read.  A point built from its digits (from_digits) holds
-    (t.value, 3**t.depth), t's own value, unreduced and never checked; a
-    point built from x (a Fraction or int, never a float or bool) holds
-    x.as_integer_ratio().  Equality and hash are on the value (x, t, y).
-    """
-
-    x_ratio: tuple[int, int]
     t: TernaryString
     y: BinaryString
 
-    def __init__(self, x: Fraction | int, t: TernaryString, y: BinaryString) -> None:
-        num, den = exact_type("x", x, Fraction, int).as_integer_ratio()
-        if t.depth < 1:
+    def __post_init__(self) -> None:
+        if self.t.depth < 1:
             raise ValueError("expansion must have at least one digit")
-        # A value-exact x (x * 3**depth == t.value) needs no round trip.
-        if num * 3**t.depth != t.value * den and t != to_ternary(x, t.depth):
-            raise ValueError(f"t is not the chosen expansion of x: {t.text()!r} vs x={x}")
-        _set_x(self, (num, den))
-        _set_t(self, t)
-        _set_y(self, y)
-
-    @classmethod
-    def from_digits(cls, t: TernaryString, y: BinaryString) -> "IManyPoint":
-        # x is t's own value by construction: no gcd, Fraction or check.
-        if t.depth < 1:
-            raise ValueError("expansion must have at least one digit")
-        p = object.__new__(cls)
-        _set_x(p, (t.value, power(3, t.depth)))
-        _set_t(p, t)
-        _set_y(p, y)
-        return p
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(*self.x_ratio)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.t, self.y) == (other.x, other.t, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.t, self.y))
 
     def digit_data_equals(self, other: "IManyPoint") -> bool:
         """Equality of (t, y) under the zero-padding convention."""
@@ -120,11 +81,6 @@ class IManyPoint:
         ydepth = max(self.y.depth, other.y.depth)
         same_t = self.t.value_at(tdepth) == other.t.value_at(tdepth)
         return same_t and self.y.value_at(ydepth) == other.y.value_at(ydepth)
-
-
-# The slots' own setters, which a frozen dataclass's __setattr__ does not
-# guard: each new point is filled through them, once.
-_set_x, _set_t, _set_y = IManyPoint.x_ratio.__set__, IManyPoint.t.__set__, IManyPoint.y.__set__
 
 
 # t block v = t[6k..6k+5] -> 3 * t[6k+2i..6k+2i+1] as a 2-digit value, one
@@ -304,19 +260,18 @@ class FactReport:
 def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
     """Evaluate the four inequalities and their combination, exactly.
 
-    Exactness of fact1 requires value-exact expansions, and fact2 requires
-    the truncation to cover all digit data, so both points must fit inside
-    `blocks` (t.depth <= 6*blocks, y.depth <= blocks).  Each fact is an int
-    inequality, denominators cleared; a None first difference is delta 0.
-    x is read as each point's x_ratio: scaling a pair changes no fact, so a
-    reduced and an unreduced pair give the same record.
+    fact2 requires the truncation to cover all digit data, so both points
+    must fit inside `blocks` (t.depth <= 6*blocks, y.depth <= blocks).  Each
+    fact is an int inequality, denominators cleared; a None first difference
+    is delta 0.  |x_p - x_q| is read from the t strings, over 3**(sum of
+    their depths).
     """
     if p.digit_data_equals(q):
         raise DegeneratePairError("points have identical digit data")
     if max(p.t.depth, q.t.depth) > 6 * blocks or max(p.y.depth, q.y.depth) > blocks:
         raise ValueError(f"digit data deeper than {blocks} blocks; facts would be vacuous")
-    (pn, pd), (qn, qd) = p.x_ratio, q.x_ratio
-    x_num, x_den = abs(pn * qd - qn * pd), pd * qd
+    pd, qd = power(3, p.t.depth), power(3, q.t.depth)
+    x_num, x_den = abs(p.t.value * qd - q.t.value * pd), pd * qd
     k = first_difference(p.t, q.t)
     cp, cq = _coordinate_values(p.t, p.y, blocks), _coordinate_values(q.t, q.y, blocks)
     depth = 3 * blocks  # every coordinate string has 3*blocks digits

@@ -459,7 +459,7 @@ def _random_point(rng: _WordStream, blocks: int) -> IManyPoint:
     # randint(lo, hi) is lo + randrange(hi - lo + 1).
     t = rng.digits(TernaryString, 1 + rng.below(6 * blocks))
     y = rng.digits(BinaryString, rng.below(blocks + 1))
-    return IManyPoint.from_digits(t, y)
+    return IManyPoint(t, y)
 
 
 def _digits_record(p: IManyPoint, **extra) -> dict:

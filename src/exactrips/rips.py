@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from .digits import BinaryString, MaskRows, format_rational, json_text
+from .digits import BinaryString, MaskRows, format_rational
 from .space import lattice_bound
 
 __all__ = [
@@ -213,9 +213,6 @@ class RipsComplex2:
             "edges": MaskRows(list(zip(range(V))), [m >> (i + 1) for i, m in enumerate(nb)], V),
             "triangles": MaskRows(self.edges, self.apex_masks, V),
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
 
 def build_complex(cloud, a: Fraction) -> RipsComplex2:

@@ -36,8 +36,6 @@ from .digits import (
     BinaryString,
     exact_type,
     format_rational,
-    json_fields,
-    json_text,
     parse_rational,
     rational_parts,
     to_ternary,
@@ -203,9 +201,6 @@ class CloudConfig:
         if len(set(self.x_values)) != len(self.x_values):
             raise ValueError("x values must be distinct")
 
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "CloudConfig":
         if not isinstance(d, dict):
@@ -232,9 +227,6 @@ class CloudConfig:
             **{k: d[k] for k in ("blocks", "cube_grid", "include_cube0", "include_partners")
                if k in d},
         )
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CloudConfig":

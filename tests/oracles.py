@@ -459,7 +459,7 @@ def fraction_check_facts(p, q, blocks: int, images=None) -> SimpleNamespace:
             for a in (p, q)
         ]
     sp, sq = images
-    x_gap = abs(p.x - q.x)
+    x_gap = abs(tuple_ternary_value(p.t.digits) - tuple_ternary_value(q.t.digits))
     t_delta = tuple_delta3(p.t.digits, q.t.digits)
     coord_deltas = tuple(map(tuple_delta3, sp, sq))
     max_delta = max(coord_deltas)

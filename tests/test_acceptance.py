@@ -98,7 +98,7 @@ def test_criterion_05_injectivity_round_trips():
         for _ in range(1000):
             tdepth = rng.randint(1, 6 * blocks)
             ydepth = rng.randint(0, blocks)
-            p = IManyPoint.from_digits(
+            p = IManyPoint(
                 TernaryString(tuple(rng.randrange(3) for _ in range(tdepth))),
                 BinaryString(tuple(rng.randrange(2) for _ in range(ydepth))),
             )

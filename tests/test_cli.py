@@ -8,7 +8,7 @@ import pytest
 
 from exactrips import cli, harness
 from exactrips.cli import main
-from exactrips.digits import BinaryString, format_rational
+from exactrips.digits import BinaryString, format_rational, json_fields, json_text
 from exactrips.harness import DisconnectionError, OpenChainError, default_sheets
 from exactrips.homology import betti01
 from exactrips.rips import MonotonicityError
@@ -22,7 +22,7 @@ def _write_config(tmp_path, **overrides):
         **overrides,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json_text(json_fields(cfg)))
     return path
 
 

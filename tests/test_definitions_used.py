@@ -7,6 +7,13 @@ an Attribute or an import alias.  An `__all__` entry is a string, not a
 use.  A definition that only tests call is a second route beside the one
 the program runs; its referee belongs in tests/oracles.py.
 
+Uses are matched by name, not by class: a method name that several
+src/exactrips classes define counts as used for all of them once any one
+is named.  RipsComplex2.to_json and CloudConfig.to_json were called only
+by tests, yet passed because LemmaSuiteReport.to_json is called; a
+method that shares its name with another class's must be checked by
+hand.
+
 Every `__all__` entry must be bound in its module, and every name the
 package `__init__.py` imports must be in its module's `__all__`, so a
 deleted definition cannot linger in either list.

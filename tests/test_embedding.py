@@ -26,16 +26,16 @@ B_101 = BinaryString((1, 0, 1))
 
 
 def _point(t_digits, y_digits):
-    return IManyPoint.from_digits(TernaryString(tuple(t_digits)), BinaryString(tuple(y_digits)))
+    return IManyPoint(TernaryString(tuple(t_digits)), BinaryString(tuple(y_digits)))
 
 
 def _valued(x, y, depth):
-    # The point (x, y) with the chosen depth-digit expansion of x.
-    return IManyPoint(x, to_ternary(x, depth), y)
+    # The point (x, y) whose t is the chosen depth-digit expansion of x.
+    return IManyPoint(to_ternary(x, depth), y)
 
 
 def _interleave(i, t, b, blocks):
-    return embed_strings(IManyPoint.from_digits(t, b), blocks)[i]
+    return embed_strings(IManyPoint(t, b), blocks)[i]
 
 
 def _image(p, blocks):
@@ -313,7 +313,7 @@ def test_check_close_expanding_on_embedded_pairs():
         ep = _image(p, 8)
         eq = _image(q, 8)
         dist_sq = sum((a - b) ** 2 for a, b in zip(ep, eq))
-        pairs.append((p, q, abs(p.x - q.x), dist_sq))
+        pairs.append((p, q, abs(ternary_value(p.t) - ternary_value(q.t)), dist_sq))
     ok, cex = check_close_expanding(pairs, Fraction(1, 243))
     assert ok, cex
 
@@ -352,45 +352,31 @@ def test_image_metric_equivalence_constants():
     assert c1 <= 1
 
 
-def test_imany_point_invariant():
-    with pytest.raises(ValueError):
-        IManyPoint(Fraction(1, 2), TernaryString((1, 0)), BinaryString((0,)))
-    # x = 1 rides the all-2s truncation
-    p = _valued(Fraction(1), BinaryString((1,)), 6)
-    assert p.t.digits == (2,) * 6
-    # A digit point holds its x unreduced, yet equals and hashes as the
-    # point built from the reduced x.
-    t, y = TernaryString.from_text("10"), BinaryString((1,))
-    p, q = IManyPoint.from_digits(t, y), IManyPoint(Fraction(1, 3), t, y)
-    assert p.x_ratio == (3, 9) and q.x_ratio == (1, 3)
-    assert p == q and hash(p) == hash(q) and p.x == q.x == Fraction(1, 3)
-    assert type(p.x) is Fraction
-    assert p != IManyPoint.from_digits(TernaryString.from_text("1"), y)
-    assert p != IManyPoint.from_digits(t, BinaryString((1, 0)))
-    assert len({p, q, _valued(Fraction(1, 3), y, 2)}) == 1
-
-
-def test_imany_point_refuses_float_and_bool_x():
-    # Exact types, as CloudConfig takes a scale: True is not x = 1, even
-    # where t = 222 would fit it.
-    y = BinaryString((1,))
-    for x in (0.5, 1.0, True, False, "1/2"):
-        with pytest.raises(ValueError, match="x must be Fraction or int"):
-            IManyPoint(x, TernaryString.from_text("222"), y)
-    assert IManyPoint(1, TernaryString.from_text("222"), y).x == 1
-    assert _valued(0, y, 3).t == TernaryString.from_text("000")
-
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(*[st.lists(st.integers(0, base - 1), min_size=size, max_size=12).map(tuple)
+         for base, size in ((3, 1), (2, 0), (3, 1), (2, 0))])
+@example((1,), (1,), (1, 0), (1,))
+@example((2, 2), (), (2, 2), ())
+def test_imany_point_is_its_digits(pt, py, qt, qy):
+    # Equal and hashed as (t, y): "1" and "10" are unequal points of one x.
+    p = IManyPoint(TernaryString(pt), BinaryString(py))
+    q = IManyPoint(TernaryString(qt), BinaryString(qy))
+    assert (p == q) == ((pt, py) == (qt, qy)) and hash(p) == hash((p.t, p.y))
+    if p.digit_data_equals(q):
+        return
+    # |x_p - x_q| is read from the t strings alone.
+    r = check_facts(p, q, max(2, len(py), len(qy)))
+    pd, qd = 3 ** len(pt), 3 ** len(qt)
+    assert (r.x_num, r.x_den) == (abs(p.t.value * qd - q.t.value * pd), pd * qd)
+    assert r.x_gap == abs(ternary_value(p.t) - ternary_value(q.t))
 
 
 def test_imany_point_refuses_an_empty_expansion():
-    y = BinaryString((1,))
     with pytest.raises(ValueError, match="expansion must have at least one digit"):
-        IManyPoint(0, TernaryString(()), y)
-    with pytest.raises(ValueError, match="expansion must have at least one digit"):
-        IManyPoint.from_digits(TernaryString(()), y)
+        IManyPoint(TernaryString(()), BinaryString((1,)))
 
 
 def test_imany_point_is_unequal_to_other_types():
-    p = IManyPoint.from_digits(TernaryString.from_text("10"), BinaryString((1,)))
-    assert p.__eq__((p.x, p.t, p.y)) is NotImplemented
-    assert p != (p.x, p.t, p.y) and p != "p"
+    p = IManyPoint(TernaryString.from_text("10"), BinaryString((1,)))
+    assert p.__eq__((p.t, p.y)) is NotImplemented
+    assert p != (p.t, p.y) and p != "p"

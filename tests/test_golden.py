@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from exactrips.cli import main
-from exactrips.digits import BinaryString, format_rational
+from exactrips.digits import BinaryString, format_rational, json_fields, json_text
 from exactrips.harness import default_sheets, run_lemma_suite
 from exactrips.rips import build_complex
 from exactrips.space import CloudConfig, build_cloud, scale_window
@@ -34,8 +34,8 @@ PINS = {
     # The json digests were taken from the ``json.dumps(obj, indent=2,
     # sort_keys=True) + "\\n"`` writers, before the shared ``json_text``
     # writer replaced them.  Equal digests mean the `betti`, `rigid` and
-    # `sweep` subcommands, ``RipsComplex2.to_json`` and
-    # ``CloudConfig.to_json`` write the same bytes.
+    # `sweep` subcommands, and ``json_text`` on a complex's
+    # ``to_json_dict`` and on a config's fields, write the same bytes.
     "json/1/betti": "9e7e31d7e7f0287d698f3afe3331597b41de09577d376e77bdc5d405d0f21260",
     "json/1/complex": "079b966ce4f6fbf2fece9f02cf727b5de9afa7e22b200b213e1f33328d99732d",
     "json/1/config": "c9f556d93b446fd8ee919c8bfe522e24c3c0e43275621fe6f4b718e85d6118e4",
@@ -126,9 +126,9 @@ def json_bytes(key: str) -> bytes:
     lo, hi = scale_window()
     mid = (lo + hi) / 2
     if kind == "config":
-        return cfg.to_json().encode()
+        return json_text(json_fields(cfg)).encode()
     if kind == "complex":
-        return build_complex(cloud, mid).to_json().encode()
+        return json_text(build_complex(cloud, mid).to_json_dict()).encode()
     Path("cloud.csv").write_text(cloud.to_csv_text())
     command, *options = {
         "betti": ["betti", "--scale", format_rational(mid)],

@@ -6,8 +6,8 @@ as ints over a common denominator.  fraction_check_facts and
 ratio_estimate_equivalence in tests/oracles.py are the Fraction
 evaluations they replaced, on digit tuples.  The pairs below are
 derandomized and reach both depth extremes, equal t strings, 1 and 50
-blocks, points whose x is not the value of its expansion, and planted
-images that make each fact false, so failing records are compared too.
+blocks, and planted images that make each fact false, so failing records
+are compared too.
 """
 
 import random
@@ -30,7 +30,6 @@ from oracles import (
     json_text_reference,
     positional_bound_fails,
     ratio_estimate_equivalence,
-    tuple_to_ternary,
 )
 
 FIELDS = (
@@ -80,8 +79,8 @@ def _pairs(seed, blocks, count):
     out = []
     while len(out) < count:
         t, y = _digits(rng, blocks)
-        p = IManyPoint.from_digits(t, y)
-        q = IManyPoint.from_digits(*_partner(rng, blocks, t, y))
+        p = IManyPoint(t, y)
+        q = IManyPoint(*_partner(rng, blocks, t, y))
         if not p.digit_data_equals(q):
             out.append((p, q))
     return out
@@ -99,56 +98,6 @@ def test_facts_match_the_fraction_referee(seed, blocks, count):
         kinds.add(("shallow", min(p.t.depth, q.t.depth) == 1))
     assert kinds == {True, False, ("depth", True), ("depth", False), ("shallow", True),
                      ("shallow", False)}
-
-
-def _expanded(x, y, depth):
-    # The point (x, y) with the chosen depth-digit expansion of x.
-    return IManyPoint(x, to_ternary(x, depth), y)
-
-
-def _valued(rng, blocks):
-    # x a rational in [0, 1] that its expansion may only truncate.
-    den = rng.choice([1, 2, 5, 7, 3 ** rng.randint(0, 6), 2 * 3 ** rng.randint(1, 6)])
-    x = Fraction(rng.randint(0, den), den)
-    y = _string(rng, BinaryString, rng.randint(0, blocks))
-    return _expanded(x, y, rng.choice([1, 2, rng.randint(1, 6 * blocks)]))
-
-
-@pytest.mark.parametrize("seed,blocks", [(5, 1), (6, 3), (7, 12)])
-def test_truncated_values_match_the_fraction_referee(seed, blocks):
-    rng = random.Random(seed)
-    false_fact1 = 0
-    for _ in range(300):
-        p, q = _valued(rng, blocks), _valued(rng, blocks)
-        if p.digit_data_equals(q):
-            continue
-        r = check_facts(p, q, blocks)
-        _assert_matches(r, fraction_check_facts(p, q, blocks))
-        false_fact1 += not r.fact1
-    assert false_fact1 > 0
-
-
-def test_equal_expansions_of_unequal_values_fail_fact1_and_the_bound():
-    # 1/3 and 1/2 share the one-digit expansion "1"; only the last y digit
-    # tells the images apart, so each coordinate gap is 3**-12.
-    p = _expanded(Fraction(1, 3), BinaryString.from_text("0000"), 1)
-    q = _expanded(Fraction(1, 2), BinaryString.from_text("0001"), 1)
-    r = check_facts(p, q, 4)
-    _assert_matches(r, fraction_check_facts(p, q, 4))
-    assert r.to_json_dict() == {
-        "fact1": False,
-        "fact2": True,
-        "fact3": True,
-        "fact4": True,
-        "combined": False,
-        "x_gap": "1/6",
-        "t_delta": "0/1",
-        "coord_deltas": ["1/177147"] * 3,
-        "linf": "1/531441",
-        "l2_sq": "1/94143178827",
-        "t_first_diff": None,
-        "coord_first_diffs": [11, 11, 11],
-    }
 
 
 def _image(blocks, *values):
@@ -169,8 +118,8 @@ def _planted_report(monkeypatch, p, q, blocks, images):
 def test_late_image_difference_fails_fact2(monkeypatch, blocks):
     # t differs at index 0 while the images differ only in their last digit;
     # at 1 block that gap, 3**-3, still keeps the bound.
-    p = IManyPoint.from_digits(TernaryString.from_text("0"), BinaryString.from_text(""))
-    q = IManyPoint.from_digits(TernaryString.from_text("2"), BinaryString.from_text(""))
+    p = IManyPoint(TernaryString.from_text("0"), BinaryString.from_text(""))
+    q = IManyPoint(TernaryString.from_text("2"), BinaryString.from_text(""))
     images = (_image(blocks, 0, 0, 0), _image(blocks, 1, 0, 0))
     r = _planted_report(monkeypatch, p, q, blocks, images)
     assert not r.fact2 and r.fact3 and r.combined == (blocks == 1)
@@ -180,8 +129,8 @@ def test_late_image_difference_fails_fact2(monkeypatch, blocks):
 def test_reserved_twos_fail_fact3(monkeypatch, blocks):
     # "1000..." against "0222...": first difference at 0, gap 3**-(3*blocks).
     top = 3 ** (3 * blocks - 1)
-    p = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("1"))
-    q = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("0"))
+    p = IManyPoint(TernaryString.from_text("1"), BinaryString.from_text("1"))
+    q = IManyPoint(TernaryString.from_text("1"), BinaryString.from_text("0"))
     images = (_image(blocks, top, 0, 0), _image(blocks, top - 1, 0, 0))
     r = _planted_report(monkeypatch, p, q, blocks, images)
     assert r.fact1 and r.fact2 and not r.fact3 and r.fact4 and r.combined
@@ -190,8 +139,8 @@ def test_reserved_twos_fail_fact3(monkeypatch, blocks):
 @pytest.mark.parametrize("k,holds", [(4, True), (3, False), (0, False)])
 def test_fact2_threshold(monkeypatch, k, holds):
     # t first differs at k and the images at m = 3: fact2 is 2m <= k + 2.
-    p = IManyPoint.from_digits(TernaryString.from_int(0, k + 1), BinaryString.from_text(""))
-    q = IManyPoint.from_digits(TernaryString.from_int(1, k + 1), BinaryString.from_text(""))
+    p = IManyPoint(TernaryString.from_int(0, k + 1), BinaryString.from_text(""))
+    q = IManyPoint(TernaryString.from_int(1, k + 1), BinaryString.from_text(""))
     images = (_image(4, 0, 0, 0), _image(4, 3**8, 0, 0))
     assert _planted_report(monkeypatch, p, q, 4, images).fact2 == holds
 
@@ -213,8 +162,8 @@ def test_fact2_is_the_old_positional_bound(case):
     # t first differs at k and image coordinate i first differs at m (the
     # other two coordinates agree), or no coordinate differs when m is None.
     blocks, k, m, i = case
-    p = IManyPoint.from_digits(TernaryString.from_int(0, 6 * blocks), BinaryString.from_text(""))
-    q = IManyPoint.from_digits(
+    p = IManyPoint(TernaryString.from_int(0, 6 * blocks), BinaryString.from_text(""))
+    q = IManyPoint(
         TernaryString.from_int(3 ** (6 * blocks - 1 - k), 6 * blocks), BinaryString.from_text("")
     )
     moved = [0, 0, 0]
@@ -234,8 +183,8 @@ def test_fact2_is_the_old_positional_bound(case):
 def test_fact3_threshold(monkeypatch, blocks, below):
     # Images first differ at 0 with gap 3**-4, or one unit less.
     top = 3 ** (3 * blocks - 1)
-    p = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("1"))
-    q = IManyPoint.from_digits(TernaryString.from_text("1"), BinaryString.from_text("0"))
+    p = IManyPoint(TernaryString.from_text("1"), BinaryString.from_text("1"))
+    q = IManyPoint(TernaryString.from_text("1"), BinaryString.from_text("0"))
     images = (_image(blocks, top, 0, 0), _image(blocks, top - 3 ** (3 * blocks - 4) + below, 0, 0))
     assert _planted_report(monkeypatch, p, q, blocks, images).fact3 == (below == 0)
 
@@ -244,19 +193,20 @@ def test_fact3_threshold(monkeypatch, blocks, below):
 def test_combined_threshold(monkeypatch, below):
     # x gap 3**-2 and one coordinate gap 3**-6 at 3 blocks: the squared
     # gap 3**-12 meets 3**-10 * 3**-2 exactly.
-    p = IManyPoint.from_digits(TernaryString.from_text("00"), BinaryString.from_text(""))
-    q = IManyPoint.from_digits(TernaryString.from_text("01"), BinaryString.from_text(""))
+    p = IManyPoint(TernaryString.from_text("00"), BinaryString.from_text(""))
+    q = IManyPoint(TernaryString.from_text("01"), BinaryString.from_text(""))
     images = (_image(3, 0, 0, 0), _image(3, 27 - below, 0, 0))
     assert _planted_report(monkeypatch, p, q, 3, images).combined == (below == 0)
 
 
 def test_fact1_threshold():
-    # x = 0 against x = 1 (the all-2s string): the gap 1 equals delta3 = 3**0.
-    p = _expanded(Fraction(0), BinaryString.from_text(""), 2)
-    q = _expanded(Fraction(1), BinaryString.from_text(""), 2)
+    # x = 0 against x = 1, carried by the all-2s string "22": with finite
+    # strings the gap is 1 - 3**-2, below delta3 = 3**0.
+    y = BinaryString.from_text("")
+    p, q = IManyPoint(to_ternary(Fraction(0), 2), y), IManyPoint(to_ternary(Fraction(1), 2), y)
     r = check_facts(p, q, 1)
     _assert_matches(r, fraction_check_facts(p, q, 1))
-    assert r.fact1 and r.x_gap == r.t_delta == 1
+    assert r.fact1 and r.t_delta == 1 and r.x_gap == 1 - Fraction(1, 9) < r.t_delta
 
 
 def test_fact4_holds_for_every_gap_triple():
@@ -371,29 +321,3 @@ def test_estimate_equivalence_matches_the_ratio_referee():
             assert (c1, c2) == ratio_estimate_equivalence(samples)
             assert type(c1) is type(c2) is Fraction
             assert estimate_equivalence(iter(samples)) == (c1, c2)
-
-
-def test_point_check_matches_to_ternary():
-    # __post_init__ accepts t iff t is x's expansion; value-exact points
-    # skip the round trip, every other point takes it.
-    rng = random.Random(13)
-    accepted = rejected = 0
-    for _ in range(2000):
-        den = rng.choice([1, 2, 3, 4, 9, 10, 27, 81, 3**8])
-        x = Fraction(rng.randint(0, den), den)
-        depth = rng.randint(1, 8)
-        if rng.random() < 0.5:
-            digits = tuple_to_ternary(x, depth)
-        else:
-            digits = tuple(rng.randrange(3) for _ in range(depth))
-        t, y = TernaryString(digits), BinaryString.from_text("1")
-        if digits == tuple_to_ternary(x, depth):
-            assert IManyPoint(x, t, y).t == t
-            accepted += 1
-        else:
-            with pytest.raises(ValueError, match="not the chosen expansion"):
-                IManyPoint(x, t, y)
-            rejected += 1
-    assert accepted > 500 and rejected > 500
-    with pytest.raises(ValueError, match="at least one digit"):
-        IManyPoint.from_digits(TernaryString.from_text(""), BinaryString.from_text(""))

@@ -103,7 +103,7 @@ def test_complex_rows_written_from_masks(g1, g2):
     c1, c2 = _complex(V1, e1), _complex(V2, e2, Fraction(3, 2))
     d1, d2 = c1.to_json_dict(), c2.to_json_dict()
     ref1, ref2 = _plain_dict(V1, e1), _plain_dict(V2, e2, Fraction(3, 2))
-    assert c1.to_json() == json_text(d1) == json_text_reference(ref1)
+    assert json_text(d1) == json_text_reference(ref1)
     payload = {
         "scales": ["1/1", "3/2"],
         "complexes": [d1, d2],

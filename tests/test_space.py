@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactrips.digits import BinaryString
+from exactrips.digits import BinaryString, json_fields, json_text
 from exactrips.harness import assert_rigid_free, default_sheets, find_rigid_edges
 from exactrips.rips import build_complex
 from exactrips.space import (
@@ -171,7 +171,7 @@ def test_config_json_round_trip():
         include_cube0=True,
         include_partners=False,
     )
-    assert CloudConfig.from_json(cfg.to_json()) == cfg
+    assert CloudConfig.from_json(json_text(json_fields(cfg))) == cfg
 
 
 def test_cloud_csv_round_trip():
