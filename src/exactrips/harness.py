@@ -261,6 +261,8 @@ def theorem_experiment(
     With cube_grid 0 the cloud is minimal, {0}-slab grid or not, and the row
     passes iff beta0 = 1, beta1 = n-1, exactly n rigid edges all triangle-free,
     and the rigid rank lower bound from the n-1 completed cycles equals n-1.
+    A rigid edge in a triangle fails the row with lower_bound 0 and no
+    cycle completed, since the bound assumes no rigid edge has a triangle.
     There beta0, beta1 and T come from homology.two_cliques when it holds,
     else, as on grid rows, from collapse and rank.
     With cube grids present the Betti equality is relaxed to
@@ -287,13 +289,10 @@ def theorem_experiment(
             counts, _ = two_cliques(cx, rigid) if minimal else (None, None)
             b0, b1, triangles = counts or (*betti01(cx), cx.n_triangles)
             free = assert_rigid_free(cx, rigid)
-            cycles = [
-                complete_to_cycle(rigid[0], rigid[k], cx)
-                for k in range(1, len(rigid))
-            ]
-            lb = rigid_rank_lower_bound(
-                cx, [r.edge_index for r in rigid], cycles
-            )
+            lb = 0  # a rigid edge in a triangle voids the bound's premise
+            if not free.triangle_violations:
+                cycles = [complete_to_cycle(rigid[0], r, cx) for r in rigid[1:]]
+                lb = rigid_rank_lower_bound(cx, [r.edge_index for r in rigid], cycles)
             ok = (
                 len(rigid) == n
                 and free.ok

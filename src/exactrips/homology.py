@@ -10,9 +10,12 @@ SoCG 2020); an edge in no triangle, such as a rigid edge, never collapses.
 An edge is deleted when *some* dominator exists, and that test reads only
 the current graph, so the order in which candidates are tried cannot
 change which edges survive.  `collapse_edges` therefore tries first a
-per-vertex hint, the dominator it last found at the edge's lower end
-(on cube grids a dominator usually serves many edges at one vertex),
-and falls back to the candidates lowest-first.
+per-vertex hint, the vertex w it last found dominating an edge at the
+lower end u (on cube grids a dominator usually serves many edges at one
+vertex), with one mask test, w != v and N[u] & N[v] & ~N[w] == 0, and
+falls back to the candidates lowest-first.  `betti01` hands collapse's
+final closed masks, each less its own bit, to the collapsed complex as
+its neighbor masks.
 
 `two_cliques` instead certifies a complex as two cliques joined by its n
 rigid edges, which fixes beta0 = 1 and beta1 = n-1 with no collapse or rank.
@@ -90,29 +93,31 @@ def rank_f2(columns) -> int:
     return len(pivots)
 
 
-def collapse_edges(c) -> list[tuple[int, int]]:
+def collapse_edges(c, closed=None) -> list[tuple[int, int]]:
     """The edges of c that survive domination collapse, in order: ascending
     passes delete each edge uv that some w outside {u, v} dominates
     (N[u] & N[v] <= N[w], closed neighborhoods of the current graph) until
-    a pass deletes none.  The hint last[u], the bit of the dominator last
-    found at u, is tried first; it is masked by the candidates `rest`,
-    since v itself would always pass the test."""
-    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
-    last = [0] * len(closed)
+    a pass deletes none.  The hint, the vertex w = last[u], passes iff
+    w != v and N[u] & N[v] & ~N[w] == 0, which refuses a w whose edge to u
+    has collapsed.  `closed`, if given, is the list of c's N[v] as masks,
+    left holding the collapsed graph's (betti01 hands them to its complex)."""
+    if closed is None:
+        closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+    last = [len(closed) - 1] * len(closed)  # starts at the top vertex, never a lower end u
     alive, removed = list(c.edges), True
     while removed:
         kept = []
         for u, v in alive:
             common = closed[u] & closed[v]
-            rest = common & ~(1 << u | 1 << v)
-            w = last[u] & rest
-            if not w or common & closed[w.bit_length() - 1] != common:
+            w = last[u]
+            if w == v or common & ~closed[w]:
+                rest = common & ~(1 << u | 1 << v)
                 while rest:
-                    w = rest & -rest
-                    if common & closed[w.bit_length() - 1] == common:
+                    w = (rest & -rest).bit_length() - 1
+                    if not common & ~closed[w]:
                         last[u] = w
                         break
-                    rest ^= w
+                    rest &= rest - 1
                 else:
                     kept.append((u, v))
                     continue
@@ -123,8 +128,11 @@ def collapse_edges(c) -> list[tuple[int, int]]:
 
 
 def betti01(c) -> tuple[int, int]:
-    """(beta0, beta1) of the 2-skeleton, ranked after edge collapse."""
-    cc = RipsComplex2(c.cloud, c.scale, tuple(collapse_edges(c)))
+    """(beta0, beta1) of the 2-skeleton, ranked after edge collapse on a
+    complex whose neighbor masks are collapse's closed masks less own bits."""
+    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+    cc = RipsComplex2(c.cloud, c.scale, tuple(collapse_edges(c, closed)))
+    vars(cc)["neighbor_masks"] = tuple([m ^ 1 << v for v, m in enumerate(closed)])
     r1 = rank_f2(boundary1(cc))
     r2 = rank_f2(_triangle_masks(cc))
     return c.n_vertices - r1, len(cc.edges) - r1 - r2

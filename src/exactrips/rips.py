@@ -126,9 +126,9 @@ class RipsComplex2:
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Per vertex, the int whose set bits are its neighbors: a row of
-        one ASCII digit per vertex, "1" at each neighbor, read in reverse
-        as a binary numeral."""
+        """Per vertex, the int whose set bits are its neighbors, read from a
+        V-byte row of ASCII digits ("1" at each neighbor) reversed as a binary
+        numeral: O(V**2), so built for full complexes only (betti01 seeds it)."""
         V, one = self.n_vertices, ord("1")
         rows = [bytearray(b"0") * V for _ in range(V)]
         for i, j in self.edges:
@@ -145,7 +145,7 @@ class RipsComplex2:
     @cached_property
     def n_triangles(self) -> int:
         """Number of flag triangles, counted without listing them."""
-        return sum(m.bit_count() for m in self.apex_masks)
+        return sum(map(int.bit_count, self.apex_masks))
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:

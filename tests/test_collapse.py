@@ -12,14 +12,16 @@ so no vertex dominates it and it survives every collapse.
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactrips import homology
 from exactrips.harness import default_sheets, find_rigid_edges
 from exactrips.homology import betti01, collapse_edges
-from exactrips.rips import build_complex
+from exactrips.rips import RipsComplex2, build_complex
 from exactrips.space import DEFAULT_SCALES, CloudConfig, LabeledPoint4, build_cloud
 
 from oracles import (
@@ -103,6 +105,43 @@ def test_collapse_stops_at_a_fixpoint(case):
 
 @SETTINGS
 @given(clouds(max_points=30))
+def test_betti01_ranks_a_complex_whose_masks_are_its_edges(case):
+    # betti01 hands collapse's closed masks to the collapsed complex; they
+    # must be exactly the masks that complex's own edge list builds.
+    cx = build_complex(*case)
+    ranked, boundary1 = [], homology.boundary1
+
+    def spy(c):
+        ranked.append(c)
+        return boundary1(c)
+
+    with mock.patch.object(homology, "boundary1", spy):
+        betti01(cx)
+    (cc,) = ranked
+    assert cc.edges == tuple(collapse_edges(cx))
+    assert cc.neighbor_masks == RipsComplex2(cc.cloud, cc.scale, cc.edges).neighbor_masks
+
+
+# Pass 1 deletes (1, 4) and then (1, 5), each found by the fallback, so the
+# hint at 1 ends as 0.  Pass 2 deletes (0, 1), dominated by 3, and then
+# tries (1, 3) with that hint: 0 has lost its edge to 1, and 1 and 3 have
+# no other common neighbor, so a hint test that skipped u's own bit would
+# find N[1] & N[3] - {1} = {3} inside N[0] and delete an edge in no triangle.
+# Pass 3, the last, meets the same stale hint at (1, 3) again.
+STALE_HINT_EDGES = ((0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4))
+
+
+def test_a_hint_that_lost_its_edge_to_u_is_refused():
+    cx = RipsComplex2(range(6), Fraction(1), STALE_HINT_EDGES)
+    kept = collapse_edges(cx)
+    assert kept == collapse_referee(cx) == [(0, 2), (0, 3), (0, 5), (1, 3), (3, 4)]
+    replayed, cases = _search_cases(cx)
+    assert replayed == kept
+    assert cases["hint lost its edge to u"] == 2
+
+
+@SETTINGS
+@given(clouds(max_points=30))
 def test_triangles_count_order_and_merge_intersection_agree(case):
     cloud, a = case
     cx = build_complex(cloud, a)
@@ -152,6 +191,7 @@ SEARCH_CASES = {
     "hint miss rescued",
     "fallback passed a non-dominator",
     "survivor with a candidate",
+    "hint lost its edge to u",
 }
 
 
@@ -172,6 +212,7 @@ def _search_cases(cx) -> tuple[list[tuple[int, int]], Counter]:
             rest = sorted(common - {u, v})
             dominators = [w for w in rest if common <= closed[w]]
             hint = last.get(u)
+            seen["hint lost its edge to u"] += hint is not None and u not in closed[hint]
             if hint in dominators:
                 seen["hint hit"] += 1
             elif dominators:
@@ -195,6 +236,7 @@ def _fixed_referee_complexes():
         for cube_grid in (1, 2, 3, 4):
             cfg = CloudConfig(default_sheets(2), a, cube_grid=cube_grid, include_cube0=True)
             yield build_complex(build_cloud(cfg), a)
+    yield RipsComplex2(range(6), Fraction(1), STALE_HINT_EDGES)
 
 
 def test_collapse_matches_referee_and_meets_every_search_case():

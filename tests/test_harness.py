@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactrips import harness
+from exactrips import cli, harness
 from exactrips.digits import BinaryString, TernaryString
 from exactrips.harness import (
     DisconnectionError,
@@ -16,7 +16,7 @@ from exactrips.harness import (
     run_lemma_suite,
     theorem_experiment,
 )
-from exactrips.homology import Cycle, betti01, cycle_is_closed
+from exactrips.homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound
 from exactrips.rips import build_complex
 from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
 
@@ -159,6 +159,42 @@ def test_theorem_experiment_reads_the_census_once_per_row_and_cycle(monkeypatch)
     report = theorem_experiment([3, 4], [INTERIOR, Fraction(1)], cube_grid=2, include_cube0=True)
     assert [r.rigid_count for r in report.rows] == [3, 3, 4, 4]
     assert len(calls) == sum(1 + (r.rigid_count - 1) for r in report.rows)
+
+
+def _with_a_midpoint(cfg):
+    # build_cloud plus the midpoint of the first sheet point and its
+    # {1}-slab partner (labelled cube0), which puts that rigid edge in a
+    # triangle: the midpoint is at half the scale from both ends.
+    cloud = build_cloud(cfg)
+    L, rows = cloud.lattice
+    s = next(i for i, (kind, _, _) in enumerate(cloud.labels) if kind == "sheet")
+    p = next(i for i, r in enumerate(rows) if r != rows[s] and r[1:] == rows[s][1:])
+    mid = [a + b for a, b in zip(rows[s], rows[p])]
+    rows = [[2 * v for v in r] for r in rows] + [mid]
+    return Cloud.on_lattice(2 * L, rows, [*cloud.labels, ("cube0", None, None)])
+
+
+def test_a_rigid_edge_in_a_triangle_fails_its_row_without_a_lower_bound(monkeypatch):
+    # rigid_rank_lower_bound refuses such a complex (its premise is that no
+    # rigid edge has a triangle), so the row must fail on freeness instead.
+    monkeypatch.setattr(harness, "build_cloud", _with_a_midpoint)
+    cx = build_complex(_with_a_midpoint(CloudConfig(default_sheets(3), INTERIOR)), INTERIOR)
+    rigid = find_rigid_edges(cx)
+    assert assert_rigid_free(cx, rigid).triangle_violations
+    with pytest.raises(ValueError, match="is rigid but occurs in triangle"):
+        rigid_rank_lower_bound(cx, [r.edge_index for r in rigid], [])
+    (row,) = theorem_experiment([3], [INTERIOR]).rows
+    assert (row.vertices, row.rigid_count, row.rigid_free) == (7, 3, False)
+    assert (row.lower_bound, row.verdict) == (0, False)
+
+
+def test_cli_experiment_exits_1_on_a_rigid_edge_in_a_triangle(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "build_cloud", _with_a_midpoint)
+    out = tmp_path / "rows.csv"
+    argv = ["experiment", "--sheets", "3", "--scales", "236195/236196", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "3,236195/236196,7,15,11,1,0,3,false,0,fail"
 
 
 def _cloud_with_a_repeated_row(kind):

@@ -146,15 +146,13 @@ def test_mutant_rows_take_the_betti01_route(monkeypatch):
     for name, mutant, *_ in _mutants()[2]:
         monkeypatch.undo()
         verdicts, bettis = _routed(monkeypatch, complex_for=mutant)
+        (row,) = theorem_experiment([5], [INTERIOR]).rows
+        assert (row.betti0, row.betti1, row.triangles) == (*bettis[0][0], bettis[0][1])
+        assert (row.edges, row.triangles) == (len(mutant.edges), mutant.n_triangles)
         if name == "add cross":
-            # The added edge puts a rigid edge in a triangle, which the
-            # lower bound refuses after the Betti numbers are ranked.
-            with pytest.raises(ValueError, match="is rigid but occurs in triangle"):
-                theorem_experiment([5], [INTERIOR])
-        else:
-            (row,) = theorem_experiment([5], [INTERIOR]).rows
-            assert (row.betti0, row.betti1, row.triangles) == (*bettis[0][0], bettis[0][1])
-            assert (row.edges, row.triangles) == (len(mutant.edges), mutant.n_triangles)
+            # The added edge puts a rigid edge in a triangle: the row fails on
+            # freeness, and the lower bound, which assumes none, is not computed.
+            assert (row.rigid_free, row.lower_bound, row.verdict) == (False, 0, False)
         assert len(verdicts) == 1 and verdicts[0][0] is None, name
         assert len(bettis) == 1, name
 
