@@ -55,7 +55,7 @@ class Cycle:
 
     def __post_init__(self) -> None:
         ei = self.edge_indices
-        if any(b <= a for a, b in zip(ei, ei[1:])):
+        if list(ei) != sorted(set(ei)):
             raise ValueError("edge indices must be strictly ascending")
 
 

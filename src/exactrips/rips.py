@@ -12,9 +12,11 @@ distance test runs on that lattice: scaled by L, the lcm of the cloud's
 coordinate denominators, each squared distance is an int D, and
 D <= floor(a**2 * L**2) is the exact threshold test (see
 space.lattice_bound) with no Fraction, float or square root per pair.
-Enumeration is the dense O(V^2) pair scan over those ints, one `sq_dist`
-call per pair on 4-D rows (kept until the benchmark counts pairs per
-build rather than `sq_dist` calls), each row's hits picked in C.
+Enumeration is the dense O(V^2) scan of `combinations` over those rows:
+one comprehension tests every pair with the module's `sq_dist`, once per
+pair, since the benchmark's traced `rips.pairs` counts those calls, and
+`compress` picks the hits from `combinations(range(V), 2)` in the same
+order, so every edge tuple shares the V vertex ints.
 
 A complex is its sorted edge list, and owns that order (edge_index).
 All else is derived once, on demand: int bitmask neighborhoods, each
@@ -33,10 +35,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import combinations, compress
 from typing import NamedTuple
 
-from .digits import BinaryString, MaskRows, format_rational
+from .digits import BinaryString, MaskRows, exact_type, format_rational
 from .space import lattice_bound
 
 __all__ = [
@@ -76,14 +78,15 @@ def bits(mask: int):
 
 
 def build_edges(cloud, a: Fraction) -> list[tuple[int, int]]:
-    """All index pairs (i < j) with squared distance <= a**2, inclusive."""
+    """All index pairs (i < j) with squared distance <= a**2, inclusive,
+    for a Fraction or int a.  The module's `sq_dist` runs once per pair
+    (traced `rips.pairs` counts it); `compress` takes the hits from the
+    index pairs in the same order, so edges come out sorted and share V ints."""
     L, lattice = cloud.lattice
-    bound, _ = lattice_bound(Fraction(a), L)
-    sq, V, edges = sq_dist, len(lattice), []
-    for i, u in enumerate(lattice):
-        hits = [sq(u, v) <= bound for v in lattice[i + 1 :]]
-        edges.extend(zip(repeat(i), compress(range(i + 1, V), hits)))
-    return edges
+    bound, _ = lattice_bound(a, L)
+    sq = sq_dist
+    hits = [sq(u, v) <= bound for u, v in combinations(lattice, 2)]
+    return list(compress(combinations(range(len(lattice)), 2), hits))
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,8 @@ class RipsComplex2:
             u0, u1, u2, u3 = lattice[s]
             for c in bits(nb[s] & kinds.cube1):
                 v0, v1, v2, v3 = lattice[c]
-                if (u0 - v0) ** 2 + (u1 - v1) ** 2 + (u2 - v2) ** 2 + (u3 - v3) ** 2 == bound:
+                d0, d1, d2, d3 = u0 - v0, u1 - v1, u2 - v2, u3 - v3
+                if d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 == bound:
                     found.append((self.edge_index(s, c), s, c))
         found.sort()
         rigid, diagonal = [], []
@@ -217,7 +221,8 @@ class RipsComplex2:
 
 def build_complex(cloud, a: Fraction) -> RipsComplex2:
     """The complex of the pair scan's edges, which come out sorted."""
-    return RipsComplex2(cloud, Fraction(a), tuple(build_edges(cloud, a)))
+    edges = tuple(build_edges(cloud, a))  # refuses a before Fraction(a) reads it
+    return RipsComplex2(cloud, Fraction(a), edges)
 
 
 def sweep(cloud, scales) -> list[RipsComplex2]:
@@ -230,7 +235,7 @@ def sweep(cloud, scales) -> list[RipsComplex2]:
     violation cannot arise from valid input; it is raised as
     MonotonicityError to flag an implementation bug loudly.
     """
-    scales = list(scales)
+    scales = [exact_type("scale", a, Fraction, int) for a in scales]
     if not scales:
         raise ValueError("no scales given")
     if any(b <= a for a, b in zip(scales, scales[1:])):

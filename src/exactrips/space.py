@@ -70,14 +70,17 @@ DEFAULT_SCALES = (
 )
 
 
+_WINDOW = (Fraction(SHEET_SCALE - 1, SHEET_SCALE), Fraction(1))
+
+
 def scale_window() -> tuple[Fraction, Fraction]:
     """The closed scale interval [1 - 1/(2*243**2), 1] of the main result."""
-    return (Fraction(SHEET_SCALE - 1, SHEET_SCALE), Fraction(1))
+    return _WINDOW
 
 
 def fiber_value(a: Fraction) -> Fraction:
     """The sheet parameter x_a = (1-a) * 2*243**2 sitting at first coordinate 1-a."""
-    return (1 - a) * SHEET_SCALE
+    return Fraction((a.denominator - a.numerator) * SHEET_SCALE, a.denominator)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def lattice_bound(a: Fraction, L: int) -> tuple[int, bool]:
     so D / L**2 <= a**2 iff D <= the bound, and D / L**2 == a**2 iff also
     the bound is exact and D equals it.
     """
-    if a < 0:
+    if exact_type("scale", a, Fraction, int) < 0:
         raise ValueError("scale must be nonnegative")
     q, r = divmod((a.numerator * L) ** 2, a.denominator ** 2)
     return q, r == 0
@@ -182,9 +185,10 @@ class CloudConfig:
                 exact_type(f"config key {key!r}", value, *kinds)
         object.__setattr__(self, "scale", Fraction(self.scale))
         object.__setattr__(self, "x_values", tuple(map(Fraction, self.x_values)))
-        lo, hi = scale_window()
-        if not lo <= self.scale <= hi:
-            raise ValueError(f"scale {self.scale} outside window [{lo}, {hi}]")
+        # lo <= p/q <= 1 with lo = (S-1)/S, cleared of q > 0 and S.
+        p, q, S = self.scale.numerator, self.scale.denominator, SHEET_SCALE
+        if not (S - 1) * q <= S * p <= S * q:
+            raise ValueError("scale {} outside window [{}, {}]".format(self.scale, *_WINDOW))
         if self.blocks < 1:
             raise ValueError("blocks must be at least 1")
         if self.cube_grid < 0:

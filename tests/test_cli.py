@@ -201,6 +201,14 @@ def test_int_quirk_rationals_exit_code(tmp_path, capsys):
         assert "not a rational: '1_0" in capsys.readouterr().err
 
 
+def test_float_scale_exit_code(tmp_path, capsys):
+    # parse_rational refuses decimals before a float could reach the scan.
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--sheets", "2", "--scales", "0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: not a rational: '0.1'\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -10,9 +10,11 @@ the program runs; its referee belongs in tests/oracles.py.
 Uses are matched by name, not by class: a method name that several
 src/exactrips classes define counts as used for all of them once any one
 is named.  RipsComplex2.to_json and CloudConfig.to_json were called only
-by tests, yet passed because LemmaSuiteReport.to_json is called; a
-method that shares its name with another class's must be checked by
-hand.
+by tests, yet passed because LemmaSuiteReport.to_json is called.  So the
+shared public method names are pinned in SHARED_METHODS, with the
+classes that define each, every one checked by hand for a caller outside
+tests; a new shared name fails until its callers are checked and it is
+added there.
 
 Every `__all__` entry must be bound in its module, and every name the
 package `__init__.py` imports must be in its module's `__all__`, so a
@@ -20,6 +22,7 @@ deleted definition cannot linger in either list.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +63,31 @@ def test_every_definition_is_used_outside_tests():
         if name not in used
     ]
     assert unused == [], "defined in src/exactrips but used only by tests: " + ", ".join(unused)
+
+
+# Public method names that several src/exactrips classes define, and
+# those classes.  Each class's method was checked by hand for a caller in
+# src/exactrips or perfbench: _DigitString.digits in text(), the
+# _WordStream one in the lemma draws, each to_json_dict in cli or harness,
+# Cloud.to_csv_text in cli's build, ExperimentReport's in experiment.
+SHARED_METHODS = {
+    "digits": ["_DigitString", "_WordStream"],
+    "to_json_dict": ["FactReport", "LemmaSuiteReport", "RigidFreeReport", "RipsComplex2"],
+    "to_csv_text": ["Cloud", "ExperimentReport"],
+}
+
+
+def test_shared_method_names_are_pinned():
+    owners = defaultdict(list)
+    for path in MODULES:
+        for qualified, name in definitions(ast.parse(path.read_text())):
+            if qualified != name:
+                owners[name].append(qualified.partition(".")[0])
+    shared = {name: sorted(classes) for name, classes in owners.items() if len(classes) > 1}
+    assert shared == SHARED_METHODS, (
+        "a method name several classes define is matched by name only; check each "
+        "class's callers by hand, then pin it in SHARED_METHODS"
+    )
 
 
 def all_names(tree) -> list[str]:

@@ -209,6 +209,17 @@ def test_cycle_validation():
     assert not cycle_is_closed(cx, Cycle((0, 1, 2)))
 
 
+@pytest.mark.parametrize("ei", [(2, 1), (1, 1), (0, 3, 3), (0, 4, 2, 5)])
+def test_cycle_refuses_repeated_or_descending_indices(ei):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        Cycle(ei)
+
+
+@pytest.mark.parametrize("ei", [(), (5,), (0, 2, 7)])
+def test_cycle_takes_strictly_ascending_indices(ei):
+    assert Cycle(ei).edge_indices == ei
+
+
 def test_rigid_rank_lower_bound_pairing_pattern():
     # n parallel edges between two filled cliques; cycles pair edge 0 with
     # edge i, giving rank n-1 on the rigid coordinates.

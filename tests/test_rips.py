@@ -1,6 +1,8 @@
 """Exact-threshold Rips 2-skeleton: inclusivity, nesting, clique property."""
 
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from exactrips import rips
 from exactrips.harness import default_sheets
 from exactrips.rips import MonotonicityError, build_complex, build_edges, sq_dist, sweep
-from exactrips.space import CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import CloudConfig, LabeledPoint4, build_cloud, lattice_bound
 from exactrips.digits import BinaryString
 
 from oracles import cloud_of, fraction_edges, neighbor_lists, random_cloud
@@ -107,6 +109,58 @@ def test_unit_square_complexes():
 def test_negative_scale_rejected():
     with pytest.raises(ValueError):
         build_edges(UNIT_SQUARE, Fraction(-1))
+
+
+SCALE_TAKERS = {
+    "build_edges": lambda a: build_edges(UNIT_SQUARE, a),
+    "build_complex": lambda a: build_complex(UNIT_SQUARE, a).edges,
+    "sweep": lambda a: [cx.edges for cx in sweep(UNIT_SQUARE, [a])],
+    "lattice_bound": lambda a: lattice_bound(a, 6),
+}
+
+
+@pytest.mark.parametrize("take", SCALE_TAKERS.values(), ids=SCALE_TAKERS)
+@pytest.mark.parametrize("a", [0.1, True, "1/2", None], ids=["float", "bool", "str", "none"])
+def test_scale_must_be_fraction_or_int(take, a):
+    # Exact types, as CloudConfig takes them: 0.1 would be scanned at
+    # 3602879701896397/36028797018963968, so a float would decide the
+    # threshold, and a bool or str is not a number.
+    with pytest.raises(ValueError, match=re.escape(f"scale must be Fraction or int: {a!r}")):
+        take(a)
+
+
+@pytest.mark.parametrize("a", [0.1, True, "1/2", None], ids=["float", "bool", "str", "none"])
+def test_sweep_refuses_a_scale_before_comparing_or_building(a):
+    with pytest.raises(ValueError, match=re.escape(f"scale must be Fraction or int: {a!r}")):
+        sweep(UNIT_SQUARE, [Fraction(1, 2), a])
+
+
+@pytest.mark.parametrize("take", SCALE_TAKERS.values(), ids=SCALE_TAKERS)
+def test_an_int_scale_is_taken_as_its_fraction(take):
+    assert take(1) == take(Fraction(1))
+    assert type(build_complex(UNIT_SQUARE, 1).scale) is Fraction
+
+
+def test_edges_share_their_vertex_ints_in_bounded_memory():
+    # n = 512 minimal cloud at 9 blocks: V = 1024, 523,776 pairs and
+    # E = 262,144 edges.  Each edge is a 2-tuple of the V shared vertex
+    # ints, 56 B under tracemalloc on 64-bit CPython 3.10-3.13 (the tuple
+    # layout and GC header are the same size in each), plus an 8 B slot in
+    # the complex's edge tuple: 64 B per edge kept.  A new int per edge
+    # (28 B) puts it over 90.  The build's peak adds the transient hit list
+    # (8 B per pair, about 2 pairs per edge) and the list the tuple copies.
+    cloud = build_cloud(CloudConfig(default_sheets(512), Fraction(236195, 236196), blocks=9))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = build_complex(cloud, Fraction(236195, 236196))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    E = len(cx.edges)
+    assert (len(cloud), E) == (1024, 262144)
+    assert (after - before) / E <= 72
+    assert (peak - before) / E <= 90
 
 
 def test_canonical_ordering():
