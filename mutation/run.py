@@ -13,13 +13,16 @@ Each entry of the list is an object with
 - "tests": the pytest arguments that select the tests meant to kill it,
 - "why": one line on what the mutant breaks.
 
-The runner copies src/, tests/ and pyproject.toml to a temporary
-directory.  Every distinct selection first runs on the unmutated copy and
-must pass, so a selection that is broken, empty or already failing kills
-nothing.  Then each mutant is applied to the copy in turn, its selection
-runs (`pytest -x -q`, bytecode not written, so no stale cache is read),
-and the file is restored.  A mutant is killed when pytest exits nonzero
-or runs past TIMEOUT_S.  Exit 0 when every mutant is killed, else 1.
+The runner copies src/, tests/, pyproject.toml, perfbench/ and
+.github/workflows/ci.yml to a temporary directory; tier-1 reads the last
+two (test_definitions_used counts perfbench's uses, test_golden reads the
+CI file), so the whole of it passes in the copy.  Every distinct
+selection first runs on the unmutated copy and must pass, so a selection
+that is broken, empty or already failing kills nothing.  Then each mutant
+is applied to the copy in turn, its selection runs (`pytest -x -q`,
+bytecode not written, so no stale cache is read), and the file is
+restored.  A mutant is killed when pytest exits nonzero or runs past
+TIMEOUT_S.  Exit 0 when every mutant is killed, else 1.
 
 A mutant that survives calls for a new test, never for dropping the mutant.
 """
@@ -36,7 +39,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "perfbench", ".github/workflows/ci.yml")
 TIMEOUT_S = 600
 
 
@@ -73,6 +76,7 @@ def main() -> int:
                 shutil.copytree(source, tree / name,
                                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
+                (tree / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(source, tree / name)
 
         selections = list(dict.fromkeys(tuple(m["tests"]) for m in mutants))

@@ -57,7 +57,6 @@ from .rips import RigidEdge, RipsComplex2, bits, build_complex
 from .space import DEFAULT_BLOCKS, CloudConfig, build_cloud, circle_above_parabola_cleared
 
 __all__ = [
-    "RigidEdge",
     "RigidFreeReport",
     "ExperimentRow",
     "ExperimentReport",
@@ -297,7 +296,6 @@ def theorem_experiment(
                 len(rigid) == n
                 and free.ok
                 and lb == n - 1
-                and lb <= b1
                 and (b1 == n - 1 if minimal else b1 >= n - 1)
                 and (b0 == 1 if minimal else True)
             )

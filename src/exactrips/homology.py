@@ -13,9 +13,9 @@ change which edges survive.  `collapse_edges` therefore tries first a
 per-vertex hint, the vertex w it last found dominating an edge at the
 lower end u (on cube grids a dominator usually serves many edges at one
 vertex), with one mask test, w != v and N[u] & N[v] & ~N[w] == 0, and
-falls back to the candidates lowest-first.  `betti01` hands collapse's
-final closed masks, each less its own bit, to the collapsed complex as
-its neighbor masks.
+falls back to the candidates lowest-first.  `collapse_edges` makes the
+collapsed complex, its neighbor masks set from collapse's final closed
+masks, each less its own bit, so no byte rows are built for it.
 
 `two_cliques` instead certifies a complex as two cliques joined by its n
 rigid edges, which fixes beta0 = 1 and beta1 = n-1 with no collapse or rank.
@@ -93,16 +93,15 @@ def rank_f2(columns) -> int:
     return len(pivots)
 
 
-def collapse_edges(c, closed=None) -> list[tuple[int, int]]:
-    """The edges of c that survive domination collapse, in order: ascending
-    passes delete each edge uv that some w outside {u, v} dominates
-    (N[u] & N[v] <= N[w], closed neighborhoods of the current graph) until
-    a pass deletes none.  The hint, the vertex w = last[u], passes iff
-    w != v and N[u] & N[v] & ~N[w] == 0, which refuses a w whose edge to u
-    has collapsed.  `closed`, if given, is the list of c's N[v] as masks,
-    left holding the collapsed graph's (betti01 hands them to its complex)."""
-    if closed is None:
-        closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
+def collapse_edges(c) -> RipsComplex2:
+    """The complex of the edges of c that survive domination collapse, in
+    order: ascending passes delete each edge uv that some w outside {u, v}
+    dominates (N[u] & N[v] <= N[w], closed neighborhoods of the current
+    graph) until a pass deletes none.  The hint, the vertex w = last[u],
+    passes iff w != v and N[u] & N[v] & ~N[w] == 0, which refuses a w whose
+    edge to u has collapsed.  Its neighbor masks are the final N[v], each
+    less its own bit."""
+    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
     last = [len(closed) - 1] * len(closed)  # starts at the top vertex, never a lower end u
     alive, removed = list(c.edges), True
     while removed:
@@ -124,15 +123,14 @@ def collapse_edges(c, closed=None) -> list[tuple[int, int]]:
             closed[u] ^= 1 << v
             closed[v] ^= 1 << u
         alive, removed = kept, len(kept) < len(alive)
-    return alive
+    cc = RipsComplex2(c.cloud, c.scale, tuple(alive))
+    vars(cc)["neighbor_masks"] = tuple([m ^ 1 << v for v, m in enumerate(closed)])
+    return cc
 
 
 def betti01(c) -> tuple[int, int]:
-    """(beta0, beta1) of the 2-skeleton, ranked after edge collapse on a
-    complex whose neighbor masks are collapse's closed masks less own bits."""
-    closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
-    cc = RipsComplex2(c.cloud, c.scale, tuple(collapse_edges(c, closed)))
-    vars(cc)["neighbor_masks"] = tuple([m ^ 1 << v for v, m in enumerate(closed)])
+    """(beta0, beta1) of the 2-skeleton, ranked on collapse_edges(c)."""
+    cc = collapse_edges(c)
     r1 = rank_f2(boundary1(cc))
     r2 = rank_f2(_triangle_masks(cc))
     return c.n_vertices - r1, len(cc.edges) - r1 - r2

@@ -112,8 +112,8 @@ class ScaleEdges(NamedTuple):
 @dataclass(frozen=True)
 class RipsComplex2:
     """Flag complex of a sorted edge list (i < j), triangles (i, j, k) with
-    i < j < k lexicographic: Rips(cloud, scale) from build_complex, and in
-    homology.betti01 the complex of the edges that survive collapse."""
+    i < j < k lexicographic: Rips(cloud, scale) from build_complex, and from
+    homology.collapse_edges the complex of the edges that survive collapse."""
 
     cloud: object
     scale: Fraction
@@ -131,7 +131,7 @@ class RipsComplex2:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per vertex, the int whose set bits are its neighbors, read from a
         V-byte row of ASCII digits ("1" at each neighbor) reversed as a binary
-        numeral: O(V**2), so built for full complexes only (betti01 seeds it)."""
+        numeral: O(V**2), so built for full complexes only (collapse_edges sets it)."""
         V, one = self.n_vertices, ord("1")
         rows = [bytearray(b"0") * V for _ in range(V)]
         for i, j in self.edges:

@@ -12,13 +12,11 @@ so no vertex dominates it and it survives every collapse.
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrips import homology
 from exactrips.harness import default_sheets, find_rigid_edges
 from exactrips.homology import betti01, collapse_edges
 from exactrips.rips import RipsComplex2, build_complex
@@ -69,7 +67,7 @@ def test_octahedron_keeps_every_edge():
         axes[2 * k][k], axes[2 * k + 1][k] = 1, -1
     cx = build_complex(_cloud(axes), Fraction(3, 2))
     assert (len(cx.edges), cx.n_triangles) == (12, 8)
-    assert collapse_edges(cx) == list(cx.edges)
+    assert collapse_edges(cx).edges == cx.edges
     assert betti01(cx) == full_flag_betti01(cx) == (1, 0)
 
 
@@ -94,10 +92,10 @@ def test_betti01_matches_full_flag_route_on_larger_clouds(case):
 def test_collapse_stops_at_a_fixpoint(case):
     cloud, a = case
     cx = build_complex(cloud, a)
-    kept = collapse_edges(cx)
+    kept = list(collapse_edges(cx).edges)
     assert kept == [e for e in cx.edges if e in set(kept)]  # a subsequence
     assert dominated_edges(cx.n_vertices, kept) == []
-    assert collapse_edges(cx) == kept
+    assert list(collapse_edges(cx).edges) == kept
     # An edge in no triangle has no common neighbor to dominate it.
     in_triangles = {e for e, _ in fraction_triangle_sides(cx, range(len(cx.edges)))}
     assert {cx.edges[e] for e in range(len(cx.edges)) if e not in in_triangles} <= set(kept)
@@ -106,19 +104,11 @@ def test_collapse_stops_at_a_fixpoint(case):
 @SETTINGS
 @given(clouds(max_points=30))
 def test_betti01_ranks_a_complex_whose_masks_are_its_edges(case):
-    # betti01 hands collapse's closed masks to the collapsed complex; they
-    # must be exactly the masks that complex's own edge list builds.
+    # collapse_edges sets its complex's masks from collapse's closed masks;
+    # they must be exactly the masks that complex's own edge list builds.
     cx = build_complex(*case)
-    ranked, boundary1 = [], homology.boundary1
-
-    def spy(c):
-        ranked.append(c)
-        return boundary1(c)
-
-    with mock.patch.object(homology, "boundary1", spy):
-        betti01(cx)
-    (cc,) = ranked
-    assert cc.edges == tuple(collapse_edges(cx))
+    cc = collapse_edges(cx)
+    assert (cc.cloud, cc.scale, list(cc.edges)) == (cx.cloud, cx.scale, collapse_referee(cx))
     assert cc.neighbor_masks == RipsComplex2(cc.cloud, cc.scale, cc.edges).neighbor_masks
 
 
@@ -133,7 +123,7 @@ STALE_HINT_EDGES = ((0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 
 
 def test_a_hint_that_lost_its_edge_to_u_is_refused():
     cx = RipsComplex2(range(6), Fraction(1), STALE_HINT_EDGES)
-    kept = collapse_edges(cx)
+    kept = list(collapse_edges(cx).edges)
     assert kept == collapse_referee(cx) == [(0, 2), (0, 3), (0, 5), (1, 3), (3, 4)]
     replayed, cases = _search_cases(cx)
     assert replayed == kept
@@ -165,7 +155,7 @@ def _assert_rigid_edges_survive(cloud, a):
     cx = build_complex(cloud, a)
     rigid = find_rigid_edges(cx)
     assert rigid
-    kept = set(collapse_edges(cx))
+    kept = set(collapse_edges(cx).edges)
     assert {cx.edges[r.edge_index] for r in rigid} <= kept
     return cx
 
@@ -243,7 +233,7 @@ def test_collapse_matches_referee_and_meets_every_search_case():
     seen = Counter()
 
     def check(cx):
-        kept = collapse_edges(cx)
+        kept = list(collapse_edges(cx).edges)
         assert kept == collapse_referee(cx)
         replayed, cases = _search_cases(cx)
         assert replayed == kept
