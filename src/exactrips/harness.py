@@ -119,29 +119,25 @@ class RigidFreeReport:
 def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     """Confirm every rigid edge lies in zero triangles, two ways.
 
-    The primary check looks the rigid edges up among the triangle sides
-    (the rows of the triangle boundary at rigid indices must be empty;
-    see RipsComplex2.sides_in_triangles).  The cross-check, the
-    second-neighbor witness, lists per rigid edge, in input order, its
-    partner's sheet neighbors other than its census foot, ascending, off
-    the masks.  The argument expects none: a second neighbor would force
-    eps > l**2 / 2 between the first-coordinate gap eps and the slab
-    projection gap l, contradicting the close-expanding lower bound.
-    Violations are report content, not exceptions.
+    Both checks read the masks in one pass over the rigid edges, in input
+    order, so an edge given twice is listed twice.  The primary check
+    lists, per edge (s, p), the triangle sorted((s, p, k)) for each common
+    neighbor k of its ends, ascending: those are all the triangles on it.
+    The cross-check, the second-neighbor witness, lists its partner's
+    sheet neighbors other than its census foot, ascending.  The argument
+    expects none: a second neighbor would force eps > l**2 / 2 between the
+    first-coordinate gap eps and the slab projection gap l, contradicting
+    the close-expanding lower bound.  Violations are report content, not
+    exceptions.
     """
     rigid = list(rigid)
-    tri_violations = c.sides_in_triangles({r.edge_index for r in rigid})
     nb, sheet = c.neighbor_masks, c.cloud.kind_masks.sheet
-    witness_violations = [
-        (r.edge_index, v)
-        for r in rigid
-        for v in bits(nb[r.partner_vertex] & sheet & ~(1 << r.sheet_vertex))
-    ]
-    return RigidFreeReport(
-        checked=len(rigid),
-        triangle_violations=tuple(tri_violations),
-        witness_violations=tuple(witness_violations),
-    )
+    triangles, witnesses = [], []
+    for r in rigid:
+        s, p = r.sheet_vertex, r.partner_vertex
+        triangles += [(r.edge_index, tuple(sorted((s, p, k)))) for k in bits(nb[s] & nb[p])]
+        witnesses += [(r.edge_index, v) for v in bits(nb[p] & sheet & ~(1 << s))]
+    return RigidFreeReport(len(rigid), tuple(triangles), tuple(witnesses))
 
 
 def _bfs_path(c: RipsComplex2, start: int, goal: int) -> list[int]:

@@ -185,21 +185,24 @@ def rigid_rank_lower_bound(c, rigid, cycles) -> int:
     zero and the rigid coordinates of any 1-cycle are invariant under
     adding boundaries: the rank of the restrictions lower-bounds beta1.
 
-    Preconditions are verified, not assumed: every rigid edge must be
-    absent from every triangle and every chain must be closed.
+    Preconditions are verified, not assumed: the indices must be distinct,
+    each in range and its edge's ends without a common neighbor (no
+    triangle on it), checked edge by edge in the given order, and every
+    chain must be closed.  The error names the first offending index, and
+    for an edge in a triangle, the triangle of its lowest apex.
     """
     rigid = list(rigid)
     rigid_set = set(rigid)
     if len(rigid_set) != len(rigid):
         raise ValueError("rigid edge indices must be distinct")
+    nb = c.neighbor_masks
     for e in rigid:
         if not 0 <= e < len(c.edges):
             raise ValueError(f"rigid edge index out of range: {e}")
-    hits = c.sides_in_triangles(rigid_set)
-    if hits:
-        e, (i, j, k) = hits[0]
         side = c.edges[e]
-        raise ValueError(f"edge {side} is rigid but occurs in triangle ({i},{j},{k})")
+        if apexes := nb[side[0]] & nb[side[1]]:
+            i, j, k = sorted((*side, next(bits(apexes))))
+            raise ValueError(f"edge {side} is rigid but occurs in triangle ({i},{j},{k})")
     for cycle in cycles:
         if not cycle_is_closed(c, cycle):
             raise ValueError(f"chain {cycle.edge_indices} is not a cycle")

@@ -198,17 +198,6 @@ class RipsComplex2:
             masks[r.partner_vertex] &= ~(1 << r.sheet_vertex)
         return tuple(masks)
 
-    def sides_in_triangles(self, edges) -> list[tuple[int, tuple[int, int, int]]]:
-        """(edge index, triangle) for each side in `edges` of each triangle, by
-        triangle, then sides (i,j), (i,k), (j,k); an edge's triangles are
-        its common neighbors k, and its side is (i,j) of (i,j,k) when k > j."""
-        nb, hits = self.neighbor_masks, []
-        for e in set(edges):
-            i, j = self.edges[e]
-            for k in bits(nb[i] & nb[j]):
-                hits.append((tuple(sorted((i, j, k))), (k < i) + (k < j), e))
-        return [(e, t) for t, _, e in sorted(hits)]
-
     def to_json_dict(self) -> dict:
         V, nb = self.n_vertices, self.neighbor_masks
         return {

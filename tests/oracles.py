@@ -236,16 +236,11 @@ def fraction_witness(cloud, rigid, a: Fraction) -> list[tuple[int, int]]:
     return out
 
 
-def fraction_triangle_sides(cx, edges) -> list[tuple[int, tuple]]:
-    """(edge index, triangle) for each side in `edges` of each triangle,
-    by triangle and then side, found by a scan of the triangle list."""
-    position = {e: k for k, e in enumerate(cx.edges)}
-    return [
-        (position[side], (i, j, k))
-        for i, j, k in cx.triangles
-        for side in ((i, j), (i, k), (j, k))
-        if position[side] in edges
-    ]
+def triangles_on_edges(cx, edges) -> list[tuple[int, tuple]]:
+    """(edge index, triangle) per given edge index, in the given order
+    (repeats kept), then per triangle with that edge as a side,
+    lexicographic, found by a scan of the triangle list."""
+    return [(e, t) for e in edges for t in cx.triangles if set(cx.edges[e]) <= set(t)]
 
 
 def neighbor_lists(n_vertices: int, edges) -> list[list[int]]:

@@ -2,6 +2,8 @@
 
 import json
 import random
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -270,6 +272,20 @@ def test_internal_failure_in_sweep_exit_code(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: MonotonicityError: edges at 1/2 not nested in 1\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    # `python -m exactrips.cli` runs the module as __main__, in this process;
+    # a fresh run needs the imported module out of sys.modules first.
+    out = tmp_path / "lemmas.json"
+    argv = ["exactrips.cli", "verify-lemmas", "--samples", "1", "--blocks", "1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.delitem(sys.modules, "exactrips.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("exactrips.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"verify-lemmas: pass ({out})\n"
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_sweep_subcommand(tmp_path):

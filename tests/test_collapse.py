@@ -27,9 +27,9 @@ from oracles import (
     cloud_of,
     collapse_referee,
     dominated_edges,
-    fraction_triangle_sides,
     full_flag_betti01,
     merge_intersect_triangles,
+    triangles_on_edges,
 )
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -97,7 +97,7 @@ def test_collapse_stops_at_a_fixpoint(case):
     assert dominated_edges(cx.n_vertices, kept) == []
     assert list(collapse_edges(cx).edges) == kept
     # An edge in no triangle has no common neighbor to dominate it.
-    in_triangles = {e for e, _ in fraction_triangle_sides(cx, range(len(cx.edges)))}
+    in_triangles = {e for e, _ in triangles_on_edges(cx, range(len(cx.edges)))}
     assert {cx.edges[e] for e in range(len(cx.edges)) if e not in in_triangles} <= set(kept)
 
 
@@ -137,18 +137,6 @@ def test_triangles_count_order_and_merge_intersection_agree(case):
     cx = build_complex(cloud, a)
     assert list(cx.triangles) == merge_intersect_triangles(cx)
     assert cx.n_triangles == len(cx.triangles)
-
-
-@SETTINGS
-@given(clouds(max_points=20), st.data())
-def test_sides_in_triangles_matches_a_scan_for_any_edge_list(case, data):
-    cloud, a = case
-    cx = build_complex(cloud, a)
-    if not cx.edges:
-        assert cx.sides_in_triangles([]) == []
-        return
-    edges = data.draw(st.lists(st.integers(0, len(cx.edges) - 1), max_size=2 * len(cx.edges)))
-    assert cx.sides_in_triangles(edges) == fraction_triangle_sides(cx, set(edges))
 
 
 def _assert_rigid_edges_survive(cloud, a):

@@ -2,8 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactrips import cli, harness
 from exactrips.digits import BinaryString, TernaryString
@@ -18,9 +21,9 @@ from exactrips.harness import (
 )
 from exactrips.homology import Cycle, betti01, cycle_is_closed, rigid_rank_lower_bound
 from exactrips.rips import build_complex
-from exactrips.space import Cloud, CloudConfig, LabeledPoint4, build_cloud
+from exactrips.space import DEFAULT_SCALES, Cloud, CloudConfig, LabeledPoint4, build_cloud
 
-from oracles import betti_bruteforce, cloud_of
+from oracles import betti_bruteforce, cloud_of, triangles_on_edges
 
 WINDOW_LO = Fraction(118097, 118098)
 INTERIOR = Fraction(236195, 236196)
@@ -162,10 +165,13 @@ def test_theorem_experiment_reads_the_census_once_per_row_and_cycle(monkeypatch)
 
 
 def _with_a_midpoint(cfg):
-    # build_cloud plus the midpoint of the first sheet point and its
+    return _add_a_midpoint(build_cloud(cfg))
+
+
+def _add_a_midpoint(cloud):
+    # The cloud plus the midpoint of the first sheet point and its
     # {1}-slab partner (labelled cube0), which puts that rigid edge in a
     # triangle: the midpoint is at half the scale from both ends.
-    cloud = build_cloud(cfg)
     L, rows = cloud.lattice
     s = next(i for i, (kind, _, _) in enumerate(cloud.labels) if kind == "sheet")
     p = next(i for i, r in enumerate(rows) if r != rows[s] and r[1:] == rows[s][1:])
@@ -228,6 +234,56 @@ def test_a_repeated_sheet_row_is_a_witness_violation_of_the_other_copy():
     assert report.witness_violations == ((0, 4), (4, 0))
     assert report.triangle_violations == ((0, (0, 1, 4)), (4, (0, 1, 4)))
     assert not report.ok
+
+
+@cache
+def _rigid_in_triangles(kind, n=2, a=Fraction(1)):
+    # A complex whose rigid edges lie in triangles, and its census; the
+    # repeated sheet row is n = 2 at scale 1.
+    if kind == "midpoint":
+        cloud = _with_a_midpoint(CloudConfig(default_sheets(n), a))
+    else:
+        cloud = _cloud_with_a_repeated_row("sheet")
+        if kind == "repeated sheet row and midpoint":  # edges in two triangles
+            cloud = _add_a_midpoint(cloud)
+    cx = build_complex(cloud, a)
+    return cx, find_rigid_edges(cx)
+
+
+RIGID_IN_TRIANGLES = [
+    *(("midpoint", n, a) for n in (1, 2, 3, 4) for a in DEFAULT_SCALES),
+    ("repeated sheet row",),
+    ("repeated sheet row and midpoint",),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(RIGID_IN_TRIANGLES), st.data())
+def test_triangle_violations_are_each_given_edges_triangles_in_order(case, data):
+    cx, census = _rigid_in_triangles(*case)
+    assert triangles_on_edges(cx, [r.edge_index for r in census])
+    rigid = data.draw(st.lists(st.sampled_from(census), max_size=2 * len(census)))
+    report = assert_rigid_free(cx, rigid)
+    assert report.triangle_violations == tuple(triangles_on_edges(cx, [r.edge_index for r in rigid]))
+
+
+def test_a_rigid_edge_given_twice_is_listed_twice():
+    # Edges 0 = (0, 1) and 5 = (1, 4) join the two copies of a sheet point
+    # to their partner; the midpoint, vertex 5, is the apex of one more
+    # triangle on each.
+    cx, (r0, r5, _) = _rigid_in_triangles("repeated sheet row and midpoint")
+    assert [cx.edges[r.edge_index] for r in (r0, r5)] == [(0, 1), (1, 4)]
+    report = assert_rigid_free(cx, [r5, r0, r5])
+    assert report.checked == 3
+    assert report.triangle_violations == (
+        (5, (0, 1, 4)),
+        (5, (1, 4, 5)),
+        (0, (0, 1, 4)),
+        (0, (0, 1, 5)),
+        (5, (0, 1, 4)),
+        (5, (1, 4, 5)),
+    )
+    assert report.witness_violations == ((5, 0), (0, 4), (5, 0))
 
 
 def test_complete_to_cycle_closed_on_bigger_configs():

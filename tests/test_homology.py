@@ -262,10 +262,13 @@ def test_rigid_rank_lower_bound_preconditions():
     cx = build_complex(UNIT_SQUARE, Fraction(3, 2))  # all triangles filled
     with pytest.raises(ValueError):
         rigid_rank_lower_bound(cx, [0], [])
-    # The first triangle side, by triangle order, that is a given edge.
+    # Edge by edge in the given order, the first out of range or in a
+    # triangle is named, a triangle by its lowest apex.
     for rigid, message in (
-        ([5, 3], "edge (1, 2) is rigid but occurs in triangle (0,1,2)"),
+        ([5, 3], "edge (2, 3) is rigid but occurs in triangle (0,2,3)"),
         ([4], "edge (1, 3) is rigid but occurs in triangle (0,1,3)"),
+        ([4, 9], "edge (1, 3) is rigid but occurs in triangle (0,1,3)"),
+        ([9, 4], "rigid edge index out of range: 9"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             rigid_rank_lower_bound(cx, rigid, [])

@@ -44,7 +44,6 @@ from oracles import (
     edge_walk_scale_edges,
     fraction_edges,
     fraction_scale_edges,
-    fraction_triangle_sides,
     fraction_witness,
 )
 
@@ -201,18 +200,6 @@ def test_witness_matches_fraction_scan_on_a_shifted_partner(case, den, data):
     assert mine or shift
     # The point at a / 2 is always within a of the partner.
     assert all((e, len(cloud) - 3) in hits for e in mine)
-
-
-@SETTINGS
-@given(clouds(max_points=14), st.data())
-def test_sides_in_triangles_matches_a_triangle_scan(case, data):
-    cloud, a = case
-    cx = build_complex(cloud, a)
-    edges = set(data.draw(st.lists(st.integers(0, max(len(cx.edges) - 1, 0)))))
-    edges &= set(range(len(cx.edges)))
-    assert cx.sides_in_triangles(edges) == fraction_triangle_sides(cx, edges)
-    every = range(len(cx.edges))
-    assert cx.sides_in_triangles(every) == fraction_triangle_sides(cx, every)
 
 
 WITNESS_DENS = (1, 2, 3, 7, 2**10, 3**5, 3**23, 3**24)
