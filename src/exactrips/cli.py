@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: verify-lemmas, build, betti,
 rigid, experiment, sweep.  Rationals are written "num/den" everywhere
 (bare integers accepted on input).  JSON reports all come from the one
-writer digits.json_text: indent 2, sorted keys, non-ASCII escaped, the
-bytes json.dumps(obj, indent=2, sort_keys=True) writes.  Records (lemma
+writer digits.json_text, which joins one shared list of pieces once into
+the bytes json.dumps(obj, indent=2, sort_keys=True) writes.  Records (lemma
 and fact reports, rigid edges) are written from their fields by
 digits.json_fields.  Exit codes:
 
@@ -130,7 +130,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_sweep(args) -> int:
     """Nested complexes at ascending scales.  Equal ones can only be
     neighbours, so betti01 ranks each distinct edge tuple once; json_text
-    writes each repeated row run once."""
+    builds each repeated row run's text once."""
     cloud = _load_cloud(args.cloud)
     complexes = sweep(cloud, _rational_list(args.scales))
     reports, edges = [], None

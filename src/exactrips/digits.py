@@ -168,15 +168,15 @@ class MaskRows:
     size: int
     _FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
 
-    def json_at(self, nl: str, memo: dict) -> str:
-        """The list of rows as json_text writes it where `nl` starts a line.
-        `memo`, one per document, maps (nl, prefix, mask) to a run's text,
-        so a run repeated in the document is written once."""
+    def json_at(self, nl: str, memo: dict, out: list) -> None:
+        """Append to `out` the rows' list as json_text writes it where `nl`
+        starts a line.  `memo`, one per document, maps (nl, prefix, mask) to
+        a run's text, so a run repeated in the document is built once."""
         inner = nl + "  "
         deeper, sep = inner + "  ", "," + inner
         heads = [f"{k},{deeper}" for k in range(self.size)]
         tails = [f"{k}{inner}]" for k in range(self.size)]
-        runs = []
+        lead = "[" + inner
         for prefix, mask in zip(self.prefixes, self.masks):
             if not mask:
                 continue
@@ -185,21 +185,25 @@ class MaskRows:
                 head = "[" + deeper + "".join([heads[k] for k in prefix])
                 flags = bin(mask).encode()[:1:-1].translate(self._FLAGS)  # bit b at b
                 run = memo[key] = head + (sep + head).join(compress(tails[prefix[-1] + 1 :], flags))
-            runs.append(run)
-        return "[" + inner + sep.join(runs) + nl + "]" if runs else "[]"
+            out += lead, run
+            lead = sep
+        out.append(nl + "]" if lead == sep else "[]")  # "[]": no run written
 
 
 def json_text(obj) -> str:
     """The text json.dumps(obj, indent=2, sort_keys=True) + "\\n" writes,
     with each MaskRows value written as the list of its rows.
 
-    Every JSON report goes through here.  Dicts and lists recurse, scalars
-    are the stdlib's, and MaskRows (edges, triangles) are written from the
-    masks, with no row tuple and no str() per row; a run of rows repeated
-    in the document (as across a sweep's complexes) is written once, from
-    a memo freed on return.  Keys must be str.
+    Every JSON report goes through here.  Each level appends its pieces to
+    one list, joined once on return, so no text is copied into its parent's:
+    dicts and lists recurse, scalars are the stdlib's, and MaskRows (edges,
+    triangles) are written from the masks, with no row tuple and no str()
+    per row.  A row run repeated in the document (as across a sweep's
+    complexes) is built once, from a memo freed on return.  Keys must be str.
     """
-    return _json_at(obj, "\n", {}) + "\n"
+    _json_at(obj, "\n", {}, out := [])
+    out.append("\n")
+    return "".join(out)
 
 
 def json_fields(record, names=None) -> dict:
@@ -220,24 +224,24 @@ def _json_value(v):
     return v
 
 
-def _json_at(obj, nl: str, memo: dict) -> str:
-    """obj as the indented encoder writes it where `nl` starts a line."""
+def _json_at(obj, nl: str, memo: dict, out: list) -> None:
+    """Append obj's pieces to `out`, as written where `nl` starts a line."""
     if isinstance(obj, MaskRows):
-        return obj.json_at(nl, memo)
-    inner = nl + "  "
+        return obj.json_at(nl, memo, out)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        items = (f"{json.dumps(k)}: {_json_at(v, inner, memo)}" for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
-    return "[" + inner + ("," + inner).join(_json_at(v, inner, memo) for v in obj) + nl + "]"
+        if bad := [k for k in obj if not isinstance(k, str)]:
+            raise TypeError(f"JSON keys must be str, not {type(bad[0]).__name__}")
+        items, ends = [(f"{json.dumps(k)}: ", v) for k, v in sorted(obj.items())], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [("", v) for v in obj], "[]"
+    else:
+        return out.append(json.dumps(obj))
+    lead, inner = ends[0], nl + "  "
+    for key, v in items:
+        out.append(f"{lead}{inner}{key}")
+        _json_at(v, inner, memo, out)
+        lead = ","
+    out.append(nl + ends[1] if items else ends)
 
 
 def exact_type(what: str, value, *kinds):

@@ -127,14 +127,16 @@ def assert_rigid_free(c: RipsComplex2, rigid) -> RigidFreeReport:
     sheet neighbors other than its census foot, ascending.  The argument
     expects none: a second neighbor would force eps > l**2 / 2 between the
     first-coordinate gap eps and the slab projection gap l, contradicting
-    the close-expanding lower bound.  Violations are report content, not
-    exceptions.
+    the close-expanding lower bound.  Violations are report content; an
+    edge that is not c's edge (s, p) raises ValueError.
     """
     rigid = list(rigid)
     nb, sheet = c.neighbor_masks, c.cloud.kind_masks.sheet
     triangles, witnesses = [], []
     for r in rigid:
         s, p = r.sheet_vertex, r.partner_vertex
+        if not 0 <= r.edge_index < len(c.edges) or {*c.edges[r.edge_index]} != {s, p}:
+            raise ValueError(f"edge {r.edge_index} of this complex does not join {s} and {p}")
         triangles += [(r.edge_index, tuple(sorted((s, p, k)))) for k in bits(nb[s] & nb[p])]
         witnesses += [(r.edge_index, v) for v in bits(nb[p] & sheet & ~(1 << s))]
     return RigidFreeReport(len(rigid), tuple(triangles), tuple(witnesses))

@@ -13,7 +13,7 @@ from exactrips.cli import main
 from exactrips.digits import BinaryString, format_rational, json_fields, json_text
 from exactrips.harness import DisconnectionError, OpenChainError, default_sheets
 from exactrips.homology import betti01
-from exactrips.rips import MonotonicityError
+from exactrips.rips import MonotonicityError, build_complex
 from exactrips.space import Cloud, CloudConfig, build_cloud, scale_window
 
 
@@ -272,6 +272,26 @@ def test_internal_failure_in_sweep_exit_code(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: MonotonicityError: edges at 1/2 not nested in 1\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_rigid_census_of_another_complex_exit_code(tmp_path, monkeypatch, capsys):
+    # A census read off a 4-sheet complex, handed to the freeness check of
+    # a 2-sheet one: its edges lie past the small complex's vertices.
+    cfg = _write_config(tmp_path)
+    cloud_path = tmp_path / "cloud.csv"
+    main(["build", "--config", str(cfg), "--out", str(cloud_path)])
+    capsys.readouterr()
+    big = CloudConfig(default_sheets(4), Fraction(1))
+    foreign = harness.find_rigid_edges(build_complex(build_cloud(big), Fraction(1)))
+    monkeypatch.setattr(cli, "find_rigid_edges", lambda cx: foreign)
+    out = tmp_path / "rigid.json"
+    argv = ["rigid", "--cloud", str(cloud_path), "--scale", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: edge ")
+    assert "of this complex does not join" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_module_entry_point_exits_with_mains_code(tmp_path, monkeypatch, capsys):

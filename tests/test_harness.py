@@ -94,6 +94,27 @@ def test_assert_rigid_free_minimal():
         assert report.ok and report.checked == 3
 
 
+def test_assert_rigid_free_refuses_an_edge_of_another_complex():
+    small, big = _minimal_complex(3, INTERIOR), _minimal_complex(4, INTERIOR)
+    census = find_rigid_edges(big)
+    # Its partner vertices reach past the small complex's V = 6 vertices.
+    assert max(r.partner_vertex for r in census) >= len(small.cloud)
+    with pytest.raises(ValueError, match="of this complex does not join"):
+        assert_rigid_free(small, census)
+    # The small complex's own census edge, altered: another edge at its
+    # index, an index out of range, or a partner that is not an end.
+    r = find_rigid_edges(small)[0]
+    for foreign in (
+        replace(r, edge_index=r.edge_index + 1),
+        replace(r, edge_index=-1),
+        replace(r, edge_index=len(small.edges)),
+        replace(r, partner_vertex=r.sheet_vertex),
+    ):
+        with pytest.raises(ValueError, match=f"edge {foreign.edge_index} of this complex"):
+            assert_rigid_free(small, [r, foreign])
+    assert assert_rigid_free(small, [r, r]).checked == 2
+
+
 def test_assert_rigid_free_detects_violation():
     y = BinaryString((0,))
     sheet = LabeledPoint4((Fraction(0),) * 4, "sheet", Fraction(0), y)

@@ -1,5 +1,6 @@
 """The shared JSON writer against the stdlib's indented encoder."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exactrips.digits import json_text
-from exactrips.rips import RipsComplex2
+from exactrips.digits import format_rational, json_text
+from exactrips.harness import default_sheets
+from exactrips.rips import RipsComplex2, sweep
+from exactrips.space import DEFAULT_SCALES, CloudConfig, build_cloud, scale_window
 
 from oracles import json_text_reference
 
@@ -151,3 +154,29 @@ def test_repeated_row_runs_are_written_alike(g):
         "nested": [ref1, ref2],
     }
     assert json_text(payload) == json_text_reference(expected)
+
+
+def test_json_text_peak_memory_stays_within_twice_its_output():
+    """The writer's tracemalloc peak on a sweep report, against the length
+    of the text it returns.  The report: 8 sheets on cube grid 2 plus cube0
+    (70 vertices), swept at the window's ends and its interior default
+    scale, about 0.52 MB of text.  Joined once from one list of pieces, the
+    peak is the text plus the distinct row runs, 1.64 times the text; a
+    writer that joins each nested level into its own string, copied again
+    by its parent, peaks at 2.66 times."""
+    lo, hi = scale_window()
+    cloud = build_cloud(CloudConfig(default_sheets(8), lo, cube_grid=2, include_cube0=True))
+    complexes = sweep(cloud, [lo, DEFAULT_SCALES[1], hi])
+    doc = {
+        "scales": [format_rational(c.scale) for c in complexes],
+        "complexes": [c.to_json_dict() for c in complexes],
+    }
+    json_text(doc)  # warm: the neighbor masks are cached, the encoder loaded
+    tracemalloc.start()
+    try:
+        text = json_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 500_000
+    assert peak <= 2.0 * len(text)
