@@ -45,8 +45,15 @@ from .space import Cloud, CloudConfig, DEFAULT_BLOCKS, DEFAULT_SCALES, build_clo
 __all__ = ["main"]
 
 
+# Characters per write: the text layer encodes each write into a second
+# object, so a report larger than this is written in slices of it.
+_WRITE_SLICE = 2**21
+
+
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    with open(path, "w") as f:
+        for start in range(0, len(text), _WRITE_SLICE):
+            f.write(text[start : start + _WRITE_SLICE])
 
 
 def _load_cloud(path: str) -> Cloud:

@@ -95,7 +95,9 @@ class _DigitString:
 
     def value_at(self, depth: int) -> int:
         """Packed value of the first `depth` digits, zero-padded if needed."""
-        if depth >= self.depth:
+        if depth == self.depth:  # no table read and no multiply by 1
+            return self.value
+        if depth > self.depth:
             return self.value * power(self.base, depth - self.depth)
         return self.value // power(self.base, self.depth - depth)
 

@@ -122,8 +122,9 @@ def embed_strings(
     p: IManyPoint, blocks: int
 ) -> tuple[TernaryString, TernaryString, TernaryString]:
     """The three coordinate digit strings of the embedding of p."""
-    values = _coordinate_values(p.t, p.y, blocks)
-    return tuple(TernaryString.from_int(c, 3 * blocks) for c in values)
+    c0, c1, c2 = _coordinate_values(p.t, p.y, blocks)
+    from_int, depth = TernaryString.from_int, 3 * blocks
+    return from_int(c0, depth), from_int(c1, depth), from_int(c2, depth)
 
 
 def _reserved_digits(s: TernaryString, blocks: int) -> list[int]:
@@ -268,25 +269,29 @@ def check_facts(p: IManyPoint, q: IManyPoint, blocks: int) -> FactReport:
     """
     if p.digit_data_equals(q):
         raise DegeneratePairError("points have identical digit data")
-    if max(p.t.depth, q.t.depth) > 6 * blocks or max(p.y.depth, q.y.depth) > blocks:
+    pt, qt = p.t, q.t
+    if max(pt.depth, qt.depth) > 6 * blocks or max(p.y.depth, q.y.depth) > blocks:
         raise ValueError(f"digit data deeper than {blocks} blocks; facts would be vacuous")
-    pd, qd = power(3, p.t.depth), power(3, q.t.depth)
-    x_num, x_den = abs(p.t.value * qd - q.t.value * pd), pd * qd
-    k = first_difference(p.t, q.t)
-    cp, cq = _coordinate_values(p.t, p.y, blocks), _coordinate_values(q.t, q.y, blocks)
+    pd, qd = power(3, pt.depth), power(3, qt.depth)
+    x_num, x_den = abs(pt.value * qd - qt.value * pd), pd * qd
+    k = first_difference(pt, qt)
+    a0, a1, a2 = _coordinate_values(pt, p.y, blocks)
+    b0, b1, b2 = _coordinate_values(qt, q.y, blocks)
     depth = 3 * blocks  # every coordinate string has 3*blocks digits
-    coord_first_diffs = tuple(first_difference_packed(a, b, depth) for a, b in zip(cp, cq))
-    m = min((d for d in coord_first_diffs if d is not None), default=None)
+    d0 = first_difference_packed(a0, b0, depth)
+    d1 = first_difference_packed(a1, b1, depth)
+    d2 = first_difference_packed(a2, b2, depth)
+    m = min([d for d in (d0, d1, d2) if d is not None], default=None)
     den = power(3, depth)
-    gaps = tuple(abs(a - b) for a, b in zip(cp, cq))
-    linf, l2 = max(gaps), sum(g * g for g in gaps)
+    g0, g1, g2 = abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)
+    linf, l2 = max(g0, g1, g2), g0 * g0 + g1 * g1 + g2 * g2
     return FactReport(
         x_num == 0 if k is None else x_num * power(3, k) <= x_den,  # fact1
         k is None or m is not None and 2 * m <= k + 2,  # fact2
         m is None or linf * power(3, 4 + m) >= den,  # fact3
         linf * linf <= l2,  # fact4
         l2 * 3**10 * x_den >= x_num * den * den,  # combined
-        k, coord_first_diffs, x_num, x_den, gaps, blocks,
+        k, (d0, d1, d2), x_num, x_den, (g0, g1, g2), blocks,
     )
 
 

@@ -556,12 +556,14 @@ def run_lemma_suite(seed: int, samples: int, blocks: int) -> LemmaSuiteReport:
             )
 
     ultrametric_failures = []
+    from_int = TernaryString.from_int
     for _ in range(samples):
         # Three draws of `depth` digits read the words of one of 3 * depth.
         depth = 1 + rng.below(6 * blocks)
         top = power(3, depth)
         head, u = divmod(rng.digits(TernaryString, 3 * depth).value, top)
-        s, t, u = (TernaryString.from_int(v, depth) for v in (*divmod(head, top), u))
+        s, t = divmod(head, top)
+        s, t, u = from_int(s, depth), from_int(t, depth), from_int(u, depth)
         st = delta3(s, t)
         if delta3(s, u) > max(st, delta3(t, u)) or st != delta3(t, s) or delta3(s, s) != 0:
             ultrametric_failures.append(

@@ -4,6 +4,7 @@ import json
 import random
 import runpy
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -524,3 +525,22 @@ def test_sweep_empty_scales_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no scales given\n"
+
+
+@pytest.mark.parametrize("size", [0, 5, 2**21, 2**21 + 1, 2**24 + 7])
+def test_large_report_is_written_in_slices(tmp_path, size):
+    # The text layer encodes each write into a second object, so a report
+    # written whole is held twice: the peak inside _write stays under three
+    # slices, whatever the report's size.
+    text = ("0123456789abcdef" * (size // 16 + 1))[:size]
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._write(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cli._WRITE_SLICE
+    assert path.read_text() == text

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from exactrips import embedding, harness
 from exactrips.digits import BinaryString, TernaryString, json_text, to_ternary
-from exactrips.embedding import IManyPoint, check_facts, estimate_equivalence
+from exactrips.embedding import IManyPoint, check_facts, embed_strings, estimate_equivalence
 from exactrips.harness import run_lemma_suite
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     json_text_reference,
     positional_bound_fails,
     ratio_estimate_equivalence,
+    tuple_interleave,
 )
 
 FIELDS = (
@@ -112,6 +113,47 @@ def _planted_report(monkeypatch, p, q, blocks, images):
     ref = fraction_check_facts(p, q, blocks, [tuple(s.digits for s in i) for i in images])
     _assert_matches(r, ref)
     return r
+
+
+@st.composite
+def _pair_differing_at(draw, blocks, k):
+    """(j, p, q): t strings sharing their first k digits and differing at
+    digit k; labels first differing at j, drawn from [0, blocks), or
+    agreeing (j None).  Either point may be the deeper one."""
+    depth = draw(st.integers(k + 1, 6 * blocks))
+    t = TernaryString.from_int(draw(st.integers(0, 3**depth - 1)), depth)
+    step = 3 ** (depth - 1 - k)
+    digit = t.value // step % 3
+    other = draw(st.sampled_from([d for d in range(3) if d != digit]))
+    qdepth = draw(st.integers(depth, 6 * blocks))  # q's t zero-padded to qdepth
+    qt = TernaryString.from_int((t.value + (other - digit) * step) * 3 ** (qdepth - depth), qdepth)
+    ydepth = draw(st.integers(0, blocks))
+    y = BinaryString.from_int(draw(st.integers(0, 2**ydepth - 1)), ydepth)
+    j = draw(st.none() | st.integers(0, blocks - 1))
+    qy = BinaryString.from_int(y.value_at(blocks) ^ (0 if j is None else 2 ** (blocks - 1 - j)), blocks)
+    p, q = IManyPoint(t, y), IManyPoint(qt, qy)
+    return (j, *((q, p) if draw(st.booleans()) else (p, q)))
+
+
+@pytest.mark.parametrize("blocks,k", [(b, k) for b in (1, 2, 3) for k in range(6 * b)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_facts_and_images_at_every_first_difference_depth(blocks, k, data):
+    # The random suite's pairs first differ within the first few t digits;
+    # these first differ at each t digit k of 1 to 3 blocks.
+    j, p, q = data.draw(_pair_differing_at(blocks, k))
+    r = check_facts(p, q, blocks)
+    _assert_matches(r, fraction_check_facts(p, q, blocks))
+    assert r.all_hold and r.t_first_diff == k
+    # t digit k sits in coordinate k % 6 // 2 at 3*(k//6) + k % 2, label
+    # digit j in every coordinate at 3j + 2.
+    moved = 3 * (k // 6) + k % 2
+    assert min(d for d in r.coord_first_diffs if d is not None) == min(
+        moved, moved if j is None else 3 * j + 2
+    )
+    for a in (p, q):
+        images = tuple(s.digits for s in embed_strings(a, blocks))
+        assert images == tuple(tuple_interleave(i, a.t.digits, a.y.digits, blocks) for i in range(3))
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4])
