@@ -13,7 +13,9 @@ change which edges survive.  `collapse_edges` therefore tries first a
 per-vertex hint, the vertex w it last found dominating an edge at the
 lower end u (on cube grids a dominator usually serves many edges at one
 vertex), with one mask test, w != v and N[u] & N[v] & ~N[w] == 0, and
-falls back to the candidates lowest-first.  `collapse_edges` makes the
+falls back to the candidates highest-first: space.build_cloud emits the
+sheet points, then their partners, then the cube grids, so the grid
+vertices, which dominate most edges, come last.  `collapse_edges` makes the
 collapsed complex, its neighbor masks set from collapse's final closed
 masks, each less its own bit, so no byte rows are built for it.
 
@@ -99,8 +101,10 @@ def collapse_edges(c) -> RipsComplex2:
     dominates (N[u] & N[v] <= N[w], closed neighborhoods of the current
     graph) until a pass deletes none.  The hint, the vertex w = last[u],
     passes iff w != v and N[u] & N[v] & ~N[w] == 0, which refuses a w whose
-    edge to u has collapsed.  Its neighbor masks are the final N[v], each
-    less its own bit."""
+    edge to u has collapsed; else the other common neighbors are tried
+    highest-first, since the cube grid vertices, emitted last, dominate
+    most edges.  Its neighbor masks are the final N[v], each less its own
+    bit."""
     closed = [m | 1 << v for v, m in enumerate(c.neighbor_masks)]
     last = [len(closed) - 1] * len(closed)  # starts at the top vertex, never a lower end u
     alive, removed = list(c.edges), True
@@ -112,11 +116,11 @@ def collapse_edges(c) -> RipsComplex2:
             if w == v or common & ~closed[w]:
                 rest = common & ~(1 << u | 1 << v)
                 while rest:
-                    w = (rest & -rest).bit_length() - 1
+                    w = rest.bit_length() - 1
                     if not common & ~closed[w]:
                         last[u] = w
                         break
-                    rest &= rest - 1
+                    rest ^= 1 << w
                 else:
                     kept.append((u, v))
                     continue

@@ -124,8 +124,13 @@ class RipsComplex2:
         return len(self.cloud)
 
     def edge_index(self, u: int, v: int) -> int:
-        """Position of the edge {u, v}, given in either order, in `edges`."""
-        return bisect_left(self.edges, (u, v) if u < v else (v, u))
+        """Position of the edge {u, v}, given in either order, in `edges`;
+        ValueError naming the pair if {u, v} is not an edge."""
+        edges, e = self.edges, (u, v) if u < v else (v, u)
+        k = bisect_left(edges, e)
+        if k < len(edges) and edges[k] == e:
+            return k
+        raise ValueError(f"({u}, {v}) is not an edge")
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:

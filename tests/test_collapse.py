@@ -176,7 +176,8 @@ SEARCH_CASES = {
 def _search_cases(cx) -> tuple[list[tuple[int, int]], Counter]:
     """Replay the hinted dominator search on Python sets: the survivors, and
     how often each of SEARCH_CASES decided an edge.  The hint at u is the
-    dominator last found at u; the fallback takes the lowest dominator."""
+    dominator last found at u; the fallback, as collapse_edges, tries the
+    candidates highest-first and takes the highest dominator."""
     closed = [{v} for v in range(cx.n_vertices)]
     for u, v in cx.edges:
         closed[u].add(v)
@@ -187,7 +188,7 @@ def _search_cases(cx) -> tuple[list[tuple[int, int]], Counter]:
         kept = []
         for u, v in alive:
             common = closed[u] & closed[v]
-            rest = sorted(common - {u, v})
+            rest = sorted(common - {u, v}, reverse=True)
             dominators = [w for w in rest if common <= closed[w]]
             hint = last.get(u)
             seen["hint lost its edge to u"] += hint is not None and u not in closed[hint]
@@ -214,6 +215,9 @@ def _fixed_referee_complexes():
         for cube_grid in (1, 2, 3, 4):
             cfg = CloudConfig(default_sheets(2), a, cube_grid=cube_grid, include_cube0=True)
             yield build_complex(build_cloud(cfg), a)
+        # The grid benchmark's row: 8 sheets on cube grid 3 plus cube0.
+        cfg = CloudConfig(default_sheets(8), a, (), cube_grid=3, include_cube0=True)
+        yield build_complex(build_cloud(cfg), a)
     yield RipsComplex2(range(6), Fraction(1), STALE_HINT_EDGES)
 
 

@@ -293,3 +293,13 @@ def test_edge_index_is_the_position_in_either_order(cloud, a):
     cx = build_complex(cloud, a)
     for r, (i, j) in enumerate(cx.edges):
         assert cx.edge_index(i, j) == cx.edge_index(j, i) == r
+
+
+@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (0, 2), (1, 3), (1, 1), (0, 0), (3, 4), (4, 5)])
+def test_edge_index_refuses_a_pair_that_is_not_an_edge(u, v):
+    # On the path 0-1-2-3 a bare bisect puts (0, 2), (0, 3) and (1, 1) at
+    # the index of (1, 2), and (3, 4) and (4, 5) past the last edge.
+    cx = rips.RipsComplex2(range(4), Fraction(1), ((0, 1), (1, 2), (2, 3)))
+    assert [cx.edge_index(i, i + 1) for i in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match=re.escape(f"({u}, {v}) is not an edge")):
+        cx.edge_index(u, v)
